@@ -12,7 +12,8 @@ that sit:
   result is a falsification failure at the stated resolution, NOT a proof
   of equilibrium.
 * ``verify_certificate``: recomputes every delta of a certificate from
-  scratch and re-checks the concept's conditions, independent of how the
+  scratch, requires them to match the stored deltas in number, shape and
+  value, and re-checks the concept's conditions, independent of how the
   certificate was found.
 * ``bne_check``: single-agent best-response check; interim utility is
   affine in the agent's own per-type mixture, so comparing against pure
@@ -26,6 +27,9 @@ encode exactly as ``FiniteBayesianGame`` (``peer_prediction_game``), and
 ``find_setting_deviation`` runs the same falsifier semantics at any n using
 the mechanism's closed forms, searching symmetric coalition strategies
 (the corner profiles that drive the thresholds are symmetric).
+
+Concept names, the success test and the deltas of a coalition sharing one
+strategy come from ``thresholds``, the same code its dichotomy checks use.
 """
 
 from __future__ import annotations
@@ -45,22 +49,19 @@ from .errors import (
     InvalidSetting,
     ZeroLikelihood,
 )
-from .mechanism import (
-    DeviationProfile,
-    Setting,
-    Strategy,
-    _score_table,
-    ex_ante_utility,
-    interim_utility,
-    truthful_ex_ante,
-    truthful_interim,
-)
+from .mechanism import DeviationProfile, Setting, Strategy, _score_table
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
 from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
-
-EX_ANTE = "ex_ante"
-BAYESIAN = "bayesian"
-INTERIM_D = "interim_D"
+from .thresholds import (
+    BAYESIAN,
+    CONCEPTS,
+    EX_ANTE,
+    INTERIM_D,
+    deviation_succeeds,
+    member_delta,
+    symmetric_deltas,
+    truthful_baseline,
+)
 
 _PROB_TOL = 1e-12
 DEFAULT_BUDGET = 10_000_000
@@ -117,9 +118,9 @@ class FiniteBayesianGame:
 
     @staticmethod
     def from_dict(data: dict) -> "FiniteBayesianGame":
-        extra = set(data) - {"n", "types", "actions", "prior", "utilities"}
-        if extra:
-            raise InvalidGame(f"unknown game keys {sorted(extra)}")
+        keys = {"n", "types", "actions", "prior", "utilities"}
+        if set(data) != keys:
+            raise InvalidGame(f"game needs exactly the keys {sorted(keys)}, got {sorted(data)}")
         return FiniteBayesianGame(
             n=int(data["n"]),
             type_sets=tuple(tuple(ts) for ts in data["types"]),
@@ -344,16 +345,22 @@ class DeviationCertificate:
         )
 
 
-def _conditions_hold(concept: str, deltas: Sequence, tol: float) -> bool:
-    if concept == INTERIM_D:
-        return all(d > tol for d in deltas)
-    flat: list[float] = []
-    for d in deltas:
-        if isinstance(d, tuple):
-            flat.extend(d)
-        else:
-            flat.append(d)
-    return all(d >= -tol for d in flat) and any(d > tol for d in flat)
+def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: float) -> bool:
+    """Stored deltas match the recomputed ones and the recomputed ones succeed.
+
+    The match requires one delta per member, the same per-type tuple length,
+    and agreement within 1e-9, so a tampered or truncated certificate fails.
+    """
+    if not len(cert.deltas) == len(recomputed) == len(cert.coalition):
+        return False
+    for stored, fresh in zip(cert.deltas, recomputed):
+        if isinstance(stored, tuple) != isinstance(fresh, tuple):
+            return False
+        if not isinstance(stored, tuple):
+            stored, fresh = (stored,), (fresh,)
+        if len(stored) != len(fresh) or any(abs(s - f) > 1e-9 for s, f in zip(stored, fresh)):
+            return False
+    return deviation_succeeds(cert.concept, recomputed, tol)
 
 
 class _CoalitionEvaluator:
@@ -426,7 +433,7 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         raise DimensionMismatch(f"k must lie in [1, n], got {k}")
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
-    if concept not in (EX_ANTE, BAYESIAN):
+    if concept not in CONCEPTS:
         raise ValueError(f"unknown concept {concept!r}")
     if symmetric is None:
         symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
@@ -463,7 +470,7 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
             deltas = tuple(
                 tuple(new_t[p][v] - base_in[coalition[p]][v] for v in range(len(new_t[p])))
                 for p in range(len(coalition)))
-        if _conditions_hold(concept, deltas, tol):
+        if deviation_succeeds(concept, deltas, tol):
             return DeviationCertificate(
                 concept=concept, coalition=coalition,
                 strategies=tuple(tuple(tuple(float(x) for x in row) for row in m)
@@ -520,7 +527,7 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
     """Recompute every delta from scratch and re-check the concept's conditions.
 
     Also requires the recomputed deltas to match the certificate's stored
-    deltas within 1e-9, so a tampered certificate fails.
+    deltas (see ``_certificate_holds``), so a tampered certificate fails.
     """
     _check_profile(game, profile)
     tol = cert.tolerance if tol is None else tol
@@ -537,38 +544,23 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
         assignments[agent] = m
     deviated = profile.replace(assignments)
 
-    recomputed: list = []
+    def delta(agent: int, condition: dict[int, int] | None = None) -> float:
+        return (_utility(game, deviated, agent, condition)
+                - _utility(game, profile, agent, condition))
+
     if cert.concept == EX_ANTE:
-        for agent in cert.coalition:
-            recomputed.append(_utility(game, deviated, agent) - _utility(game, profile, agent))
+        recomputed: list = [delta(agent) for agent in cert.coalition]
     elif cert.concept == BAYESIAN:
-        for agent in cert.coalition:
-            per_type = tuple(
-                _utility(game, deviated, agent, {agent: v})
-                - _utility(game, profile, agent, {agent: v})
-                for v in range(len(game.type_sets[agent])))
-            recomputed.append(per_type)
+        recomputed = [tuple(delta(agent, {agent: v}) for v in range(len(game.type_sets[agent])))
+                      for agent in cert.coalition]
     elif cert.concept == INTERIM_D:
         if cert.conditioning_types is None or len(cert.conditioning_types) != k:
             raise DimensionMismatch("interim_D certificate needs one conditioning type per member")
         s_d = dict(zip(cert.coalition, cert.conditioning_types))
-        for agent in cert.coalition:
-            recomputed.append(_utility(game, deviated, agent, s_d)
-                              - _utility(game, profile, agent, s_d))
+        recomputed = [delta(agent, s_d) for agent in cert.coalition]
     else:
         raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
-
-    for stored, fresh in zip(cert.deltas, recomputed):
-        if isinstance(stored, tuple) != isinstance(fresh, tuple):
-            return False
-        if isinstance(stored, tuple):
-            if len(stored) != len(fresh):
-                return False
-            if any(abs(s - f) > 1e-9 for s, f in zip(stored, fresh)):
-                return False
-        elif abs(stored - fresh) > 1e-9:
-            return False
-    return _conditions_hold(cert.concept, recomputed, tol)
+    return _certificate_holds(cert, recomputed, tol)
 
 
 def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
@@ -685,30 +677,19 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
     if grid_steps < 2:
         raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
-    if concept not in (EX_ANTE, BAYESIAN):
+    if concept not in CONCEPTS:
         raise ValueError(f"unknown concept {concept!r}")
     strategies = _setting_strategy_grid(grid_steps)
-    base_ex = truthful_ex_ante(setting)
-    base_l = truthful_interim(setting, LOW)
-    base_h = truthful_interim(setting, HIGH)
+    base = truthful_baseline(setting, concept)
+    evals = 1 if concept == EX_ANTE else 2  # utility evaluations per candidate
     nodes = 0
     for size in range(1, k + 1):
         for strat in strategies:
-            profile = DeviationProfile((strat,) * size)
-            if concept == EX_ANTE:
-                nodes += 1
-                if nodes > budget:
-                    raise BudgetExceeded(nodes)
-                delta = ex_ante_utility(setting, profile, 0) - base_ex
-                deltas: tuple = (delta,) * size
-            else:
-                nodes += 2
-                if nodes > budget:
-                    raise BudgetExceeded(nodes)
-                d_l = interim_utility(setting, profile, 0, LOW) - base_l
-                d_h = interim_utility(setting, profile, 0, HIGH) - base_h
-                deltas = ((d_l, d_h),) * size
-            if _conditions_hold(concept, deltas, tol):
+            nodes += evals
+            if nodes > budget:
+                raise BudgetExceeded(nodes)
+            deltas = symmetric_deltas(setting, strat, size, concept, base)
+            if deviation_succeeds(concept, deltas, tol):
                 return DeviationCertificate(
                     concept=concept, coalition=tuple(range(size)),
                     strategies=(_strategy_dists(strat),) * size,
@@ -726,20 +707,15 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
     if profile.k != k:
         raise DimensionMismatch("certificate coalition and strategies must align")
 
-    recomputed: list = []
-    if cert.concept == EX_ANTE:
-        base = truthful_ex_ante(setting)
-        for pos in range(k):
-            recomputed.append(ex_ante_utility(setting, profile, pos) - base)
-    elif cert.concept == BAYESIAN:
-        base_l = truthful_interim(setting, LOW)
-        base_h = truthful_interim(setting, HIGH)
-        for pos in range(k):
-            recomputed.append((interim_utility(setting, profile, pos, LOW) - base_l,
-                               interim_utility(setting, profile, pos, HIGH) - base_h))
+    if cert.concept in CONCEPTS:
+        base = truthful_baseline(setting, cert.concept)
+        recomputed = [member_delta(setting, profile, pos, cert.concept, base)
+                      for pos in range(k)]
     elif cert.concept == INTERIM_D:
-        if setting.world_model is None or cert.conditioning_types is None:
-            raise DimensionMismatch("interim_D verification needs a world model and types")
+        if (setting.world_model is None or cert.conditioning_types is None
+                or len(cert.conditioning_types) != k):
+            raise DimensionMismatch(
+                "interim_D verification needs a world model and one type per member")
         s_d = tuple(LOW if ix == 0 else HIGH for ix in cert.conditioning_types)
         base = _interim_d_utilities(setting.world_model, setting.rule, setting.n, s_d,
                                     [TRUTHFUL_REPORTS[s] for s in s_d])
@@ -749,16 +725,7 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
         recomputed = [d - b for d, b in zip(dev, base)]
     else:
         raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
-
-    for stored, fresh in zip(cert.deltas, recomputed):
-        if isinstance(stored, tuple) != isinstance(fresh, tuple):
-            return False
-        if isinstance(stored, tuple):
-            if any(abs(s - f) > 1e-9 for s, f in zip(stored, fresh)):
-                return False
-        elif abs(stored - fresh) > 1e-9:
-            return False
-    return _conditions_hold(cert.concept, recomputed, tol)
+    return _certificate_holds(cert, recomputed, tol)
 
 
 TRUTHFUL_REPORTS = {LOW: 0.0, HIGH: 1.0}
@@ -838,7 +805,7 @@ def interim_D_deviation(wm: WorldModel, rule: ScoringRule, n: int,
     base = _interim_d_utilities(wm, rule, n, s_d, truthful)
     dev = _interim_d_utilities(wm, rule, n, s_d, coordinated)
     deltas = tuple(x - b for x, b in zip(dev, base))
-    if not all(delta > tol for delta in deltas):
+    if not deviation_succeeds(INTERIM_D, deltas, tol):
         return None
     strategy = Strategy(1.0, 1.0) if target == HIGH else Strategy(0.0, 0.0)
     return DeviationCertificate(

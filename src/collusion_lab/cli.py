@@ -12,20 +12,18 @@ Subcommands:
 Configuration comes from a JSON file (--config) with selected flag
 overrides; unknown keys are rejected.  Exit codes: 0 success, 1 falsifier
 found nothing at the given resolution/budget, 2 configuration error,
-3 search budget exhausted.  All output is deterministic for a fixed config
-and seed; randomness flows from the single seed through fixed-size trial
-blocks (one spawned stream each).  COLLUSION_LAB_THREADS caps sweep
-parallelism; rows are emitted in sweep order regardless.
+3 search budget exhausted.  ``falsify`` and ``game-check`` validate their
+search options (k, concept, grid_steps, budget) the same way.  All output
+is deterministic for a fixed config and seed; randomness flows from the
+single seed through fixed-size trial blocks (one spawned stream each).
+``scan`` emits its rows in sweep order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -116,6 +114,23 @@ def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
             raise ConfigError(f'unknown format {raw["format"]!r}')
         cfg.fmt = raw["format"]
     return cfg
+
+
+def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int, int]:
+    """The checked (k, concept, grid_steps, budget) of a coalition search among n agents."""
+    k = cfg.raw["k"]
+    if not isinstance(k, int) or not 1 <= k <= n:
+        raise ConfigError(f'"k" must be an integer in [1, n], got {k!r}')
+    concept = cfg.raw.get("concept", thresholds.EX_ANTE)
+    if concept not in thresholds.CONCEPTS:
+        raise ConfigError(f'unknown concept {concept!r}')
+    grid_steps = cfg.raw.get("grid_steps", 11)
+    if not isinstance(grid_steps, int) or grid_steps < 2:
+        raise ConfigError('"grid_steps" must be an integer >= 2')
+    budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
+    if not isinstance(budget, int) or budget < 1:
+        raise ConfigError(f'"budget" must be a positive integer, got {budget!r}')
+    return k, concept, grid_steps, budget
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +265,7 @@ def cmd_falsify(cfg: RunConfig) -> int:
     setting = cfg.setting
     if "k" not in cfg.raw:
         raise ConfigError('falsify needs "k"')
-    k = cfg.raw["k"]
-    if not isinstance(k, int) or not 1 <= k <= setting.n:
-        raise ConfigError(f'"k" must be an integer in [1, n], got {k!r}')
-    concept = cfg.raw.get("concept", thresholds.EX_ANTE)
-    if concept not in thresholds.CONCEPTS:
-        raise ConfigError(f'unknown concept {concept!r}')
-    grid_steps = cfg.raw.get("grid_steps", 11)
-    if not isinstance(grid_steps, int) or grid_steps < 2:
-        raise ConfigError('"grid_steps" must be an integer >= 2')
-    budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
+    k, concept, grid_steps, budget = _search_options(cfg, setting.n)
     try:
         cert = checker.find_setting_deviation(
             setting, k, concept, grid_steps=grid_steps, budget=budget, tol=cfg.tolerance)
@@ -363,12 +369,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     if not isinstance(sweep, dict):
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
-    max_workers = max(1, int(os.environ.get("COLLUSION_LAB_THREADS", "1")))
-    lines = [SCAN_HEADER]
-    if values:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            lines.extend(pool.map(lambda v: _scan_row(cfg, param, v), values))
-    _emit("\n".join(lines))
+    _emit("\n".join([SCAN_HEADER] + [_scan_row(cfg, param, v) for v in values]))
     return EXIT_OK
 
 
@@ -394,14 +395,12 @@ def cmd_game_check(cfg: RunConfig) -> int:
         profile = checker.truthful_profile(game)
     else:
         profile = checker.MixedProfile.from_dict(profile_spec)
+    search = _search_options(cfg, game.n) if "k" in cfg.raw else None
     holds, worst = checker.bne_check(game, profile, tol=cfg.tolerance)
     payload: dict = {"bne": holds, "worst_violation": worst}
     code = EXIT_OK
-    if "k" in cfg.raw:
-        k = cfg.raw["k"]
-        concept = cfg.raw.get("concept", thresholds.EX_ANTE)
-        grid_steps = cfg.raw.get("grid_steps", 11)
-        budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
+    if search is not None:
+        k, concept, grid_steps, budget = search
         try:
             cert = checker.find_deviation(game, profile, k, concept,
                                           grid_steps=grid_steps, budget=budget,

@@ -190,14 +190,14 @@ def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
         raise InvalidPrior('config needs exactly one of "prior" or "world_model"')
     if has_prior:
         spec = config["prior"]
-        extra = set(spec) - {"p_h", "p_h_given_h"}
-        if extra:
-            raise InvalidPrior(f"unknown prior keys {sorted(extra)}")
+        if set(spec) != {"p_h", "p_h_given_h"}:
+            raise InvalidPrior(
+                f"prior needs exactly the keys p_h, p_h_given_h; got {sorted(spec)}")
         return make_prior(float(spec["p_h"]), float(spec["p_h_given_h"])), None
     spec = config["world_model"]
-    extra = set(spec) - {"p_state", "p_h_given_state"}
-    if extra:
-        raise InvalidPrior(f"unknown world_model keys {sorted(extra)}")
+    if set(spec) != {"p_state", "p_h_given_state"}:
+        raise InvalidPrior(
+            f"world_model needs exactly the keys p_h_given_state, p_state; got {sorted(spec)}")
     wm = WorldModel(tuple(float(x) for x in spec["p_state"]),
                     tuple(float(x) for x in spec["p_h_given_state"]))
     return induce_prior(wm), wm

@@ -262,8 +262,6 @@ class GapReport:
     score_ll: float
     gap_h: float
     gap_l: float
-    delta_h: float
-    delta_l: float
     spread: float
 
 
@@ -291,7 +289,5 @@ def gap_report(rule: ScoringRule, prior: "BinaryPrior") -> GapReport:
         score_ll=s_ll,
         gap_h=gap_h,
         gap_l=gap_l,
-        delta_h=gap_h,
-        delta_l=gap_l,
         spread=max(scores) - min(scores),
     )

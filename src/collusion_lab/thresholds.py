@@ -27,18 +27,26 @@ never undercuts the ex-ante threshold.
 
 ``dichotomy_check`` evaluates a canonical deviation against the letter of
 the equilibrium definitions via exact mechanism utilities.
+
+This module also holds the verdict vocabulary that ``checker`` imports:
+the concept names, ``deviation_succeeds`` (the definitions' success test),
+``truthful_baseline``/``member_delta`` (one deviator's utility change) and
+``symmetric_deltas`` (a coalition sharing one strategy), so the closed
+forms and the falsifiers decide success the same way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InvalidSetting, NoFiniteN
 from .mechanism import (
     CANONICAL_DEVIATIONS,
     DeviationProfile,
     Setting,
+    Strategy,
     _score_table,
     ex_ante_utility,
     interim_utility,
@@ -50,7 +58,8 @@ from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
 
 EX_ANTE = "ex_ante"
 BAYESIAN = "bayesian"
-CONCEPTS = (EX_ANTE, BAYESIAN)
+INTERIM_D = "interim_D"
+CONCEPTS = (EX_ANTE, BAYESIAN)  # the concepts the falsifiers search; INTERIM_D is checked only
 
 
 def _snap(x: float, tol: float) -> float:
@@ -116,53 +125,50 @@ def _gaps(setting: Setting) -> tuple[float, float, float, float]:
     return e_l, e_h, d_h, d_l
 
 
-def k_ex_ante(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
-    """Largest coalition size for which truthful reporting survives ex ante."""
+def _side(n: int, num: float, den: float, interim: bool,
+          tol: float) -> tuple[int, float] | None:
+    """Smallest coalition size at which one corner deviation profits, with its ratio.
+
+    ``floor((n-1) * num / den) + 1`` ex ante, ``ceil((n-1) * num / den)``
+    per type (a zero delta for one type beside a strict gain for the other
+    already succeeds), never below 1.  None when ``den <= tol``: that corner never profits.
+    """
+    if den <= tol:
+        return None
+    ratio = num / den
+    scaled = _snap((n - 1) * ratio, tol)
+    k = int(math.ceil(scaled)) if interim else int(math.floor(scaled)) + 1
+    return max(1, k), ratio
+
+
+def _report(setting: Setting, concept: str, tol: float) -> ThresholdReport:
     e_l, e_h, d_h, d_l = _gaps(setting)
+    if concept == BAYESIAN:
+        # per type, each corner's inside surplus is discounted (module docstring)
+        d_h, d_l = setting.prior.p_ll * d_h, setting.prior.p_hh * d_l
     n = setting.n
-
-    def side(num: float, den: float) -> tuple[int, bool, float | None]:
-        if den <= tol:
-            return n, True, None
-        ratio = num / den
-        k = int(math.floor(_snap((n - 1) * ratio, tol))) + 1
-        return max(1, k), False, ratio
-
-    k_h, inf_h, ratio_h = side(e_l, d_h)
-    k_l, inf_l, ratio_l = side(e_h, d_l)
+    side_h = _side(n, e_l, d_h, concept == BAYESIAN, tol)
+    side_l = _side(n, e_h, d_l, concept == BAYESIAN, tol)
+    k_h, ratio_h = side_h or (n, None)
+    k_l, ratio_l = side_l or (n, None)
     return ThresholdReport(
-        concept=EX_ANTE, n=n,
+        concept=concept, n=n,
         k_h=k_h, k_l=k_l, k=min(k_h, k_l, n),
-        k_h_infinite=inf_h, k_l_infinite=inf_l,
+        k_h_infinite=side_h is None, k_l_infinite=side_l is None,
         numerator_h=e_l, denominator_h=d_h,
         numerator_l=e_h, denominator_l=d_l,
         ratio_h=ratio_h, ratio_l=ratio_l,
     )
 
 
+def k_ex_ante(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
+    """Largest coalition size for which truthful reporting survives ex ante."""
+    return _report(setting, EX_ANTE, tol)
+
+
 def k_bayesian(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     """Largest coalition size for which truthful reporting survives per type."""
-    e_l, e_h, d_h, d_l = _gaps(setting)
-    prior = setting.prior
-    n = setting.n
-
-    def side(num: float, den: float) -> tuple[int, bool, float | None]:
-        if den <= tol:
-            return n, True, None
-        ratio = num / den
-        k = int(math.ceil(_snap((n - 1) * ratio, tol)))
-        return max(1, k), False, ratio
-
-    k_h, inf_h, ratio_h = side(e_l, prior.p_ll * d_h)
-    k_l, inf_l, ratio_l = side(e_h, prior.p_hh * d_l)
-    return ThresholdReport(
-        concept=BAYESIAN, n=n,
-        k_h=k_h, k_l=k_l, k=min(k_h, k_l, n),
-        k_h_infinite=inf_h, k_l_infinite=inf_l,
-        numerator_h=e_l, denominator_h=prior.p_ll * d_h,
-        numerator_l=e_h, denominator_l=prior.p_hh * d_l,
-        ratio_h=ratio_h, ratio_l=ratio_l,
-    )
+    return _report(setting, BAYESIAN, tol)
 
 
 def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> int:
@@ -239,10 +245,8 @@ def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
     num = prior.p_h * e_h + prior.p_l * e_l
     den = (prior.p_h * (prior.p_hh - prior.p_lh) * d_l
            + prior.p_l * (prior.p_ll - prior.p_hl) * d_h)
-    if den <= tol:
-        return math.inf
-    k = int(math.floor(_snap((setting.n - 1) * num / den, tol))) + 1
-    return max(1, k)
+    side = _side(setting.n, num, den, False, tol)
+    return math.inf if side is None else side[0]
 
 
 @dataclass(frozen=True)
@@ -278,15 +282,55 @@ class DichotomyVerdict:
             succeeded=data["succeeded"], deltas=deltas)
 
 
-def deltas_succeed(deltas: tuple, tol: float) -> bool:
-    """The definitions' success test: no member loses, someone strictly gains."""
+def deviation_succeeds(concept: str, deltas: Sequence, tol: float) -> bool:
+    """The definitions' success test for one coalition's per-member deltas.
+
+    Ex ante and per type: no member (type) loses, someone strictly gains;
+    per-type deltas are tuples.  interim_D: every member strictly gains.
+    """
+    if concept == INTERIM_D:
+        return all(d > tol for d in deltas)
     flat: list[float] = []
     for d in deltas:
         if isinstance(d, tuple):
             flat.extend(d)
         else:
             flat.append(d)
-    return all(d >= -tol for d in flat) and any(d > tol for d in flat)
+    return all(x >= -tol for x in flat) and any(x > tol for x in flat)
+
+
+def truthful_baseline(setting: Setting, concept: str):
+    """The truthful utility a deviator's delta is measured against.
+
+    A float ex ante; the (low, high) pair of interim utilities per type.
+    """
+    if concept == EX_ANTE:
+        return truthful_ex_ante(setting)
+    return truthful_interim(setting, LOW), truthful_interim(setting, HIGH)
+
+
+def member_delta(setting: Setting, profile: DeviationProfile, pos: int, concept: str,
+                 base):
+    """Utility change of deviator ``pos`` over ``base = truthful_baseline(...)``.
+
+    A float ex ante; a (low, high) pair per type.
+    """
+    if concept == EX_ANTE:
+        return ex_ante_utility(setting, profile, pos) - base
+    base_l, base_h = base
+    return (interim_utility(setting, profile, pos, LOW) - base_l,
+            interim_utility(setting, profile, pos, HIGH) - base_h)
+
+
+def symmetric_deltas(setting: Setting, strategy: Strategy, k: int, concept: str,
+                     base) -> tuple:
+    """Per-member deltas of a size-k coalition whose members all play ``strategy``.
+
+    Members are exchangeable, so one member's delta is every member's.
+    ``base`` is ``truthful_baseline(setting, concept)``, computed once by the
+    caller across the sizes and strategies it tries.
+    """
+    return (member_delta(setting, DeviationProfile((strategy,) * k), 0, concept, base),) * k
 
 
 def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
@@ -299,18 +343,8 @@ def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
         raise InvalidSetting(f"unknown concept {concept!r}, expected one of {CONCEPTS}")
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
-    strategy = CANONICAL_DEVIATIONS[deviation]
-    profile = DeviationProfile((strategy,) * k)
-    if concept == EX_ANTE:
-        base = truthful_ex_ante(setting)
-        delta = ex_ante_utility(setting, profile, 0) - base
-        deltas: tuple = (delta,) * k
-    else:
-        base_l = truthful_interim(setting, LOW)
-        base_h = truthful_interim(setting, HIGH)
-        delta_l = interim_utility(setting, profile, 0, LOW) - base_l
-        delta_h = interim_utility(setting, profile, 0, HIGH) - base_h
-        deltas = ((delta_l, delta_h),) * k
+    deltas = symmetric_deltas(setting, CANONICAL_DEVIATIONS[deviation], k, concept,
+                              truthful_baseline(setting, concept))
     return DichotomyVerdict(
         concept=concept, k=k, deviation_tested=deviation,
-        succeeded=deltas_succeed(deltas, tol), deltas=deltas)
+        succeeded=deviation_succeeds(concept, deltas, tol), deltas=deltas)

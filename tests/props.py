@@ -147,7 +147,7 @@ def check_score_gap_positivity(seed: int = 1234, samples: int = 1000) -> None:
         for rule in (cl.BrierRule(), cl.LogRule()):
             rep = cl.gap_report(rule, pr)
             assert rep.gap_h > 0.0 and rep.gap_l > 0.0, (pr, rule)
-            assert rep.spread >= max(rep.delta_h, rep.delta_l) >= 0.0
+            assert rep.spread >= max(rep.gap_h, rep.gap_l) >= 0.0
             # at least one same-posterior reward surplus is positive
             assert rep.score_hh > rep.score_lh or rep.score_ll > rep.score_hl
 
@@ -194,7 +194,7 @@ def check_g_side_identities(seed: int = 501, samples: int = 25) -> None:
     for setting in settings:
         pr = setting.prior
         rep = cl.gap_report(setting.rule, pr)
-        d_sum = rep.delta_h + rep.delta_l
+        d_sum = rep.gap_h + rep.gap_l
         h = 0.2
 
         def g_h(bl, bh, _s=setting):
@@ -225,7 +225,7 @@ def check_g_side_identities(seed: int = 501, samples: int = 25) -> None:
         dt = (1.0 - lo) / 4.0
         slope = (g_h(alpha * (1 - (t0 + dt)), t0 + dt)
                  - g_h(alpha * (1 - (t0 - dt)), t0 - dt)) / (2 * dt)
-        e_h = pr.p_hh * rep.delta_h - pr.p_lh * rep.delta_l
+        e_h = pr.p_hh * rep.gap_h - pr.p_lh * rep.gap_l
         assert abs(slope - e_h) <= 1e-8
         assert slope > 0.0
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ class TestVerifyCertificate:
             concept=cert.concept, coalition=cert.coalition, strategies=cert.strategies,
             deltas=tuple(-d for d in cert.deltas), tolerance=cert.tolerance)
         assert not cl.verify_certificate(game, profile, tampered)
+        # truncated certificates: missing deltas, or short per-type tuples
+        setting = props.reference_setting()
+        ex = cl.find_setting_deviation(setting, 40, "ex_ante")
+        ba = cl.find_setting_deviation(setting, 45, "bayesian")
+        for bad in (replace(ex, deltas=()), replace(ex, deltas=ex.deltas[:1]),
+                    replace(ba, deltas=tuple(d[:1] for d in ba.deltas))):
+            assert not cl.verify_setting_certificate(setting, bad)
+        game = cl.peer_prediction_game(
+            cl.make_setting(6, cl.BrierRule(), prior=cl.make_prior(2 / 3, 0.8)))
+        profile = cl.truthful_profile(game)
+        cert = cl.find_deviation(game, profile, 3, "ex_ante")
+        assert cl.verify_certificate(game, profile, cert)
+        assert not cl.verify_certificate(game, profile, replace(cert, deltas=()))
 
     def test_bayesian_reinterprets_as_ex_ante(self):
         props.check_bayesian_implies_ex_ante_certificate()
@@ -341,6 +355,9 @@ class TestInterimD:
         profile = cl.truthful_profile(game)
         assert cl.verify_certificate(game, profile, cert)
         assert cl.verify_setting_certificate(setting, cert)
+        longer = replace(cert, conditioning_types=cert.conditioning_types + (0,))
+        with pytest.raises(cl.DimensionMismatch):
+            cl.verify_setting_certificate(setting, longer)
 
 
 class TestSettingFalsifier:

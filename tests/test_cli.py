@@ -211,3 +211,24 @@ class TestGameCheckCommand:
     def test_missing_game(self, capsys):
         code, _ = run(capsys, ["game-check"])
         assert code == 2
+
+
+GAME = {"n": 2, "types": [["t"], ["t"]], "actions": [["a", "b"], ["a", "b"]],
+        "prior": [[1.0]], "utilities": [[[[1.0, 0.0], [0.0, 2.0]]]] * 2}
+GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "k": 2}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("game-check", dict(GAME_CFG, concept="interim_D")),
+    ("game-check", dict(GAME_CFG, grid_steps=1)),
+    ("game-check", dict(GAME_CFG, budget="x")),
+    ("falsify", dict(REFERENCE, k=40, budget="x")),
+    ("thresholds", dict(REFERENCE, prior={"p_h": 0.5})),
+    ("game-check", dict(GAME_CFG, game={k: v for k, v in GAME.items() if k != "types"})),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
+    code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -121,7 +121,7 @@ class TestGapReport:
         rng = np.random.default_rng(3)
         for _ in range(200):
             rep = cl.gap_report(props.random_rule(rng), props.random_prior(rng))
-            assert rep.spread >= max(rep.delta_h, rep.delta_l) >= 0.0
+            assert rep.spread >= max(rep.gap_h, rep.gap_l) >= 0.0
 
     def test_gap_positivity_random(self):
         props.check_score_gap_positivity()
