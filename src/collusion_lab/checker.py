@@ -49,7 +49,15 @@ from .errors import (
     InvalidSetting,
     ZeroLikelihood,
 )
-from .mechanism import DeviationProfile, Setting, Strategy, _score_table
+from .mechanism import (
+    TRUTHFUL_STRATEGY,
+    DeviationProfile,
+    Setting,
+    Strategy,
+    _pair_term_ex_ante,
+    _pair_term_interim,
+    _score_table,
+)
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
 from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
 from .thresholds import (
@@ -118,16 +126,22 @@ class FiniteBayesianGame:
 
     @staticmethod
     def from_dict(data: dict) -> "FiniteBayesianGame":
+        if not isinstance(data, dict):
+            raise InvalidGame(f"game must be an object, got {type(data).__name__}")
         keys = {"n", "types", "actions", "prior", "utilities"}
         if set(data) != keys:
             raise InvalidGame(f"game needs exactly the keys {sorted(keys)}, got {sorted(data)}")
-        return FiniteBayesianGame(
-            n=int(data["n"]),
-            type_sets=tuple(tuple(ts) for ts in data["types"]),
-            action_sets=tuple(tuple(a) for a in data["actions"]),
-            prior=np.asarray(data["prior"], dtype=float),
-            utilities=tuple(np.asarray(v, dtype=float) for v in data["utilities"]),
-        )
+        try:
+            fields = dict(
+                n=int(data["n"]),
+                type_sets=tuple(tuple(ts) for ts in data["types"]),
+                action_sets=tuple(tuple(a) for a in data["actions"]),
+                prior=np.asarray(data["prior"], dtype=float),
+                utilities=tuple(np.asarray(v, dtype=float) for v in data["utilities"]),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidGame(f"malformed game field: {exc}") from exc
+        return FiniteBayesianGame(**fields)
 
 
 @dataclass(frozen=True)
@@ -432,9 +446,9 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     if not 1 <= k <= game.n:
         raise DimensionMismatch(f"k must lie in [1, n], got {k}")
     if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+        raise InvalidSetting(f"grid_steps must be >= 2, got {grid_steps}")
     if concept not in CONCEPTS:
-        raise ValueError(f"unknown concept {concept!r}")
+        raise InvalidSetting(f"unknown concept {concept!r}")
     if symmetric is None:
         symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
 
@@ -663,6 +677,64 @@ def _setting_strategy_grid(grid_steps: int) -> list[Strategy]:
     return corners + rest
 
 
+def _sizes_where(holds, k: int) -> tuple[int, int] | None:
+    """The sizes in [1, k] where a condition monotone in the size holds, as (first, last).
+
+    The condition is a comparison of a delta affine in the size, so it
+    holds on a half-line: read it at 1 and k, then bisect for the switch.
+    """
+    at_1, at_k = holds(1), holds(k)
+    if at_1 and at_k:
+        return 1, k
+    if not (at_1 or at_k):
+        return None
+    lo, hi = 1, k  # holds(lo) == at_1 != holds(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid) == at_1:
+            lo = mid
+        else:
+            hi = mid
+    return (1, lo) if at_1 else (hi, k)
+
+
+def _smallest_winning_size(n: int, k: int, terms: Sequence[tuple[float, float, float]],
+                           tol: float) -> int | None:
+    """Smallest size in [1, k] at which a coalition sharing one strategy succeeds.
+
+    ``terms`` holds, per delta component (one ex ante, one per signal per
+    type), the pair reward against a fellow member, the pair reward against
+    a truthful peer and the truthful baseline.  A member's utility at size
+    s is summed role by role as ``mechanism.ex_ante_utility`` and
+    ``interim_utility`` sum it (zero-count roles skipped, members before
+    truthful peers), so every size gives the float those functions give.
+    Success is ``deviation_succeeds``: every component >= -tol and some
+    component > tol, each a half-line in s.
+    """
+    def delta(s: int, term: tuple[float, float, float]) -> float:
+        p_member, p_truthful, base = term
+        total = 0.0
+        if s > 1:
+            total += (s - 1) * p_member
+        if n > s:
+            total += (n - s) * p_truthful
+        return total / (n - 1) - base
+
+    first, last = 1, k
+    for term in terms:
+        span = _sizes_where(lambda s, t=term: delta(s, t) >= -tol, k)
+        if span is None:
+            return None
+        first, last = max(first, span[0]), min(last, span[1])
+    best = None
+    for term in terms:
+        span = _sizes_where(lambda s, t=term: delta(s, t) > tol, k)
+        if span is not None and max(first, span[0]) <= min(last, span[1]):
+            size = max(first, span[0])
+            best = size if best is None else min(best, size)
+    return best
+
+
 def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: int = 11,
                            budget: int = DEFAULT_BUDGET,
                            tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
@@ -671,35 +743,63 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     Searches coalition sizes 1..k with all members sharing one grid strategy
     (agents are exchangeable and the binding deviations are symmetric corner
     profiles); utilities come from the exact closed forms, so any n is fine.
-    Same certificate/verdict semantics as ``find_deviation``.
+    Returns the smallest successful size, first grid strategy in grid order
+    among those that succeed at it.  Same certificate/verdict semantics as
+    ``find_deviation``.
+
+    A member's delta is affine in the coalition size, so each grid strategy's
+    smallest successful size is found by bisection: O(grid * log k) work.
+    ``budget`` still charges the nodes a size-by-size search (every grid
+    strategy at size 1, then at size 2, ...) would have spent, one per
+    utility evaluation, so its verdicts and ``BudgetExceeded.nodes_searched``
+    do not depend on how the search runs.
     """
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
     if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
+        raise InvalidSetting(f"grid_steps must be >= 2, got {grid_steps}")
     if concept not in CONCEPTS:
-        raise ValueError(f"unknown concept {concept!r}")
+        raise InvalidSetting(f"unknown concept {concept!r}")
     strategies = _setting_strategy_grid(grid_steps)
     base = truthful_baseline(setting, concept)
+    prior, table, n = setting.prior, _score_table(setting), setting.n
+    winner = None  # (size, grid index)
+    for index, strat in enumerate(strategies):
+        if concept == EX_ANTE:
+            terms = [(_pair_term_ex_ante(prior, table, strat, strat),
+                      _pair_term_ex_ante(prior, table, strat, TRUTHFUL_STRATEGY), base)]
+        else:
+            terms = [(_pair_term_interim(prior, table, strat, strat, s),
+                      _pair_term_interim(prior, table, strat, TRUTHFUL_STRATEGY, s), b)
+                     for s, b in zip((LOW, HIGH), base)]
+        size = _smallest_winning_size(n, k, terms, tol)
+        if size is not None and (winner is None or size < winner[0]):
+            winner = (size, index)
+
     evals = 1 if concept == EX_ANTE else 2  # utility evaluations per candidate
-    nodes = 0
-    for size in range(1, k + 1):
-        for strat in strategies:
-            nodes += evals
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            deltas = symmetric_deltas(setting, strat, size, concept, base)
-            if deviation_succeeds(concept, deltas, tol):
-                return DeviationCertificate(
-                    concept=concept, coalition=tuple(range(size)),
-                    strategies=(_strategy_dists(strat),) * size,
-                    deltas=deltas, tolerance=tol)
-    return None
+    if winner is None:
+        nodes = evals * k * len(strategies)
+    else:
+        nodes = evals * ((winner[0] - 1) * len(strategies) + winner[1] + 1)
+    if nodes > budget:
+        raise BudgetExceeded(evals * max(budget // evals + 1, 1))
+    if winner is None:
+        return None
+    size, strat = winner[0], strategies[winner[1]]
+    return DeviationCertificate(
+        concept=concept, coalition=tuple(range(size)),
+        strategies=(_strategy_dists(strat),) * size,
+        deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
 
 
 def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
                                tol: float | None = None) -> bool:
-    """Re-verify a mechanism-scale certificate from the closed forms."""
+    """Re-verify a mechanism-scale certificate from the closed forms.
+
+    A member's delta depends only on its own strategy and the coalition's
+    strategy counts, so it is computed once per distinct strategy and
+    shared by the members who play it: O(k) for a symmetric certificate.
+    """
     tol = cert.tolerance if tol is None else tol
     k = len(cert.coalition)
     strategies = tuple(_strategy_from_dists(d) for d in cert.strategies)
@@ -709,8 +809,11 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
 
     if cert.concept in CONCEPTS:
         base = truthful_baseline(setting, cert.concept)
-        recomputed = [member_delta(setting, profile, pos, cert.concept, base)
-                      for pos in range(k)]
+        by_strategy: dict = {}
+        for pos, strat in enumerate(strategies):
+            if strat not in by_strategy:
+                by_strategy[strat] = member_delta(setting, profile, pos, cert.concept, base)
+        recomputed = [by_strategy[strat] for strat in strategies]
     elif cert.concept == INTERIM_D:
         if (setting.world_model is None or cert.conditioning_types is None
                 or len(cert.conditioning_types) != k):

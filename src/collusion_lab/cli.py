@@ -317,6 +317,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _sweep_values(sweep: dict) -> tuple[str, list]:
     extra = set(sweep) - {"param", "values", "start", "stop", "step"}
     if extra:
@@ -325,11 +329,17 @@ def _sweep_values(sweep: dict) -> tuple[str, list]:
     if param not in ("n", "p_h", "p_h_given_h"):
         raise ConfigError(f'sweep "param" must be n, p_h, or p_h_given_h, got {param!r}')
     if "values" in sweep:
-        return param, list(sweep["values"])
+        values = sweep["values"]
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
+            raise ConfigError(f'sweep "values" must be a list of numbers, got {values!r}')
+        return param, list(values)
     try:
         start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
     except KeyError as exc:
         raise ConfigError('sweep needs "values" or start/stop/step') from exc
+    for key, value in (("start", start), ("stop", stop), ("step", step)):
+        if not _is_number(value):
+            raise ConfigError(f'sweep "{key}" must be a number, got {value!r}')
     if step <= 0:
         raise ConfigError('sweep "step" must be positive')
     values = []

@@ -188,16 +188,20 @@ def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
     has_wm = "world_model" in config
     if has_prior == has_wm:
         raise InvalidPrior('config needs exactly one of "prior" or "world_model"')
+    key, fields = (("prior", {"p_h", "p_h_given_h"}) if has_prior
+                   else ("world_model", {"p_state", "p_h_given_state"}))
+    spec = config[key]
+    if not isinstance(spec, dict) or set(spec) != fields:
+        got = sorted(spec) if isinstance(spec, dict) else type(spec).__name__
+        raise InvalidPrior(f"{key} needs exactly the keys {', '.join(sorted(fields))}; got {got}")
+    try:
+        if has_prior:
+            values = float(spec["p_h"]), float(spec["p_h_given_h"])
+        else:
+            values = tuple(map(float, spec["p_state"])), tuple(map(float, spec["p_h_given_state"]))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidPrior(f"{key} values must be numbers: {exc}") from exc
     if has_prior:
-        spec = config["prior"]
-        if set(spec) != {"p_h", "p_h_given_h"}:
-            raise InvalidPrior(
-                f"prior needs exactly the keys p_h, p_h_given_h; got {sorted(spec)}")
-        return make_prior(float(spec["p_h"]), float(spec["p_h_given_h"])), None
-    spec = config["world_model"]
-    if set(spec) != {"p_state", "p_h_given_state"}:
-        raise InvalidPrior(
-            f"world_model needs exactly the keys p_h_given_state, p_state; got {sorted(spec)}")
-    wm = WorldModel(tuple(float(x) for x in spec["p_state"]),
-                    tuple(float(x) for x in spec["p_h_given_state"]))
+        return make_prior(*values), None
+    wm = WorldModel(*values)
     return induce_prior(wm), wm

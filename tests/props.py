@@ -428,3 +428,73 @@ def check_checker_mechanism_exactness(seed: int = 606, samples: int = 30) -> Non
                 a = cl.game_interim_utility(game, mixed, agent, ix)
                 b = cl.interim_utility(setting, profile, member, sig)
                 assert abs(a - b) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# setting falsifier: the size-by-size search as an oracle
+# ---------------------------------------------------------------------------
+
+def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
+                              grid_steps: int = 11, budget: int = cl.DEFAULT_BUDGET,
+                              tol: float = cl.DEFAULT_TOL):
+    """The setting falsifier as a plain loop: every grid strategy at size 1, then 2, ...
+
+    Charges one node per utility evaluation and raises BudgetExceeded at the
+    first node past ``budget``; returns the first certificate that succeeds.
+    """
+    from collusion_lab.checker import _setting_strategy_grid, _strategy_dists
+    from collusion_lab.thresholds import (
+        deviation_succeeds, symmetric_deltas, truthful_baseline)
+
+    strategies = _setting_strategy_grid(grid_steps)
+    base = truthful_baseline(setting, concept)
+    evals = 1 if concept == cl.EX_ANTE else 2
+    nodes = 0
+    for size in range(1, k + 1):
+        for strat in strategies:
+            nodes += evals
+            if nodes > budget:
+                raise cl.BudgetExceeded(nodes)
+            deltas = symmetric_deltas(setting, strat, size, concept, base)
+            if deviation_succeeds(concept, deltas, tol):
+                return cl.DeviationCertificate(
+                    concept=concept, coalition=tuple(range(size)),
+                    strategies=(_strategy_dists(strat),) * size,
+                    deltas=deltas, tolerance=tol)
+    return None
+
+
+def _falsifier_outcome(search, *args, **kwargs):
+    try:
+        cert = search(*args, **kwargs)
+    except cl.BudgetExceeded as exc:
+        return "budget", exc.nodes_searched
+    return "found", None if cert is None else cert.to_dict()
+
+
+def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> None:
+    """The closed-form setting falsifier returns exactly what the size loop returns.
+
+    Same certificate (size, strategy, deltas as floats), same None, same
+    ``nodes_searched`` on an exhausted budget, for n <= 200, both concepts,
+    several grid resolutions and budgets from tiny to the default.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = {"found": 0, "none": 0, "budget": 0}
+    for _ in range(cases):
+        n = int(round(math.exp(rng.uniform(math.log(2), math.log(200)))))  # the loop is O(n^2)
+        setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
+        concept = cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN
+        grid_steps = int(rng.choice([2, 3, 5, 11]))
+        budget = cl.DEFAULT_BUDGET if rng.random() < 0.5 else int(rng.integers(1, 3001))
+        # k around the concept's threshold, where the first success sits
+        k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
+        k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
+        args = (setting, k, concept)
+        kwargs = {"grid_steps": grid_steps, "budget": budget}
+        fast = _falsifier_outcome(cl.find_setting_deviation, *args, **kwargs)
+        slow = _falsifier_outcome(setting_falsifier_by_size, *args, **kwargs)
+        assert fast == slow, (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
+        kind = "budget" if fast[0] == "budget" else ("none" if fast[1] is None else "found")
+        kinds[kind] += 1
+    assert min(kinds.values()) >= cases // 20, kinds

@@ -384,6 +384,19 @@ class TestSettingFalsifier:
         with pytest.raises(cl.BudgetExceeded):
             cl.find_setting_deviation(self.SETTING, 40, "ex_ante", budget=3)
 
+    def test_matches_size_loop_oracle(self):
+        props.check_setting_falsifier_matches_loop()
+
+    def test_bad_search_options(self):
+        game = joint_switch_game()
+        profile = cl.MixedProfile((np.array([[1.0, 0.0]]),) * 2)
+        for search, args in ((cl.find_setting_deviation, (self.SETTING, 5)),
+                             (cl.find_deviation, (game, profile, 2))):
+            with pytest.raises(cl.InvalidSetting):
+                search(*args, "ex_ante", grid_steps=1)
+            with pytest.raises(cl.InvalidSetting):
+                search(*args, "interim_D")
+
 
 class TestGameSerialization:
     def test_round_trip(self):

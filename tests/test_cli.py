@@ -117,6 +117,23 @@ class TestFalsifyCommand:
         assert payload["budget_exceeded"]
         assert payload["nodes_searched"] > 3
 
+    @pytest.mark.parametrize("concept,threshold,k_star", [("ex_ante", cl.k_ex_ante, 23_810),
+                                                          ("bayesian", cl.k_bayesian, 39_683)])
+    def test_boundary_at_large_n(self, tmp_path, capsys, concept, threshold, k_star):
+        cfg = {"n": 100_000, "rule": {"rule": "brier"},
+               "prior": {"p_h": 0.4, "p_h_given_h": 0.6}, "concept": concept}
+        setting = cl.make_setting(100_000, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+        assert threshold(setting).k == k_star
+        code, out = run(capsys, ["falsify", "--config", write_config(tmp_path, dict(cfg, k=k_star))])
+        assert code == 1
+        assert json.loads(out)["found"] is False
+        code, out = run(capsys, ["falsify", "--config",
+                                 write_config(tmp_path, dict(cfg, k=k_star + 1))])
+        assert code == 0
+        cert = cl.DeviationCertificate.from_dict(json.loads(out)["certificate"])
+        assert len(cert.coalition) == k_star + 1
+        assert cl.verify_setting_certificate(setting, cert)
+
 
 class TestSimulateCommand:
     WM_CFG = {
@@ -225,6 +242,14 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("falsify", dict(REFERENCE, k=40, budget="x")),
     ("thresholds", dict(REFERENCE, prior={"p_h": 0.5})),
     ("game-check", dict(GAME_CFG, game={k: v for k, v in GAME.items() if k != "types"})),
+    ("thresholds", dict(REFERENCE, prior=5)),
+    ("thresholds", dict(REFERENCE, prior={"p_h": "a", "p_h_given_h": 0.8})),
+    ("thresholds", {"n": 100, "world_model": {"p_state": 3, "p_h_given_state": [0.2, 0.8]}}),
+    ("game-check", dict(GAME_CFG, game=5)),
+    ("game-check", dict(GAME_CFG, game=dict(GAME, n="x"))),
+    ("scan", dict(REFERENCE, sweep={"param": "n", "start": 10, "stop": 20, "step": "x"})),
+    ("scan", dict(REFERENCE, sweep={"param": "n", "values": [5, "x"]})),
+    ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3, "x"]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])
