@@ -99,7 +99,9 @@ class FiniteBayesianGame:
             raise InvalidGame("empty type or action set")
         if self.prior.shape != t_shape:
             raise InvalidGame(f"prior shape {self.prior.shape} != type shape {t_shape}")
-        if np.any(self.prior < -_PROB_TOL) or abs(float(self.prior.sum()) - 1.0) > _PROB_TOL:
+        # written so that NaN entries fail too
+        total = float(self.prior.sum())
+        if not (np.all(self.prior >= -_PROB_TOL) and abs(total - 1.0) <= _PROB_TOL):
             raise InvalidGame("prior must be a probability table summing to 1")
         if len(self.utilities) != self.n:
             raise InvalidGame("need one utility table per agent")
@@ -107,6 +109,8 @@ class FiniteBayesianGame:
             if v.shape != (t_shape[i],) + a_shape:
                 raise InvalidGame(
                     f"utility table {i} has shape {v.shape}, expected {(t_shape[i],) + a_shape}")
+            if not np.all(np.isfinite(v)):
+                raise InvalidGame(f"utility table {i} must hold finite numbers")
         for i in range(self.n):
             if np.any(self.type_marginal(i) <= 0.0):
                 raise InvalidGame(f"every type of agent {i} must have positive prior probability")
@@ -139,6 +143,7 @@ class FiniteBayesianGame:
                 prior=np.asarray(data["prior"], dtype=float),
                 utilities=tuple(np.asarray(v, dtype=float) for v in data["utilities"]),
             )
+            hash((fields["type_sets"], fields["action_sets"]))  # labels go into sets
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGame(f"malformed game field: {exc}") from exc
         return FiniteBayesianGame(**fields)
@@ -154,7 +159,8 @@ class MixedProfile:
         for i, m in enumerate(self.strategies):
             if m.ndim != 2:
                 raise DimensionMismatch(f"strategy {i} must be a (types x actions) matrix")
-            if np.any(m < -_PROB_TOL) or np.any(np.abs(m.sum(axis=1) - 1.0) > _PROB_TOL):
+            # written so that NaN entries fail too
+            if not (np.all(m >= -_PROB_TOL) and np.all(np.abs(m.sum(axis=1) - 1.0) <= _PROB_TOL)):
                 raise DimensionMismatch(f"strategy rows of agent {i} must sum to 1")
 
     def replace(self, assignments: dict[int, np.ndarray]) -> "MixedProfile":
@@ -168,7 +174,14 @@ class MixedProfile:
 
     @staticmethod
     def from_dict(data: dict) -> "MixedProfile":
-        return MixedProfile(tuple(np.asarray(m, dtype=float) for m in data["strategies"]))
+        if not isinstance(data, dict) or set(data) != {"strategies"}:
+            got = sorted(data) if isinstance(data, dict) else type(data).__name__
+            raise DimensionMismatch(f'profile needs exactly the key "strategies", got {got}')
+        try:
+            mats = tuple(np.asarray(m, dtype=float) for m in data["strategies"])
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(f"malformed profile strategies: {exc}") from exc
+        return MixedProfile(mats)
 
 
 def _check_profile(game: FiniteBayesianGame, profile: MixedProfile) -> None:
@@ -432,8 +445,7 @@ class _CoalitionEvaluator:
 
 def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, concept: str,
                    grid_steps: int = 11, budget: int = DEFAULT_BUDGET,
-                   tol: float = DEFAULT_TOL,
-                   symmetric: bool | None = None) -> Optional[DeviationCertificate]:
+                   tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
     """Search coalitions of size <= k for a successful deviation from ``profile``.
 
     Enumerates coalition sizes in ascending order.  For exchangeable games
@@ -449,8 +461,7 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         raise InvalidSetting(f"grid_steps must be >= 2, got {grid_steps}")
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
-    if symmetric is None:
-        symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
+    symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
 
     strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
     nodes = 0

@@ -22,7 +22,9 @@ single seed through fixed-size trial blocks (one spawned stream each).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -72,14 +74,20 @@ class RunConfig:
 
     @property
     def setting(self) -> mechanism.Setting:
-        if "n" not in self.raw:
-            raise ConfigError('missing required key "n"')
-        n = self.raw["n"]
-        if not isinstance(n, int) or n < 2:
-            raise ConfigError(f'"n" must be an integer >= 2, got {n!r}')
+        n = _checked_n(self.raw)
         rule = scoring.rule_from_config(self.raw.get("rule", {"rule": "brier"}))
         pr, wm = prior.from_config(self.raw)
         return mechanism.make_setting(n, rule, prior=pr, world_model=wm)
+
+
+def _checked_n(raw: dict) -> int:
+    """The config's population size ``n``: an integer >= 2."""
+    if "n" not in raw:
+        raise ConfigError('missing required key "n"')
+    n = raw["n"]
+    if not isinstance(n, int) or n < 2:
+        raise ConfigError(f'"n" must be an integer >= 2, got {n!r}')
+    return n
 
 
 def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
@@ -106,9 +114,10 @@ def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
             f"unknown config keys for {command}: {sorted(unknown)} (allowed: {sorted(allowed)})")
     cfg = RunConfig(command=command, raw=raw)
     if "tolerance" in raw:
-        cfg.tolerance = float(raw["tolerance"])
-        if cfg.tolerance <= 0:
-            raise ConfigError('"tolerance" must be positive')
+        tol = raw["tolerance"]
+        if not scoring.is_finite_number(tol) or tol <= 0:
+            raise ConfigError(f'"tolerance" must be a finite positive number, got {tol!r}')
+        cfg.tolerance = float(tol)
     if "format" in raw:
         if raw["format"] not in ("json", "text", "csv"):
             raise ConfigError(f'unknown format {raw["format"]!r}')
@@ -300,7 +309,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             strategies = tuple(mechanism.Strategy(float(d["bl"]), float(d["bh"]))
                                for d in deviators)
             profile = mechanism.DeviationProfile(strategies)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f'bad "deviators" entry: {exc}') from exc
     trials = cfg.raw.get("trials", 10000)
     seed = cfg.raw.get("seed", 0)
@@ -317,11 +326,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_MAX_SWEEP_POINTS = 10 ** 7
 
 
 def _sweep_values(sweep: dict) -> tuple[str, list]:
+    """The swept parameter and its points, in sweep order.
+
+    Either ``values`` verbatim, or ``start + i*step`` for i = 0, 1, ... up
+    to ``stop`` (an index within 1e-9 of the last point counts), rounded to
+    12 decimals (to integers for n).  Every number must be finite.
+    """
     extra = set(sweep) - {"param", "values", "start", "stop", "step"}
     if extra:
         raise ConfigError(f"unknown sweep keys {sorted(extra)}")
@@ -330,48 +344,32 @@ def _sweep_values(sweep: dict) -> tuple[str, list]:
         raise ConfigError(f'sweep "param" must be n, p_h, or p_h_given_h, got {param!r}')
     if "values" in sweep:
         values = sweep["values"]
-        if not isinstance(values, list) or not all(_is_number(v) for v in values):
-            raise ConfigError(f'sweep "values" must be a list of numbers, got {values!r}')
+        if not isinstance(values, list) or not all(scoring.is_finite_number(v) for v in values):
+            raise ConfigError(f'sweep "values" must be a list of finite numbers, got {values!r}')
         return param, list(values)
     try:
         start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
     except KeyError as exc:
         raise ConfigError('sweep needs "values" or start/stop/step') from exc
     for key, value in (("start", start), ("stop", stop), ("step", step)):
-        if not _is_number(value):
-            raise ConfigError(f'sweep "{key}" must be a number, got {value!r}')
+        if not scoring.is_finite_number(value):
+            raise ConfigError(f'sweep "{key}" must be a finite number, got {value!r}')
     if step <= 0:
         raise ConfigError('sweep "step" must be positive')
-    values = []
-    x = start
-    while x <= stop + 1e-12:
-        values.append(round(x, 12) if param != "n" else int(round(x)))
-        x += step
-    return param, values
+    span = (stop - start) / step
+    if span >= _MAX_SWEEP_POINTS:
+        raise ConfigError(f"sweep has more than {_MAX_SWEEP_POINTS} points")
+    count = math.floor(span + 1e-9) + 1 if span > -1 else 0
+    points = (start + i * step for i in range(count))
+    return param, [int(round(x)) if param == "n" else round(x, 12) for x in points]
 
 
-def _scan_row(cfg: RunConfig, param: str, value) -> str:
-    raw = dict(cfg.raw)
-    raw.pop("sweep", None)
-    if param == "n":
-        raw["n"] = int(value)
-    else:
-        base = dict(raw.get("prior") or {})
-        if not base:
-            raise ConfigError('prior-parameter sweeps need a base "prior" config')
-        base[{"p_h": "p_h", "p_h_given_h": "p_h_given_h"}[param]] = value
-        raw["prior"] = base
-    sub = RunConfig(command="thresholds", raw=raw, tolerance=cfg.tolerance, fmt="csv")
+def _outcome(fn, *args):
+    """``fn(*args)``, or the CSV error cell of the package error it raises."""
     try:
-        setting = sub.setting
-        ex = thresholds.k_ex_ante(setting, tol=cfg.tolerance)
-        ba = thresholds.k_bayesian(setting, tol=cfg.tolerance)
-        nz = thresholds.n_zero(setting.prior, setting.rule, tol=cfg.tolerance)
-        return f"{setting.n},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+        return fn(*args)
     except CollusionLabError as exc:
-        n_txt = raw.get("n", "")
-        reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return f"{n_txt},,,,,,,,{reason}"
+        return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
 
 def cmd_scan(cfg: RunConfig) -> int:
@@ -379,7 +377,36 @@ def cmd_scan(cfg: RunConfig) -> int:
     if not isinstance(sweep, dict):
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
-    _emit("\n".join([SCAN_HEADER] + [_scan_row(cfg, param, v) for v in values]))
+    raw, tol = cfg.raw, cfg.tolerance
+    # Rule and prior parsed once per sweep (prior per row in a prior sweep), n_zero
+    # once per prior; a failed part is its error cell, first of n, rule, prior, n_zero.
+    rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
+    n_zero_of = functools.cache(lambda pr: _outcome(thresholds.n_zero, pr, rule, tol))
+
+    def row(label, n, parsed) -> str:
+        for part in (n, rule, parsed):
+            if isinstance(part, str):
+                return f"{label},,,,,,,,{part}"
+        setting = mechanism.make_setting(n, rule, prior=parsed[0], world_model=parsed[1])
+        ex = thresholds.k_ex_ante(setting, tol=tol)
+        ba = thresholds.k_bayesian(setting, tol=tol)
+        nz = n_zero_of(setting.prior)
+        if isinstance(nz, str):
+            return f"{label},,,,,,,,{nz}"
+        return f"{n},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+
+    if param == "n":
+        parsed = _outcome(prior.from_config, raw)
+        rows = [row(n, _outcome(_checked_n, {"n": n}), parsed) for n in map(int, values)]
+    else:
+        base = raw.get("prior")
+        if not isinstance(base, dict) or not base:
+            raise ConfigError('prior-parameter sweeps need a base "prior" config')
+        n = _outcome(_checked_n, raw)
+        rows = [row(raw.get("n", ""), n,
+                    _outcome(prior.from_config, {**raw, "prior": {**base, param: v}}))
+                for v in values]
+    _emit("\n".join([SCAN_HEADER] + rows))
     return EXIT_OK
 
 

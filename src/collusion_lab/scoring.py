@@ -157,8 +157,29 @@ class CallableRule(ScoringRule):
         raise TypeError("callable rules have no config form")
 
 
+def is_finite_number(value) -> bool:
+    """An int or float with a finite float value; bools are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _table_pair(config: dict, key: str) -> tuple[float, float]:
+    pair = config.get(key, [0.0, 0.0])
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+            and all(is_finite_number(x) for x in pair)):
+        raise InvalidDist(f'table rule "{key}" must be [intercept, slope] as finite numbers, '
+                          f'got {pair!r}')
+    return float(pair[0]), float(pair[1])
+
+
 def rule_from_config(config: dict) -> ScoringRule:
-    """Build a rule from ``{"rule": "brier"}`` or ``{"rule": "log", "base": b}``."""
+    """Build a rule from ``{"rule": "brier"}``, ``{"rule": "log", "base": b}`` or a table."""
+    if not isinstance(config, dict):
+        raise InvalidDist(f"scoring rule must be an object, got {type(config).__name__}")
     kind = config.get("rule")
     if kind == "brier":
         extra = set(config) - {"rule"}
@@ -169,14 +190,15 @@ def rule_from_config(config: dict) -> ScoringRule:
         extra = set(config) - {"rule", "base"}
         if extra:
             raise InvalidDist(f"unknown scoring-rule keys {sorted(extra)}")
-        return LogRule(base=float(config.get("base", math.e)))
+        base = config.get("base", math.e)
+        if not is_finite_number(base):
+            raise InvalidDist(f"log base must be a finite number, got {base!r}")
+        return LogRule(base=float(base))
     if kind == "table":
         extra = set(config) - {"rule", "h", "l", "strictly_proper"}
         if extra:
             raise InvalidDist(f"unknown scoring-rule keys {sorted(extra)}")
-        h = config.get("h", [0.0, 0.0])
-        l = config.get("l", [0.0, 0.0])
-        return TableRule(float(h[0]), float(h[1]), float(l[0]), float(l[1]),
+        return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"),
                          bool(config.get("strictly_proper", False)))
     raise InvalidDist(f"unknown scoring rule {kind!r}")
 

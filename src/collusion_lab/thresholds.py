@@ -47,14 +47,13 @@ from .mechanism import (
     DeviationProfile,
     Setting,
     Strategy,
-    _score_table,
     ex_ante_utility,
     interim_utility,
     truthful_ex_ante,
     truthful_interim,
 )
 from .prior import BinaryPrior
-from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
+from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule, four_scores
 
 EX_ANTE = "ex_ante"
 BAYESIAN = "bayesian"
@@ -114,14 +113,13 @@ class ThresholdReport:
         return ThresholdReport(**data)
 
 
-def _gaps(setting: Setting) -> tuple[float, float, float, float]:
-    """(E_l, E_h, d_h, d_l): outsider losses and corner reward surpluses."""
-    t = _score_table(setting)
-    prior = setting.prior
-    e_l = prior.p_hl * (t.s_hl - t.s_hh) + prior.p_ll * (t.s_ll - t.s_lh)
-    e_h = prior.p_hh * (t.s_hh - t.s_hl) + prior.p_lh * (t.s_lh - t.s_ll)
-    d_h = t.s_hh - t.s_lh
-    d_l = t.s_ll - t.s_hl
+def _gaps(prior: BinaryPrior, scores: tuple) -> tuple[float, float, float, float]:
+    """(E_l, E_h, d_h, d_l) from ``four_scores``: outsider losses, corner reward surpluses."""
+    s_hh, s_lh, s_hl, s_ll = scores
+    e_l = prior.p_hl * (s_hl - s_hh) + prior.p_ll * (s_ll - s_lh)
+    e_h = prior.p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
+    d_h = s_hh - s_lh
+    d_l = s_ll - s_hl
     return e_l, e_h, d_h, d_l
 
 
@@ -142,7 +140,7 @@ def _side(n: int, num: float, den: float, interim: bool,
 
 
 def _report(setting: Setting, concept: str, tol: float) -> ThresholdReport:
-    e_l, e_h, d_h, d_l = _gaps(setting)
+    e_l, e_h, d_h, d_l = _gaps(setting.prior, four_scores(setting.rule, setting.prior))
     if concept == BAYESIAN:
         # per type, each corner's inside surplus is discounted (module docstring)
         d_h, d_l = setting.prior.p_ll * d_h, setting.prior.p_hh * d_l
@@ -171,11 +169,37 @@ def k_bayesian(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     return _report(setting, BAYESIAN, tol)
 
 
+def _first_n(c: float, bound: float, strict: bool) -> int | None:
+    """Smallest n <= 2**62 from which ``c/(n-1) < bound`` (or ``<=``) holds on, else None.
+
+    For c > 0 that is n - 1 = c/bound up to rounding: the float is nudged to
+    the smallest x = n - 1 at which the comparison holds, then n - 1 is the
+    smallest integer whose float is >= x.  For c <= 0 it holds at all n or none.
+    """
+    def holds(x) -> bool:
+        return c / x < bound if strict else c / x <= bound
+
+    if not holds(2 ** 62 - 1):
+        return None
+    if holds(1):
+        return 2
+    x = c / bound
+    while not holds(x):  # a few ulps at most
+        x = math.nextafter(x, math.inf)
+    while holds(math.nextafter(x, 0.0)):
+        x = math.nextafter(x, 0.0)
+    m = math.ceil(x)
+    if x > 2.0 ** 53:  # neighbouring integers share x: the lowest one that rounds to it
+        m = (int(math.nextafter(x, 0.0)) + m) // 2
+        if float(m) < x:
+            m += 1
+    return m + 1
+
+
 def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> int:
     """Smallest n >= 2 at which the interim threshold covers asymmetric play.
 
-    Six conditions must hold, all monotone in n because the driving
-    quantities b_h and b_l scale as 1/(n-1):
+    Six conditions must hold on quantities that scale as 1/(n-1):
 
         b_h = 4*spread*(D + PS(l,q_l) - PS(h,q_l)) / ((n-1) * D * E_h)
         b_l = 4*spread*(D + PS(h,q_h) - PS(l,q_h)) / ((n-1) * D * E_l)
@@ -183,50 +207,30 @@ def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> i
     with D the sum of the two cross-posterior gaps and spread the largest
     difference among the four scores.  Conditions: each b below 1/4, below
     its side's corner surplus over D when that surplus is positive, and
-    below its side's outsider loss over (posterior * D).
+    below its side's outsider loss over (posterior * D).  Each is ``c/(n-1) < bound``
+    (``<=`` but for 1/4), true from n = 1 + c/bound on; n_zero is the largest such n.
     """
-    from .mechanism import make_setting  # local import to keep module load light
-
-    setting = make_setting(2, rule, prior=prior)
-    t = _score_table(setting)
-    e_l, e_h, d_h, d_l = _gaps(setting)
-    big_d = (t.s_hh - t.s_hl) + (t.s_ll - t.s_lh)
-    spread = max(t.s_hh, t.s_lh, t.s_hl, t.s_ll) - min(t.s_hh, t.s_lh, t.s_hl, t.s_ll)
+    scores = four_scores(rule, prior)
+    s_hh, s_lh, s_hl, s_ll = scores
+    e_l, e_h, d_h, d_l = _gaps(prior, scores)
+    big_d = (s_hh - s_hl) + (s_ll - s_lh)
+    spread = max(scores) - min(scores)
     if big_d <= tol or e_h <= tol or e_l <= tol:
         raise NoFiniteN(
             "a required positive quantity is non-positive; the rule is not "
             "strictly proper on this prior")
 
-    c_h = 4.0 * spread * (big_d + t.s_ll - t.s_hl) / (big_d * e_h)
-    c_l = 4.0 * spread * (big_d + t.s_hh - t.s_lh) / (big_d * e_l)
-
-    def conditions(n: int) -> bool:
-        b_h = c_h / (n - 1)
-        b_l = c_l / (n - 1)
-        if not (b_h < 0.25 - tol and b_l < 0.25 - tol):
-            return False
-        if d_h > tol and not b_h <= d_h / big_d + tol:
-            return False
-        if not b_h <= e_h / (prior.p_hh * big_d) + tol:
-            return False
-        if d_l > tol and not b_l <= d_l / big_d + tol:
-            return False
-        if not b_l <= e_l / (prior.p_ll * big_d) + tol:
-            return False
-        return True
-
-    lo, hi = 2, 2
-    while not conditions(hi):
-        hi *= 2
-        if hi > 2 ** 62:
-            raise NoFiniteN("no finite n satisfies the interim conditions")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if conditions(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    c_h = 4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h)
+    c_l = 4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)
+    firsts = [_first_n(c, bound, strict) for c, bound, strict, applies in (
+        (c_h, 0.25 - tol, True, True), (c_l, 0.25 - tol, True, True),
+        (c_h, d_h / big_d + tol, False, d_h > tol),
+        (c_h, e_h / (prior.p_hh * big_d) + tol, False, True),
+        (c_l, d_l / big_d + tol, False, d_l > tol),
+        (c_l, e_l / (prior.p_ll * big_d) + tol, False, True)) if applies]
+    if None in firsts:
+        raise NoFiniteN("no finite n satisfies the interim conditions")
+    return max(firsts)
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
@@ -240,8 +244,8 @@ def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
 
     which never undercuts the ex-ante threshold.
     """
-    e_l, e_h, d_h, d_l = _gaps(setting)
     prior = setting.prior
+    e_l, e_h, d_h, d_l = _gaps(prior, four_scores(setting.rule, prior))
     num = prior.p_h * e_h + prior.p_l * e_l
     den = (prior.p_h * (prior.p_hh - prior.p_lh) * d_l
            + prior.p_l * (prior.p_ll - prior.p_hl) * d_h)

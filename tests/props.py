@@ -498,3 +498,92 @@ def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> N
         kind = "budget" if fast[0] == "budget" else ("none" if fast[1] is None else "found")
         kinds[kind] += 1
     assert min(kinds.values()) >= cases // 20, kinds
+
+
+# ---------------------------------------------------------------------------
+# n_zero: the doubling-plus-bisection search as an oracle
+# ---------------------------------------------------------------------------
+
+def n_zero_by_search(prior: cl.BinaryPrior, rule: cl.ScoringRule,
+                     tol: float = cl.DEFAULT_TOL) -> int:
+    """n_zero as a search over n: double until the six conditions hold, then bisect.
+
+    Evaluates every condition as ``c/(n-1)`` against its bound, with the
+    strict 1/4 comparisons and the non-strict others; NoFiniteN when no
+    power of two up to 2**62 satisfies them.
+    """
+    s_hh, s_lh, s_hl, s_ll = cl.four_scores(rule, prior)
+    e_l = prior.p_hl * (s_hl - s_hh) + prior.p_ll * (s_ll - s_lh)
+    e_h = prior.p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
+    d_h = s_hh - s_lh
+    d_l = s_ll - s_hl
+    big_d = (s_hh - s_hl) + (s_ll - s_lh)
+    spread = max(s_hh, s_lh, s_hl, s_ll) - min(s_hh, s_lh, s_hl, s_ll)
+    if big_d <= tol or e_h <= tol or e_l <= tol:
+        raise cl.NoFiniteN("a required positive quantity is non-positive")
+    c_h = 4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h)
+    c_l = 4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)
+
+    def conditions(n: int) -> bool:
+        b_h = c_h / (n - 1)
+        b_l = c_l / (n - 1)
+        if not (b_h < 0.25 - tol and b_l < 0.25 - tol):
+            return False
+        if d_h > tol and not b_h <= d_h / big_d + tol:
+            return False
+        if not b_h <= e_h / (prior.p_hh * big_d) + tol:
+            return False
+        if d_l > tol and not b_l <= d_l / big_d + tol:
+            return False
+        return b_l <= e_l / (prior.p_ll * big_d) + tol
+
+    lo, hi = 2, 2
+    while not conditions(hi):
+        hi *= 2
+        if hi > 2 ** 62:
+            raise cl.NoFiniteN("no finite n satisfies the interim conditions")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if conditions(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _n_zero_outcome(search, prior, rule, tol):
+    try:
+        return search(prior, rule, tol)
+    except cl.NoFiniteN:
+        return None
+
+
+def check_n_zero_matches_search(seed: int = 4040, cases: int = 2000) -> None:
+    """The closed-form n_zero returns exactly what the doubling-plus-bisection search returns.
+
+    Brier, log rules of several bases and random affine table rules; priors
+    from well separated to nearly uninformative (n_zero up to ~1e15);
+    tolerances log-uniform in [1e-12, 1e-3].  Both finite values and
+    NoFiniteN verdicts must occur.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = {"none": 0, "small": 0, "large": 0}
+    for _ in range(cases):
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            rule = cl.BrierRule()
+        elif kind == 1:
+            rule = cl.LogRule(base=float(rng.choice([math.e, 2.0, 10.0, 0.5, 1.5])))
+        else:
+            rule = cl.TableRule(*(float(x) for x in rng.uniform(-2.0, 2.0, size=4)))
+        if rng.random() < 0.5:
+            prior = random_prior(rng)
+        else:  # nearly uninformative: Pr(h|h) just above Pr(h)
+            p_h = float(rng.uniform(0.1, 0.9))
+            prior = cl.make_prior(p_h, p_h + float(10 ** rng.uniform(-6, -1)) * (1 - p_h))
+        tol = float(10 ** rng.uniform(-12, -3))
+        fast = _n_zero_outcome(cl.n_zero, prior, rule, tol)
+        slow = _n_zero_outcome(n_zero_by_search, prior, rule, tol)
+        assert fast == slow, (prior, rule, tol, fast, slow)
+        kinds["none" if fast is None else ("small" if fast < 10 ** 6 else "large")] += 1
+    assert min(kinds.values()) >= cases // 50, kinds

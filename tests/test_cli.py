@@ -1,6 +1,9 @@
 import json
 import math
+from decimal import Decimal
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import collusion_lab as cl
@@ -202,6 +205,46 @@ class TestScanCommand:
         for row in lines[3:]:
             assert row.endswith(",")
 
+    def test_golden_output(self, tmp_path, capsys):
+        # captured before n_zero became closed form and scan parsed once per
+        # sweep: valid rows, n < 2, invalid priors, bad rules, NoFiniteN
+        golden = json.loads((Path(__file__).parent / "data" / "scan_golden.json").read_text())
+        for case in golden:
+            code, out = run(capsys, ["scan", "--config", write_config(tmp_path, case["config"])])
+            assert (code, out) == (case["exit"], case["stdout"]), case["config"]
+
+
+class TestSweepValues:
+    def test_points_are_start_plus_index_times_step(self):
+        param, values = cli._sweep_values(
+            {"param": "p_h", "start": 0.1, "stop": 0.8, "step": 1e-5})
+        assert param == "p_h" and len(values) == 70_001
+        assert values[-1] == 0.8
+        for i in range(0, 70_001, 7):
+            assert values[i] == float(Decimal("0.1") + i * Decimal("0.00001")), i
+
+    def test_ranges(self):
+        assert cli._sweep_values({"param": "n", "start": 10, "stop": 40, "step": 10}) \
+            == ("n", [10, 20, 30, 40])
+        assert cli._sweep_values({"param": "n", "start": 2, "stop": 9, "step": 3})[1] == [2, 5, 8]
+        assert cli._sweep_values({"param": "n", "start": 50, "stop": 40, "step": 10})[1] == []
+        assert cli._sweep_values({"param": "n", "start": 1.5, "stop": 1.5, "step": 1})[1] == [2]
+        assert cli._sweep_values({"param": "p_h", "values": [0.3, 1]})[1] == [0.3, 1]
+
+    @pytest.mark.parametrize("sweep", [
+        {"param": "n", "start": 10, "stop": math.inf, "step": 1},
+        {"param": "n", "start": -math.inf, "stop": 10, "step": 1},
+        {"param": "n", "start": 10, "stop": 20, "step": math.nan},
+        {"param": "n", "values": [10, math.nan]},
+        {"param": "p_h", "values": [0.3, math.inf]},
+        {"param": "n", "start": 2, "stop": 10, "step": True},
+        {"param": "n", "start": 2, "stop": 10, "step": 0},
+        {"param": "p_h", "start": 0.0, "stop": 1e9, "step": 1e-3},
+    ])
+    def test_rejected(self, sweep):
+        with pytest.raises(cl.ConfigError):
+            cli._sweep_values(sweep)
+
 
 class TestGameCheckCommand:
     def test_bne_and_deviation(self, tmp_path, capsys):
@@ -250,6 +293,20 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("scan", dict(REFERENCE, sweep={"param": "n", "start": 10, "stop": 20, "step": "x"})),
     ("scan", dict(REFERENCE, sweep={"param": "n", "values": [5, "x"]})),
     ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3, "x"]})),
+    ("thresholds", dict(REFERENCE, tolerance="x")),
+    ("thresholds", dict(REFERENCE, tolerance=math.nan)),
+    ("thresholds", dict(REFERENCE, tolerance=math.inf)),
+    ("thresholds", dict(REFERENCE, tolerance=-math.inf)),
+    ("thresholds", dict(REFERENCE, tolerance=True)),
+    ("falsify", dict(REFERENCE, k=40, tolerance=math.nan)),
+    ("thresholds", dict(REFERENCE, rule=5)),
+    ("thresholds", dict(REFERENCE, rule={"rule": "log", "base": "x"})),
+    ("thresholds", dict(REFERENCE, rule={"rule": "table", "h": ["x", 1.0], "l": [0.0, 0.0]})),
+    ("thresholds", dict(REFERENCE, rule={"rule": "table", "h": [0.0, 1.0], "l": 5})),
+    ("game-check", dict(GAME_CFG, profile=5)),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": "x", "bh": 1}])),
+    ("scan", dict(REFERENCE, sweep={"param": "n", "start": 10, "stop": math.inf, "step": 1})),
+    ("scan", dict(REFERENCE, sweep={"param": "n", "values": [10, math.nan]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])
@@ -257,3 +314,79 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_nan_tolerance_flag_exits_2(tmp_path, capsys):
+    code = cli.main(["thresholds", "--config", write_config(tmp_path, REFERENCE),
+                     "--tolerance", "nan"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+
+
+FUZZ_CONFIGS = [
+    ("thresholds", {"n": 100, "rule": {"rule": "table", "h": [-0.2, 1.2], "l": [0.9, -1.1]},
+                    "prior": REFERENCE["prior"], "tolerance": 1e-9, "format": "text"}),
+    ("verify-examples", {"tolerance": 1e-9, "format": "json"}),
+    ("falsify", {"n": 60, "rule": {"rule": "log", "base": 2.0}, "prior": REFERENCE["prior"],
+                 "k": 20, "concept": "bayesian", "grid_steps": 3, "budget": 5000}),
+    ("simulate", {"n": 6, "rule": {"rule": "brier"},
+                  "world_model": {"p_state": [0.5, 0.5], "p_h_given_state": [0.9, 0.2]},
+                  "trials": 300, "seed": 3, "deviators": [{"bl": 0.0, "bh": 1.0}]}),
+    ("scan", {"n": 30, "rule": {"rule": "brier"}, "prior": REFERENCE["prior"],
+              "sweep": {"param": "n", "start": 2, "stop": 12, "step": 5}}),
+    ("scan", {"n": 30, "rule": {"rule": "brier"}, "prior": REFERENCE["prior"],
+              "sweep": {"param": "p_h_given_h", "values": [0.7, 0.9]}}),
+    ("game-check", dict(GAME_CFG, concept="ex_ante", grid_steps=3, budget=1000)),
+]
+# None of these can make n, trials or k larger, so every mutated run stays small.
+FUZZ_VALUES = ("x", None, [], {}, -1, 0, 0.5, True, math.nan, math.inf)
+DROP = object()
+
+
+def _config_paths(node, prefix=()):
+    """Every key/index path into a JSON tree, parents before children."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _config_paths(child, prefix + (key,))
+
+
+def _mutated(config, path, value):
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return config
+
+
+def test_mutated_configs_never_traceback(tmp_path, capsys):
+    """Drop each key, or replace it with seeded picks from FUZZ_VALUES, at any depth.
+
+    Every run must end in a documented exit code with at most a one-line
+    message on stderr; an uncaught exception fails the test.
+    """
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "config.json"
+    runs = 0
+    for command, base in FUZZ_CONFIGS:
+        for key_path in _config_paths(base):
+            picks = rng.choice(len(FUZZ_VALUES), size=3, replace=False)
+            for value in [DROP] + [FUZZ_VALUES[i] for i in picks]:
+                path.write_text(json.dumps(_mutated(base, key_path, value)))
+                code = cli.main([command, "--config", str(path)])
+                err = capsys.readouterr().err
+                case = (command, key_path, "drop" if value is DROP else value, code, err)
+                assert code in (0, 1, 2, 3), case
+                assert "Traceback" not in err and err.count("\n") <= 1, case
+                runs += 1
+    assert runs > 400

@@ -112,6 +112,37 @@ class TestNZero:
         with pytest.raises(cl.NoFiniteN):
             cl.n_zero(SETTING.prior, cl.TableRule())
 
+    def test_matches_search_oracle(self):
+        props.check_n_zero_matches_search()
+
+    def test_condition_solve_at_exact_boundary(self):
+        from collusion_lab.thresholds import _first_n
+        # n - 1 = c/bound = 12 exactly: 3/12 < 1/4 fails at n = 13, 3/12 <= 1/4 holds
+        assert _first_n(3.0, 0.25, strict=True) == 14
+        assert _first_n(3.0, 0.25, strict=False) == 13
+        assert _first_n(-1.0, 0.25, strict=True) == 2
+        assert _first_n(1.0, 0.0, strict=True) is None
+        assert _first_n(2.0 ** 63, 1.0, strict=False) is None
+
+    def test_condition_solve_beyond_float_integers(self):
+        # above 2**53 neighbouring n - 1 share a float; the answer must still
+        # be the smallest integer n at which the float comparison holds
+        from collusion_lab.thresholds import _first_n
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            c = float(rng.uniform(0.5, 2.0))
+            bound = c / float(2 ** rng.uniform(40, 61.9))
+            strict = bool(rng.random() < 0.5)
+
+            def holds(n):
+                return c / (n - 1) < bound if strict else c / (n - 1) <= bound
+
+            lo, hi = 2, 2 ** 62
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
+            assert _first_n(c, bound, strict) == lo, (c, bound, strict)
+
 
 class TestLiarThreshold:
     def test_reference_value(self):
