@@ -80,13 +80,25 @@ class RunConfig:
         return mechanism.make_setting(n, rule, prior=pr, world_model=wm)
 
 
+#: Largest accepted ``n``: ``n_zero`` is exact up to here, and the simulator's
+#: int64 counts hold it.
+_MAX_N = 2 ** 62
+
+
+def _is_int(value: Any) -> bool:
+    """An integer config value; JSON true/false are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked_n(raw: dict) -> int:
-    """The config's population size ``n``: an integer >= 2."""
+    """The config's population size ``n``: an integer in [2, 2^62]."""
     if "n" not in raw:
         raise ConfigError('missing required key "n"')
     n = raw["n"]
-    if not isinstance(n, int) or n < 2:
+    if not _is_int(n) or n < 2:
         raise ConfigError(f'"n" must be an integer >= 2, got {n!r}')
+    if n > _MAX_N:
+        raise ConfigError(f'"n" must be at most 2^62, got a {n.bit_length()}-bit integer')
     return n
 
 
@@ -102,6 +114,8 @@ def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
             raise ConfigError(
                 f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
+        except ValueError as exc:  # an integer too long for int() to convert
+            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     for key, value in overrides.items():
@@ -128,16 +142,16 @@ def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
 def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int, int]:
     """The checked (k, concept, grid_steps, budget) of a coalition search among n agents."""
     k = cfg.raw["k"]
-    if not isinstance(k, int) or not 1 <= k <= n:
+    if not _is_int(k) or not 1 <= k <= n:
         raise ConfigError(f'"k" must be an integer in [1, n], got {k!r}')
     concept = cfg.raw.get("concept", thresholds.EX_ANTE)
     if concept not in thresholds.CONCEPTS:
         raise ConfigError(f'unknown concept {concept!r}')
     grid_steps = cfg.raw.get("grid_steps", 11)
-    if not isinstance(grid_steps, int) or grid_steps < 2:
+    if not _is_int(grid_steps) or grid_steps < 2:
         raise ConfigError('"grid_steps" must be an integer >= 2')
     budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
+    if not _is_int(budget) or budget < 1:
         raise ConfigError(f'"budget" must be a positive integer, got {budget!r}')
     return k, concept, grid_steps, budget
 
@@ -313,9 +327,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
             raise ConfigError(f'bad "deviators" entry: {exc}') from exc
     trials = cfg.raw.get("trials", 10000)
     seed = cfg.raw.get("seed", 0)
-    if not isinstance(trials, int) or trials < 1:
+    if not _is_int(trials) or trials < 1:
         raise ConfigError('"trials" must be a positive integer')
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError('"seed" must be a non-negative integer')
     result = mechanism.simulate(setting, profile, trials=trials, seed=seed)
     _emit(_dump(result))
@@ -426,6 +440,8 @@ def cmd_game_check(cfg: RunConfig) -> int:
             raise ConfigError(f"cannot read game file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid game JSON at line {exc.lineno}: {exc.msg}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"invalid game JSON: {exc}") from exc
     game = checker.FiniteBayesianGame.from_dict(spec)
     profile_spec = cfg.raw.get("profile")
     if profile_spec is None:

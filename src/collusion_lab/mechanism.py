@@ -19,7 +19,10 @@ cost scales with the number of distinct strategies rather than n.
 The module also exposes the one-sided expected-reward forms f/g used in the
 interim analysis, the constant Hessian of the self-play pair reward (whose
 positive semidefiniteness drives the ex-ante threshold), and a seeded Monte
-Carlo simulator for cross-checking the closed forms.
+Carlo simulator for cross-checking the closed forms.  The simulator uses the
+same grouping: given the latent state, the truthful agents' reports are one
+binomial count, so a trial costs O(k+1) draws, and per-role statistics are
+streamed block by block in bounded memory.
 """
 
 from __future__ import annotations
@@ -322,19 +325,32 @@ def pair_reward_hessian(setting: Setting, tol: float = 1e-9) -> PairRewardHessia
     return PairRewardHessian(matrix=matrix, psd=psd)
 
 
+#: Trials per block, and the most (trial, role) cells one block may hold.
 _SIM_BLOCK = 4096
+_SIM_CELLS = 2 ** 20
 
 
 def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int) -> dict:
     """Monte Carlo cross-check of the closed-form utilities.
 
-    Samples signal vectors from the setting's world model, draws reports
-    from the strategies, and pays every agent the average score against all
-    n-1 peers.  Returns ``{role: {"mean", "stderr", "trials", "seed"}}`` with
-    one role per deviator index plus ``"truthful"`` (when any non-deviator
-    exists).  Deterministic for a fixed seed: trials are split into fixed
-    blocks with one spawned random stream each, so results do not depend on
-    execution order or parallelism.
+    Each trial draws the latent state from the setting's world model.  Given
+    the state, signals are iid, so a deviator reports h with probability
+    p*beta_h + (1-p)*beta_l (p = Pr(h | state)) and the n-k truthful agents
+    collapse to one binomial count of h reports.  Every agent is paid the
+    average score against all n-1 peers, which depends only on its own
+    report and the total h count; the truthful role's per-trial value is
+    the mean payoff over the truthful agents.  Cost is O(trials * (k+1)),
+    not O(trials * n).
+
+    Returns ``{role: {"mean", "stderr", "trials", "seed"}}`` with one role
+    per deviator index plus ``"truthful"`` (when any non-deviator exists).
+    Per-role count, mean and sum of squared deviations are merged block by
+    block (Chan, Golub & LeVeque 1979), so memory stays bounded: a block
+    holds at most 4096 trials and about 2^20 (trial, role) cells.  A role
+    whose every value is equal reports that value with stderr 0.0.
+    Deterministic for a fixed seed: each block draws from its own spawned
+    random stream, so results do not depend on execution order, and no
+    memory grows with ``trials``.
     """
     if setting.world_model is None:
         raise MissingWorldModel(
@@ -348,45 +364,52 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
         raise InvalidSetting(f"profile has {k} deviators but the setting has n={n}")
     table = _score_table(setting)
     wm = setting.world_model
+    free = n - k
+    beta_l = np.array([s.beta_l for s in profile.deviators])
+    beta_h = np.array([s.beta_h for s in profile.deviators])
 
-    beta_l = np.array([s.beta_l for s in profile.deviators] + [0.0] * (n - k))
-    beta_h = np.array([s.beta_h for s in profile.deviators] + [1.0] * (n - k))
-
-    n_blocks = (trials + _SIM_BLOCK - 1) // _SIM_BLOCK
-    streams = np.random.SeedSequence(seed).spawn(n_blocks)
-    per_trial: list[np.ndarray] = []
+    roles = k + (free > 0)
+    rows = min(max(_SIM_CELLS // roles, 1), _SIM_BLOCK)
     done = 0
-    for block, stream in enumerate(streams):
-        size = min(_SIM_BLOCK, trials - done)
-        done += size
-        rng = np.random.default_rng(stream)
-        state_one = rng.random(size) >= wm.p_state[0]
-        p_h_sig = np.where(state_one, wm.p_h_given_state[1], wm.p_h_given_state[0])
-        signals_h = rng.random((size, n)) < p_h_sig[:, None]
-        prob_report_h = np.where(signals_h, beta_h[None, :], beta_l[None, :])
-        reports_h = rng.random((size, n)) < prob_report_h
-        high_reports = reports_h.sum(axis=1)
+    mean = np.zeros(roles)
+    m2 = np.zeros(roles)
+    lo = np.full(roles, np.inf)
+    hi = np.full(roles, -np.inf)
+    for block in range(-(-trials // rows)):
+        size = min(rows, trials - done)
+        # The block-th child of SeedSequence(seed).spawn(), made when needed.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        p_h = np.where(rng.random(size) >= wm.p_state[0],
+                       wm.p_h_given_state[1], wm.p_h_given_state[0])
+        reports_h = rng.random((size, k)) < (p_h[:, None] * beta_h
+                                             + (1.0 - p_h)[:, None] * beta_l)
+        truthful_h = rng.binomial(free, p_h) if free else 0
+        total_h = reports_h.sum(axis=1) + truthful_h
+        pay_h = ((total_h - 1) * table.s_hh + (n - total_h) * table.s_lh) / (n - 1)
+        pay_l = (total_h * table.s_hl + (n - 1 - total_h) * table.s_ll) / (n - 1)
 
-        own_high = reports_h
-        s_for_high_peer = np.where(own_high, table.s_hh, table.s_hl)
-        s_for_low_peer = np.where(own_high, table.s_lh, table.s_ll)
-        peers_high = high_reports[:, None] - own_high
-        peers_low = (n - high_reports[:, None]) - (~own_high)
-        payoffs = (peers_high * s_for_high_peer + peers_low * s_for_low_peer) / (n - 1)
-        per_trial.append(payoffs)
+        payoffs = np.empty((size, roles))
+        payoffs[:, :k] = np.where(reports_h, pay_h[:, None], pay_l[:, None])
+        if free:
+            payoffs[:, k] = (truthful_h * pay_h + (free - truthful_h) * pay_l) / free
+        np.minimum(lo, payoffs.min(axis=0), out=lo)
+        np.maximum(hi, payoffs.max(axis=0), out=hi)
+        block_mean = payoffs.mean(axis=0)
+        payoffs -= block_mean
+        block_m2 = np.einsum("ij,ij->j", payoffs, payoffs)
+        delta = block_mean - mean
+        total = done + size
+        mean += delta * (size / total)
+        m2 += block_m2 + delta * delta * (done * size / total)
+        done = total
 
-    payoffs = np.concatenate(per_trial, axis=0)
-    out: dict[str, dict] = {}
+    def _stats(j: int) -> dict:
+        if lo[j] == hi[j]:
+            return {"mean": float(lo[j]), "stderr": 0.0, "trials": trials, "seed": seed}
+        stderr = math.sqrt(m2[j] / (trials - 1) / trials)
+        return {"mean": float(mean[j]), "stderr": stderr, "trials": trials, "seed": seed}
 
-    def _stats(values: np.ndarray) -> dict:
-        if len(values) == 1 or np.ptp(values) == 0.0:
-            return {"mean": float(values[0]), "stderr": 0.0, "trials": trials, "seed": seed}
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(len(values)))
-        return {"mean": mean, "stderr": stderr, "trials": trials, "seed": seed}
-
-    for idx in range(k):
-        out[f"deviator_{idx}"] = _stats(payoffs[:, idx])
-    if n - k > 0:
-        out["truthful"] = _stats(payoffs[:, k:].mean(axis=1))
+    out = {f"deviator_{idx}": _stats(idx) for idx in range(k)}
+    if free:
+        out["truthful"] = _stats(k)
     return out

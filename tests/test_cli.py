@@ -307,12 +307,34 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": "x", "bh": 1}])),
     ("scan", dict(REFERENCE, sweep={"param": "n", "start": 10, "stop": math.inf, "step": 1})),
     ("scan", dict(REFERENCE, sweep={"param": "n", "values": [10, math.nan]})),
+    ("falsify", dict(REFERENCE, k=True)),
+    ("falsify", dict(REFERENCE, k=40, budget=True)),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, trials=True)),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, seed=False)),
+    ("thresholds", dict(REFERENCE, n=10 ** 400)),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, n=2 ** 63 + 1)),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+OVERLONG = "1" + "0" * 5000  # more digits than Python converts to an int
+
+
+@pytest.mark.parametrize("command", ["thresholds", "game-check"])
+def test_overlong_integer_exits_2(tmp_path, capsys, command):
+    game = tmp_path / "game.json"
+    game.write_text('{"n": %s}' % OVERLONG)
+    path = tmp_path / "config.json"
+    path.write_text('{"n": %s}' % OVERLONG if command == "thresholds"
+                    else json.dumps({"game": str(game)}))
+    code = cli.main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 

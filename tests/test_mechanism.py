@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +230,118 @@ class TestSimulate:
                     assert stats["mean"] == pytest.approx(want, abs=1e-9)
                 else:
                     assert abs(stats["mean"] - want) <= 4.0 * stats["stderr"]
+
+    @staticmethod
+    def _within(result, setting, profile, roles):
+        for role in roles:
+            who = cl.TRUTHFUL if role == "truthful" else int(role.split("_")[1])
+            want = cl.ex_ante_utility(setting, profile, who)
+            stats = result[role]
+            assert stats["stderr"] > 0.0
+            assert abs(stats["mean"] - want) <= 5.0 * stats["stderr"], (role, stats, want)
+
+    @staticmethod
+    def _single_trial_payoffs(setting):
+        """Every payoff one agent can get in one trial: own report and total h count."""
+        s_hh, s_lh, s_hl, s_ll = cl.four_scores(setting.rule, setting.prior)
+        n = setting.n
+        return np.array([((h - 1) * s_hh + (n - h) * s_lh) / (n - 1) for h in range(1, n + 1)]
+                        + [(h * s_hl + (n - 1 - h) * s_ll) / (n - 1) for h in range(n)])
+
+    @pytest.mark.parametrize("k", [9, 8])
+    def test_no_or_one_truthful_agent(self, k):
+        setting = self._wm_setting(n=9)
+        rng = np.random.default_rng(k)
+        profile = cl.DeviationProfile(tuple(props.random_strategy(rng) for _ in range(k)))
+        result = cl.simulate(setting, profile, trials=20000, seed=5)
+        roles = [f"deviator_{i}" for i in range(k)] + (["truthful"] if k < 9 else [])
+        assert sorted(result) == sorted(roles)
+        self._within(result, setting, profile, roles)
+
+    def test_identical_deviators_draw_independently(self):
+        setting = self._wm_setting(n=40)
+        profile = cl.DeviationProfile((cl.Strategy(0.3, 0.8),) * (setting.n // 4))
+        result = cl.simulate(setting, profile, trials=20000, seed=8)
+        roles = [f"deviator_{i}" for i in range(profile.k)] + ["truthful"]
+        self._within(result, setting, profile, roles)
+        assert len({result[f"deviator_{i}"]["mean"] for i in range(profile.k)}) == profile.k
+
+    def test_single_trial(self):
+        setting = self._wm_setting()
+        profile = cl.DeviationProfile((cl.Strategy(0.3, 0.9), cl.ALL_L, cl.ALL_LIE))
+        result = cl.simulate(setting, profile, trials=1, seed=4)
+        payoffs = self._single_trial_payoffs(setting)
+        for idx in range(profile.k):
+            stats = result[f"deviator_{idx}"]
+            assert stats["stderr"] == 0.0 and stats["trials"] == 1
+            assert np.abs(payoffs - stats["mean"]).min() <= 1e-12
+        assert result["truthful"]["stderr"] == 0.0
+        assert payoffs.min() - 1e-12 <= result["truthful"]["mean"] <= payoffs.max() + 1e-12
+
+    def test_block_edge_merge(self):
+        # 4096 trials fill exactly the first block; the 4097th is a block of
+        # its own, so the two results differ by one merged value.
+        setting = self._wm_setting()
+        profile = cl.DeviationProfile((cl.Strategy(0.3, 0.9),))
+        one = cl.simulate(setting, profile, trials=4096, seed=9)["deviator_0"]
+        two = cl.simulate(setting, profile, trials=4097, seed=9)["deviator_0"]
+        assert two["trials"] == 4097
+        last = 4097 * two["mean"] - 4096 * one["mean"]
+        assert np.abs(self._single_trial_payoffs(setting) - last).min() <= 1e-9
+        m2_one = one["stderr"] ** 2 * 4096 * 4095
+        m2_two = two["stderr"] ** 2 * 4097 * 4096
+        assert m2_two == pytest.approx(
+            m2_one + (last - one["mean"]) ** 2 * 4096 / 4097, rel=1e-9)
+
+    def test_large_population(self):
+        setting = self._wm_setting(n=10 ** 6)
+        profile = cl.DeviationProfile((cl.Strategy(0.2, 0.7),))
+        start = time.process_time()
+        result = cl.simulate(setting, profile, trials=20000, seed=10)
+        assert time.process_time() - start < 1.0
+        self._within(result, setting, profile, ["deviator_0", "truthful"])
+
+    def test_memory_bounded_when_everyone_deviates(self):
+        setting = self._wm_setting(n=2000)
+        rng = np.random.default_rng(11)
+        profile = cl.DeviationProfile(
+            tuple(props.random_strategy(rng) for _ in range(setting.n)))
+        tracemalloc.start()
+        try:
+            cl.simulate(setting, profile, trials=4096, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2 ** 20
+
+    def test_stderr_calibration(self):
+        """z = (mean - closed form) / stderr over seeded cases is standard normal.
+
+        A stderr that is too small inflates the mean of z^2, one that is too
+        large deflates it; the 4-stderr checks above catch only the first.
+        """
+        rng = np.random.default_rng(27)
+        z = []
+        while len(z) < 200:
+            n = int(rng.integers(3, 41))
+            setting = cl.make_setting(n, props.random_rule(rng),
+                                      world_model=props.random_world_model(rng))
+            k = int(rng.integers(1, n + 1))
+            profile = cl.DeviationProfile(
+                tuple(props.random_strategy(rng) for _ in range(k)))
+            who = int(rng.integers(0, k + 1))
+            if who == k and k == n:
+                continue
+            role, member = (("truthful", cl.TRUTHFUL) if who == k
+                            else (f"deviator_{who}", who))
+            stats = cl.simulate(setting, profile, trials=int(rng.integers(2000, 9001)),
+                                seed=int(rng.integers(0, 2 ** 63)))[role]
+            assert stats["stderr"] > 0.0
+            z.append((stats["mean"] - cl.ex_ante_utility(setting, profile, member))
+                     / stats["stderr"])
+        z = np.array(z)
+        assert 0.6 <= float(np.mean(z ** 2)) <= 1.5
+        assert float(np.abs(z).max()) < 5.0
 
 
 class TestProfilesAndStrategies:
