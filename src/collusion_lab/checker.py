@@ -17,7 +17,8 @@ that sit:
   certificate was found.
 * ``bne_check``: single-agent best-response check; interim utility is
   affine in the agent's own per-type mixture, so comparing against pure
-  action replacements is sufficient.
+  action replacements is sufficient, and one reduced tensor per agent
+  gives every pure action's value.
 * ``interim_D_deviation``: the known-types coalition deviation against
   truthful peer prediction, where members pool their signals, condition on
   the full coalition type vector, and coordinate on a single report.
@@ -28,6 +29,13 @@ encode exactly as ``FiniteBayesianGame`` (``peer_prediction_game``), and
 the mechanism's closed forms, searching symmetric coalition strategies
 (the corner profiles that drive the thresholds are symmetric).
 
+Utilities are evaluated two independent ways.  The searches
+(``find_deviation``, ``bne_check``) read only per-coalition reduced tensors
+(``_CoalitionEvaluator``): one full-lattice pass per coalition, then one
+small contraction per candidate.  ``_utility``, the full-lattice einsum
+behind the ``game_*_utility`` functions, is the independent oracle that
+``verify_certificate`` recomputes every delta with.
+
 Concept names, the success test and the deltas of a coalition sharing one
 strategy come from ``thresholds``, the same code its dichotomy checks use.
 """
@@ -35,6 +43,7 @@ strategy come from ``thresholds``, the same code its dichotomy checks use.
 from __future__ import annotations
 
 import itertools
+import math
 import string
 from dataclasses import dataclass
 from functools import reduce
@@ -54,9 +63,11 @@ from .mechanism import (
     DeviationProfile,
     Setting,
     Strategy,
+    _ScoreTable,
     _pair_term_ex_ante,
     _pair_term_interim,
     _score_table,
+    make_setting,
 )
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
 from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
@@ -372,6 +383,16 @@ class DeviationCertificate:
         )
 
 
+def _check_coalition(cert: DeviationCertificate, n: int) -> None:
+    """One strategy per member; members distinct agents of an n-agent game."""
+    members = cert.coalition
+    if not members or len(cert.strategies) != len(members):
+        raise DimensionMismatch("certificate coalition and strategies must align")
+    if len(set(members)) != len(members) or not all(0 <= c < n for c in members):
+        raise DimensionMismatch(
+            f"certificate coalition {list(members)} must list distinct agents in [0, {n})")
+
+
 def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: float) -> bool:
     """Stored deltas match the recomputed ones and the recomputed ones succeed.
 
@@ -396,7 +417,10 @@ class _CoalitionEvaluator:
     For member i, T_i[t_D..., a_D...] (axes interleaved per member in
     coalition order) sums the prior times non-member play times utility over
     everything outside the coalition.  Each candidate assignment then only
-    contracts T_i with the members' strategy matrices.
+    contracts T_i with the members' strategy matrices.  These tensors are
+    the only way ``find_deviation`` and ``bne_check`` evaluate utilities;
+    the full-lattice ``_utility`` stays the independent oracle that
+    ``verify_certificate`` recomputes deltas with.
     """
 
     def __init__(self, game: FiniteBayesianGame, profile: MixedProfile,
@@ -434,13 +458,15 @@ class _CoalitionEvaluator:
         w = self._weight(assignment)
         out = []
         for pos, tensor in enumerate(self.tensors):
-            axis = 2 * pos
-            per_type = []
-            for v in range(tensor.shape[axis]):
-                sliced = (np.take(tensor, v, axis=axis) * np.take(w, v, axis=axis)).sum()
-                per_type.append(float(sliced) / float(self.marginals[pos][v]))
-            out.append(tuple(per_type))
+            marginal = self.marginals[pos]
+            by_type = np.moveaxis(tensor * w, 2 * pos, 0).reshape(len(marginal), -1).sum(axis=1)
+            out.append(tuple(float(x) / float(m) for x, m in zip(by_type, marginal)))
         return out
+
+
+def _grid_index(strategies: Sequence[np.ndarray], m: np.ndarray) -> Optional[int]:
+    """Position of ``m`` among the grid strategies, None when it is off the grid."""
+    return next((ix for ix, s in enumerate(strategies) if np.allclose(s, m, atol=1e-12)), None)
 
 
 def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, concept: str,
@@ -453,6 +479,10 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     assignments to strategy multisets; symmetric assignments (everyone plays
     the same grid strategy) are tried before asymmetric ones.  Raises
     BudgetExceeded once the number of utility evaluations passes ``budget``.
+
+    Each coalition's baseline and candidates are contractions of the same
+    reduced tensors (``_CoalitionEvaluator``); the members' current play is
+    skipped by grid index.
     """
     _check_profile(game, profile)
     if not 1 <= k <= game.n:
@@ -464,44 +494,8 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
 
     strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
+    own = [_grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
     nodes = 0
-
-    base_ex: dict[int, float] = {}
-    base_in: dict[int, tuple[float, ...]] = {}
-    for i in range(game.n):
-        if concept == EX_ANTE:
-            base_ex[i] = _utility(game, profile, i)
-        else:
-            base_in[i] = tuple(
-                _utility(game, profile, i, {i: v}) for v in range(len(game.type_sets[i])))
-
-    def evaluate(ev: _CoalitionEvaluator, coalition: tuple[int, ...],
-                 assignment: tuple[np.ndarray, ...]) -> Optional[DeviationCertificate]:
-        nonlocal nodes
-        if all(np.allclose(assignment[p], profile.strategies[c], atol=1e-12)
-               for p, c in enumerate(coalition)):
-            return None
-        if concept == EX_ANTE:
-            nodes += len(coalition)
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            new = ev.ex_ante(assignment)
-            deltas: tuple = tuple(new[p] - base_ex[coalition[p]] for p in range(len(coalition)))
-        else:
-            nodes += sum(len(game.type_sets[c]) for c in coalition)
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            new_t = ev.interim(assignment)
-            deltas = tuple(
-                tuple(new_t[p][v] - base_in[coalition[p]][v] for v in range(len(new_t[p])))
-                for p in range(len(coalition)))
-        if deviation_succeeds(concept, deltas, tol):
-            return DeviationCertificate(
-                concept=concept, coalition=coalition,
-                strategies=tuple(tuple(tuple(float(x) for x in row) for row in m)
-                                 for m in assignment),
-                deltas=deltas, tolerance=tol)
-        return None
 
     for size in range(1, k + 1):
         if symmetric:
@@ -511,39 +505,44 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         for coalition in coalitions:
             ev = _CoalitionEvaluator(game, profile, coalition)
             nodes += len(coalition)  # tensor-build pass, roughly one eval per member
-            first = coalition[0]
-            same_space = all(
-                game.type_sets[c] == game.type_sets[first]
-                and game.action_sets[c] == game.action_sets[first]
-                for c in coalition)
-            if same_space:
-                # symmetric assignments first: members share one grid strategy
-                shared = strategy_lists[first]
-                for strat in shared:
-                    cert = evaluate(ev, coalition, (strat,) * size)
-                    if cert is not None:
-                        return cert
-            if size == 1:
-                continue
-            if symmetric:
-                shared = strategy_lists[first]
-                combos = itertools.combinations_with_replacement(range(len(shared)), size)
-                for combo in combos:
-                    if len(set(combo)) == 1:
-                        continue  # symmetric, already tried
-                    assignment = tuple(shared[ix] for ix in combo)
-                    cert = evaluate(ev, coalition, assignment)
-                    if cert is not None:
-                        return cert
+            if concept == EX_ANTE:
+                contract, cost = ev.ex_ante, len(coalition)
             else:
-                pools = [range(len(strategy_lists[c])) for c in coalition]
-                for combo in itertools.product(*pools):
-                    if same_space and len(set(combo)) == 1:
-                        continue  # symmetric assignment, already tried above
-                    assignment = tuple(strategy_lists[c][ix] for c, ix in zip(coalition, combo))
-                    cert = evaluate(ev, coalition, assignment)
-                    if cert is not None:
-                        return cert
+                contract, cost = ev.interim, sum(len(game.type_sets[c]) for c in coalition)
+            base = contract(tuple(profile.strategies[c] for c in coalition))
+            current = tuple(own[c] for c in coalition)
+
+            pools = [range(len(strategy_lists[c])) for c in coalition]
+            first = coalition[0]
+            if all(game.type_sets[c] == game.type_sets[first]
+                   and game.action_sets[c] == game.action_sets[first] for c in coalition):
+                # symmetric assignments first: members share one grid strategy
+                rest = (itertools.combinations_with_replacement(pools[0], size) if symmetric
+                        else itertools.product(*pools))
+                combos = itertools.chain(((ix,) * size for ix in pools[0]),
+                                         (c for c in rest if len(set(c)) > 1))
+            else:
+                combos = itertools.product(*pools)
+
+            for combo in combos:
+                if combo == current:
+                    continue
+                nodes += cost
+                if nodes > budget:
+                    raise BudgetExceeded(nodes)
+                assignment = tuple(strategy_lists[c][ix] for c, ix in zip(coalition, combo))
+                new = contract(assignment)
+                if concept == EX_ANTE:
+                    deltas: tuple = tuple(x - b for x, b in zip(new, base))
+                else:
+                    deltas = tuple(tuple(x - b for x, b in zip(xs, bs))
+                                   for xs, bs in zip(new, base))
+                if deviation_succeeds(concept, deltas, tol):
+                    return DeviationCertificate(
+                        concept=concept, coalition=coalition,
+                        strategies=tuple(tuple(tuple(float(x) for x in row) for row in m)
+                                         for m in assignment),
+                        deltas=deltas, tolerance=tol)
     return None
 
 
@@ -555,10 +554,9 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
     deltas (see ``_certificate_holds``), so a tampered certificate fails.
     """
     _check_profile(game, profile)
+    _check_coalition(cert, game.n)
     tol = cert.tolerance if tol is None else tol
     k = len(cert.coalition)
-    if k == 0 or len(cert.strategies) != k:
-        raise DimensionMismatch("certificate coalition and strategies must align")
     assignments = {}
     for pos, agent in enumerate(cert.coalition):
         m = np.array(cert.strategies[pos], dtype=float)
@@ -593,21 +591,17 @@ def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
     """No agent improves any type's interim utility by any pure action switch.
 
     Returns (holds, worst_violation): the largest interim gain available to
-    any (agent, type) through a pure replacement at that type.
+    any (agent, type) through a pure replacement at that type.  Interim
+    utility is affine in the agent's own row, so the agent's reduced tensor
+    T_i[t_i, a_i] over its type marginal is every pure action's value.
     """
     _check_profile(game, profile)
     worst = -np.inf
     for i in range(game.n):
-        n_types = len(game.type_sets[i])
-        n_actions = len(game.action_sets[i])
-        for v in range(n_types):
-            current = _utility(game, profile, i, {i: v})
-            for action in range(n_actions):
-                m = profile.strategies[i].copy()
-                m[v] = 0.0
-                m[v, action] = 1.0
-                gain = _utility(game, profile.replace({i: m}), i, {i: v}) - current
-                worst = max(worst, gain)
+        ev = _CoalitionEvaluator(game, profile, (i,))
+        current = np.array(ev.interim((profile.strategies[i],))[0])
+        pure = ev.tensors[0] / ev.marginals[0][:, None]
+        worst = max(worst, float((pure - current[:, None]).max()))
     return worst <= tol, float(worst)
 
 
@@ -811,12 +805,11 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
     strategy counts, so it is computed once per distinct strategy and
     shared by the members who play it: O(k) for a symmetric certificate.
     """
+    _check_coalition(cert, setting.n)
     tol = cert.tolerance if tol is None else tol
     k = len(cert.coalition)
     strategies = tuple(_strategy_from_dists(d) for d in cert.strategies)
     profile = DeviationProfile(strategies)
-    if profile.k != k:
-        raise DimensionMismatch("certificate coalition and strategies must align")
 
     if cert.concept in CONCEPTS:
         base = truthful_baseline(setting, cert.concept)
@@ -831,11 +824,12 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
             raise DimensionMismatch(
                 "interim_D verification needs a world model and one type per member")
         s_d = tuple(LOW if ix == 0 else HIGH for ix in cert.conditioning_types)
-        base = _interim_d_utilities(setting.world_model, setting.rule, setting.n, s_d,
+        table = _score_table(setting)
+        outsider = _outsider_rewards(setting, table, s_d)
+        base = _interim_d_utilities(table, setting.n, outsider,
                                     [TRUTHFUL_REPORTS[s] for s in s_d])
-        reports = [strategies[pos] for pos in range(k)]
-        dev = _interim_d_utilities(setting.world_model, setting.rule, setting.n, s_d,
-                                   [r.report_prob(s) for r, s in zip(reports, s_d)])
+        dev = _interim_d_utilities(table, setting.n, outsider,
+                                   [r.report_prob(s) for r, s in zip(strategies, s_d)])
         recomputed = [d - b for d, b in zip(dev, base)]
     else:
         raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
@@ -845,40 +839,40 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
 TRUTHFUL_REPORTS = {LOW: 0.0, HIGH: 1.0}
 
 
-def _interim_d_utilities(wm: WorldModel, rule: ScoringRule, n: int,
-                         s_d: tuple[str, ...], report_h_probs: Sequence[float]) -> list[float]:
+def _outsider_rewards(setting: Setting, table: _ScoreTable,
+                      s_d: tuple[str, ...]) -> tuple[float, float]:
+    """Expected reward of reporting h and of reporting l against one truthful
+    outsider, given the coalition's signals ``s_d``.
+
+    Outsider signals enter only through the predictive Pr(h | s_D), because
+    the utility is linear in each peer's report.
+    """
+    d = len(s_d)
+    if not 1 <= d < setting.n:
+        raise InvalidSetting("coalition must leave at least one outsider")
+    d1 = sum(1 for s in s_d if s == HIGH)
+    p_star = coalition_posterior(setting.world_model, d1, d - d1).p_h
+    return (p_star * table.s_hh + (1.0 - p_star) * table.s_lh,
+            p_star * table.s_hl + (1.0 - p_star) * table.s_ll)
+
+
+def _interim_d_utilities(table: _ScoreTable, n: int, outsider: tuple[float, float],
+                         report_h_probs: Sequence[float]) -> list[float]:
     """Each member's expected utility given the full coalition type vector.
 
     Members report h with the given probabilities (independently); outsiders
-    report truthfully.  Outsider signals enter only through the predictive
-    Pr(h | s_D), because the utility is linear in each peer's report.
+    report truthfully, and ``outsider`` is ``_outsider_rewards``.  A member's
+    inside sum is the coalition total minus its own term, so this is O(d).
     """
-    from .mechanism import make_setting
-
-    d = len(s_d)
-    if not 1 <= d < n:
-        raise InvalidSetting("coalition must leave at least one outsider")
-    setting = make_setting(n, rule, world_model=wm)
-    table = _score_table(setting)
-    d1 = sum(1 for s in s_d if s == HIGH)
-    p_star = coalition_posterior(wm, d1, d - d1).p_h
-    outsider_high = p_star * table.s_hh + (1.0 - p_star) * table.s_lh
-    outsider_low = p_star * table.s_hl + (1.0 - p_star) * table.s_ll
-
+    inside_high = [p * table.s_hh + (1.0 - p) * table.s_lh for p in report_h_probs]
+    inside_low = [p * table.s_hl + (1.0 - p) * table.s_ll for p in report_h_probs]
+    total_high, total_low = math.fsum(inside_high), math.fsum(inside_low)
+    outside = n - len(report_h_probs)
     out = []
-    for i in range(d):
-        pi_i = report_h_probs[i]
-        inner_high = 0.0
-        inner_low = 0.0
-        for j in range(d):
-            if j == i:
-                continue
-            pj = report_h_probs[j]
-            inner_high += pj * table.s_hh + (1.0 - pj) * table.s_lh
-            inner_low += pj * table.s_hl + (1.0 - pj) * table.s_ll
-        u_high = (inner_high + (n - d) * outsider_high) / (n - 1)
-        u_low = (inner_low + (n - d) * outsider_low) / (n - 1)
-        out.append(pi_i * u_high + (1.0 - pi_i) * u_low)
+    for p, own_high, own_low in zip(report_h_probs, inside_high, inside_low):
+        u_high = (total_high - own_high + outside * outsider[0]) / (n - 1)
+        u_low = (total_low - own_low + outside * outsider[1]) / (n - 1)
+        out.append(p * u_high + (1.0 - p) * u_low)
     return out
 
 
@@ -899,14 +893,10 @@ def interim_D_deviation(wm: WorldModel, rule: ScoringRule, n: int,
     for s in s_d:
         if s not in (LOW, HIGH):
             raise InvalidSetting(f"unknown signal {s!r}")
-    from .mechanism import make_setting
-
     setting = make_setting(n, rule, world_model=wm)
     table = _score_table(setting)
-    d1 = sum(1 for s in s_d if s == HIGH)
-    p_star = coalition_posterior(wm, d1, d - d1).p_h
-    u_report_h = p_star * table.s_hh + (1.0 - p_star) * table.s_lh
-    u_report_l = p_star * table.s_hl + (1.0 - p_star) * table.s_ll
+    outsider = _outsider_rewards(setting, table, s_d)
+    u_report_h, u_report_l = outsider
     if u_report_h > u_report_l + tol:
         target = HIGH
     elif u_report_l > u_report_h + tol:
@@ -916,8 +906,8 @@ def interim_D_deviation(wm: WorldModel, rule: ScoringRule, n: int,
 
     truthful = [TRUTHFUL_REPORTS[s] for s in s_d]
     coordinated = [TRUTHFUL_REPORTS[target]] * d
-    base = _interim_d_utilities(wm, rule, n, s_d, truthful)
-    dev = _interim_d_utilities(wm, rule, n, s_d, coordinated)
+    base = _interim_d_utilities(table, n, outsider, truthful)
+    dev = _interim_d_utilities(table, n, outsider, coordinated)
     deltas = tuple(x - b for x, b in zip(dev, base))
     if not deviation_succeeds(INTERIM_D, deltas, tol):
         return None

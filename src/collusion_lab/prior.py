@@ -149,20 +149,33 @@ def induce_prior(wm: WorldModel) -> BinaryPrior:
 
 
 def coalition_posterior(wm: WorldModel, count_h: int, count_l: int) -> BinaryDist:
-    """Predictive Pr(fresh signal = h) after observing h/l signal counts."""
+    """Predictive Pr(fresh signal = h) after observing h/l signal counts.
+
+    The state likelihoods w * p^h * (1-p)^l are taken in log space and
+    shifted by their maximum, so large counts do not underflow; a zero
+    factor (w = 0, or p exactly 0 or 1 against a signal it cannot emit)
+    rules its state out.
+    """
     if count_h < 0 or count_l < 0:
         raise ValueError(f"signal counts must be non-negative, got ({count_h}, {count_l})")
     if count_h + count_l < 1:
         raise ValueError("need at least one observed signal")
-    likelihoods = [
-        w * (p ** count_h) * ((1.0 - p) ** count_l)
-        for w, p in zip(wm.p_state, wm.p_h_given_state)
-    ]
-    total = sum(likelihoods)
-    if total <= 0.0:
+
+    def log_likelihood(w: float, p: float) -> float:
+        total = math.log(w) if w > 0.0 else -math.inf
+        if count_h:
+            total += count_h * math.log(p) if p > 0.0 else -math.inf
+        if count_l:
+            total += count_l * math.log1p(-p) if p < 1.0 else -math.inf
+        return total
+
+    logs = [log_likelihood(w, p) for w, p in zip(wm.p_state, wm.p_h_given_state)]
+    top = max(logs)
+    if top == -math.inf:
         raise ZeroLikelihood(
             f"observing {count_h} h and {count_l} l signals has probability 0 in every state")
-    predictive = sum(lk * p for lk, p in zip(likelihoods, wm.p_h_given_state)) / total
+    weights = [math.exp(x - top) for x in logs]
+    predictive = sum(wt * p for wt, p in zip(weights, wm.p_h_given_state)) / sum(weights)
     return BinaryDist(min(max(predictive, 0.0), 1.0))
 
 

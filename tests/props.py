@@ -76,6 +76,25 @@ def random_world_model(rng: np.random.Generator) -> cl.WorldModel:
         return wm
 
 
+def exact_coalition_posterior(wm: cl.WorldModel, count_h: int,
+                              count_l: int) -> float | None:
+    """The predictive Pr(h | counts) in exact integer arithmetic, correctly rounded.
+
+    Every float is an integer over a power of two, so one common power-of-two
+    denominator turns both sums into integers; None when every state has
+    likelihood 0.
+    """
+    terms = []
+    for w, p in zip(wm.p_state, wm.p_h_given_state):
+        (wn, wd), (pn, pd) = w.as_integer_ratio(), p.as_integer_ratio()
+        terms.append((wn * pn ** count_h * (pd - pn) ** count_l,
+                      wd * pd ** (count_h + count_l + 1), pn, pd))
+    common = max(d for _, d, _, _ in terms)
+    num = sum(like * pn * (common // d) for like, d, pn, _ in terms)
+    den = sum(like * pd * (common // d) for like, d, _, pd in terms)
+    return None if den == 0 else num / den
+
+
 def reference_setting(rule: cl.ScoringRule | None = None, n: int = 100) -> cl.Setting:
     """The reference worked-example setting: Pr(h)=2/3, Pr(h|h)=0.8."""
     return cl.make_setting(n, rule or cl.BrierRule(), prior=cl.make_prior(2.0 / 3.0, 0.8))
@@ -340,6 +359,48 @@ def random_pure_profile(rng: np.random.Generator,
     return cl.MixedProfile(tuple(mats))
 
 
+def random_mixed_profile(rng: np.random.Generator,
+                         game: cl.FiniteBayesianGame) -> cl.MixedProfile:
+    """Every row a random distribution: off every strategy grid almost surely."""
+    return cl.MixedProfile(tuple(
+        rng.dirichlet(np.ones(len(game.action_sets[i])), size=len(game.type_sets[i]))
+        for i in range(game.n)))
+
+
+def bne_check_by_actions(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                         tol: float = cl.DEFAULT_TOL) -> tuple[bool, float]:
+    """bne_check as a plain loop: replace each (agent, type) row by each pure action.
+
+    Every utility is a full-lattice einsum (``game_interim_utility``).
+    """
+    worst = -np.inf
+    for i in range(game.n):
+        for v in range(len(game.type_sets[i])):
+            current = cl.game_interim_utility(game, profile, i, v)
+            for action in range(len(game.action_sets[i])):
+                m = profile.strategies[i].copy()
+                m[v] = 0.0
+                m[v, action] = 1.0
+                gain = cl.game_interim_utility(game, profile.replace({i: m}), i, v) - current
+                worst = max(worst, gain)
+    return worst <= tol, float(worst)
+
+
+def check_bne_matches_action_loop(seed: int = 4343, games: int = 150) -> None:
+    """bne_check agrees with the per-action loop on pure and mixed profiles."""
+    rng = np.random.default_rng(seed)
+    verdicts = {True: 0, False: 0}
+    for g in range(games):
+        game = random_game(rng, n=int(rng.integers(1, 5)))
+        sample = random_mixed_profile if g % 2 else random_pure_profile
+        profile = sample(rng, game)
+        holds, worst = cl.bne_check(game, profile)
+        want_holds, want_worst = bne_check_by_actions(game, profile)
+        assert holds == want_holds and abs(worst - want_worst) <= 1e-12, (g, worst, want_worst)
+        verdicts[holds] += 1
+    assert min(verdicts.values()) >= games // 20, verdicts
+
+
 def check_bne_equivalence(seed: int = 424242, games: int = 200) -> None:
     """bne_check fails iff the size-1 falsifier finds, under either concept."""
     rng = np.random.default_rng(seed)
@@ -428,6 +489,65 @@ def check_checker_mechanism_exactness(seed: int = 606, samples: int = 30) -> Non
                 a = cl.game_interim_utility(game, mixed, agent, ix)
                 b = cl.interim_utility(setting, profile, member, sig)
                 assert abs(a - b) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# finite-game search: seeded cases for the golden file
+# ---------------------------------------------------------------------------
+
+def game_search_cases(seed: int = 919, count: int = 60) -> list[dict]:
+    """Seeded ``find_deviation`` inputs: random and peer prediction games.
+
+    Random games (asymmetric, n 2..3) and peer prediction games (n 3..5;
+    exchangeable, or with per-agent utility scales that break it) under
+    pure on-grid and mixed off-grid base profiles, both concepts, budgets
+    from the default down to a few hundred nodes.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for c in range(count):
+        kind = c % 4
+        if kind < 2:
+            game = random_game(rng)
+            sample = random_pure_profile if kind == 0 else random_mixed_profile
+            profile = sample(rng, game)
+            grid_steps = int(rng.choice([2, 3, 5]))
+        else:
+            n = int(rng.integers(3, 6))
+            setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
+            game = cl.peer_prediction_game(setting)
+            if kind == 3:
+                scales = rng.uniform(0.5, 2.0, size=n)
+                game = cl.FiniteBayesianGame(
+                    n=n, type_sets=game.type_sets, action_sets=game.action_sets,
+                    prior=game.prior,
+                    utilities=tuple(s * v for s, v in zip(scales, game.utilities)))
+            profile = cl.truthful_profile(game)
+            if rng.random() < 0.3:  # everyone plays the same noisy report: off grid
+                eps = float(rng.uniform(0.05, 0.3))
+                noisy = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])
+                profile = cl.MixedProfile((noisy,) * n)
+            grid_steps = int(rng.choice([3, 5]))
+        budget = cl.DEFAULT_BUDGET if rng.random() < 0.6 else int(rng.integers(20, 2000))
+        cases.append({
+            "game": game.to_dict(), "profile": profile.to_dict(),
+            "k": int(rng.integers(1, game.n + 1)),
+            "concept": cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN,
+            "grid_steps": grid_steps, "budget": budget})
+    return cases
+
+
+def game_search_outcome(case: dict) -> dict:
+    """What ``find_deviation`` returns on one case, as a JSON-ready record."""
+    game = cl.FiniteBayesianGame.from_dict(case["game"])
+    profile = cl.MixedProfile.from_dict(case["profile"])
+    try:
+        cert = cl.find_deviation(game, profile, case["k"], case["concept"],
+                                 grid_steps=case["grid_steps"], budget=case["budget"])
+    except cl.BudgetExceeded as exc:
+        return {"budget_exceeded": True, "nodes_searched": exc.nodes_searched}
+    return {"budget_exceeded": False,
+            "certificate": None if cert is None else cert.to_dict()}
 
 
 # ---------------------------------------------------------------------------

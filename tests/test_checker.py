@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,27 @@ class TestFindDeviation:
             cl.find_deviation(game, profile, 2, "ex_ante", grid_steps=11, budget=10)
         assert err.value.nodes_searched > 10
 
+    def test_golden_search_outcomes(self):
+        # captured before the searches read only the reduced coalition
+        # tensors: same verdicts, nodes_searched, coalitions and strategies,
+        # deltas to 1e-12 (props.game_search_cases(), seed 919)
+        golden = json.loads((Path(__file__).parent / "data" / "game_search_golden.json")
+                            .read_text())
+        assert len(golden) == 60
+        for i, case in enumerate(golden):
+            got, want = props.game_search_outcome(case), case["outcome"]
+            assert got["budget_exceeded"] == want["budget_exceeded"], i
+            if want["budget_exceeded"]:
+                assert got["nodes_searched"] == want["nodes_searched"], i
+                continue
+            if want["certificate"] is None:
+                assert got["certificate"] is None, i
+                continue
+            got_cert, want_cert = got["certificate"], want["certificate"]
+            assert got_cert["coalition"] == want_cert["coalition"], i
+            assert got_cert["strategies"] == want_cert["strategies"], i
+            assert np.allclose(got_cert["deltas"], want_cert["deltas"], rtol=0, atol=1e-12), i
+
     def test_soundness_fuzz(self):
         rng = np.random.default_rng(42)
         found = 0
@@ -243,6 +265,29 @@ class TestVerifyCertificate:
         assert cl.verify_certificate(game, profile, cert)
         assert not cl.verify_certificate(game, profile, replace(cert, deltas=()))
 
+    def test_coalition_must_list_distinct_agents_in_range(self):
+        v = np.zeros((1, 2, 2))
+        v[0, 1, :] = 1.0  # the dominated-action game of TestBneCheck
+        game = cl.FiniteBayesianGame(
+            n=2, type_sets=(("t",), ("t",)), action_sets=(("a", "b"), ("a", "b")),
+            prior=np.ones((1, 1)), utilities=(v, np.zeros((1, 2, 2))))
+        profile = pure_profile(game, [(0,), (0,)])
+        b = ((0.0, 1.0),)
+        for coalition in ((0, 0), (0, 5), (-1,)):
+            cert = cl.DeviationCertificate(
+                concept="ex_ante", coalition=coalition, strategies=(b,) * len(coalition),
+                deltas=(1.0,) * len(coalition), tolerance=1e-9)
+            with pytest.raises(cl.DimensionMismatch):
+                cl.verify_certificate(game, profile, cert)
+        assert cl.verify_certificate(game, profile, replace(cert, coalition=(0,)))
+        setting = props.reference_setting(n=10)
+        cert = cl.find_setting_deviation(setting, 10, "ex_ante")
+        assert cl.verify_setting_certificate(setting, cert)
+        size = len(cert.coalition)
+        for coalition in ((0,) * size, tuple(range(1, size + 1))[:-1] + (10,)):
+            with pytest.raises(cl.DimensionMismatch):
+                cl.verify_setting_certificate(setting, replace(cert, coalition=coalition))
+
     def test_bayesian_reinterprets_as_ex_ante(self):
         props.check_bayesian_implies_ex_ante_certificate()
 
@@ -274,6 +319,9 @@ class TestBneCheck:
 
     def test_equivalence_with_size_one_falsifier(self):
         props.check_bne_equivalence()
+
+    def test_matches_action_loop_on_mixed_profiles(self):
+        props.check_bne_matches_action_loop()
 
 
 class TestSymmetryDetection:
@@ -343,6 +391,28 @@ class TestInterimD:
         for i in range(len(s_d)):
             want = oracle_member(i, coordinated) - oracle_member(i, list(s_d))
             assert cert.deltas[i] == pytest.approx(want, abs=1e-12)
+
+    def test_large_coalitions_match_enumeration_oracle(self):
+        rng = np.random.default_rng(45)
+        found = 0
+        for _ in range(20):
+            wm = props.random_world_model(rng)
+            rule = props.random_rule(rng)
+            d = int(rng.integers(2, 60))
+            n = d + int(rng.integers(1, 200))
+            s_d = tuple(cl.HIGH if rng.random() < 0.5 else cl.LOW for _ in range(d))
+            cert = cl.interim_D_deviation(wm, rule, n, s_d)
+            if cert is None:
+                continue
+            found += 1
+            target = cl.HIGH if cert.strategies[0][0][1] == 1.0 else cl.LOW
+            base = props.interim_d_oracle(wm, rule, n, s_d, list(s_d))
+            dev = props.interim_d_oracle(wm, rule, n, s_d, [target] * d)
+            for i, delta in enumerate(cert.deltas):
+                assert abs(delta - (dev[i] - base[i])) <= 1e-12
+            setting = cl.make_setting(n, rule, world_model=wm)
+            assert cl.verify_setting_certificate(setting, cert)
+        assert found >= 5, found
 
     def test_certificate_verifies_in_explicit_game(self):
         wm = self._reference_wm()

@@ -106,6 +106,35 @@ class TestCoalitionPosterior:
         wm = cl.WorldModel((0.5, 0.5), (1.0, 1.0))
         with pytest.raises(cl.ZeroLikelihood):
             cl.coalition_posterior(wm, 0, 1)
+        # only when every state is ruled out: here state 0 never emits h
+        # and state 1 has weight 0
+        wm = cl.WorldModel((1.0, 0.0), (0.0, 0.5))
+        with pytest.raises(cl.ZeroLikelihood):
+            cl.coalition_posterior(wm, 1, 0)
+        assert cl.coalition_posterior(wm, 0, 5000).p_h == 0.0
+        wm = cl.WorldModel((0.5, 0.5), (1.0, 0.2))
+        assert cl.coalition_posterior(wm, 2000, 1).p_h == pytest.approx(0.2, abs=1e-12)
+
+    def test_large_counts_match_exact_arithmetic(self):
+        reference = cl.world_model_for_prior(cl.make_prior(2 / 3, 0.8))
+        for count in (400, 406, 407, 3000):
+            assert cl.coalition_posterior(reference, count, count).p_h \
+                == pytest.approx(0.8, abs=1e-12)
+        wm = cl.WorldModel((0.5, 0.5), (0.3, 0.7))
+        assert cl.coalition_posterior(wm, 700, 600).p_h == pytest.approx(0.7, abs=1e-12)
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            wm = props.random_world_model(rng)
+            if rng.random() < 0.3:  # a state that cannot emit one of the signals
+                p = list(wm.p_h_given_state)
+                p[int(rng.integers(0, 2))] = float(rng.choice([0.0, 1.0]))
+                wm = cl.WorldModel(wm.p_state, tuple(p))
+            count_h, count_l = (int(c) for c in rng.integers(0, 3001, size=2))
+            if count_h + count_l == 0:
+                continue
+            exact = props.exact_coalition_posterior(wm, count_h, count_l)
+            got = cl.coalition_posterior(wm, count_h, count_l).p_h
+            assert got == pytest.approx(exact, abs=1e-12), (wm, count_h, count_l)
 
     def test_count_contract(self):
         wm = cl.WorldModel((0.5, 0.5), (0.9, 0.1))
