@@ -31,9 +31,10 @@ the mechanism's closed forms, searching symmetric coalition strategies
 
 Utilities are evaluated two independent ways.  The searches
 (``find_deviation``, ``bne_check``) read only per-coalition reduced tensors
-(``_CoalitionEvaluator``): one full-lattice pass per coalition, then one
-small contraction per candidate.  ``_utility``, the full-lattice einsum
-behind the ``game_*_utility`` functions, is the independent oracle that
+(``_CoalitionEvaluator``): one full-lattice pass per coalition, with one
+einsum path search per operand shape per call, then candidates contracted
+in chunks of bounded size.  ``_utility``, the full-lattice einsum behind
+the ``game_*_utility`` functions, is the independent oracle that
 ``verify_certificate`` recomputes every delta with.
 
 Concept names, the success test and the deltas of a coalition sharing one
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import string
 from dataclasses import dataclass
 from functools import reduce
@@ -365,22 +367,30 @@ class DeviationCertificate:
 
     @staticmethod
     def from_dict(data: dict) -> "DeviationCertificate":
-        extra = set(data) - {"concept", "coalition", "strategies", "deltas",
-                             "tolerance", "conditioning_types"}
-        if extra:
-            raise DimensionMismatch(f"unknown certificate keys {sorted(extra)}")
-        deltas = tuple(tuple(float(x) for x in d) if isinstance(d, list) else float(d)
-                       for d in data["deltas"])
-        cond = data.get("conditioning_types")
-        return DeviationCertificate(
-            concept=data["concept"],
-            coalition=tuple(int(x) for x in data["coalition"]),
-            strategies=tuple(tuple(tuple(float(x) for x in row) for row in member)
-                             for member in data["strategies"]),
-            deltas=deltas,
-            tolerance=float(data["tolerance"]),
-            conditioning_types=None if cond is None else tuple(int(x) for x in cond),
-        )
+        if not isinstance(data, dict):
+            raise DimensionMismatch(f"certificate must be an object, got {type(data).__name__}")
+        required = {"concept", "coalition", "strategies", "deltas", "tolerance"}
+        if not required <= set(data) <= required | {"conditioning_types"}:
+            raise DimensionMismatch(
+                f"certificate needs the keys {sorted(required)} and optionally "
+                f"\"conditioning_types\", got {sorted(data)}")
+        if not isinstance(data["concept"], str):
+            raise DimensionMismatch(f"certificate concept must be a string, got {data['concept']!r}")
+        try:
+            cond = data.get("conditioning_types")
+            return DeviationCertificate(
+                concept=data["concept"],
+                coalition=tuple(operator.index(x) for x in data["coalition"]),
+                strategies=tuple(tuple(tuple(float(x) for x in row) for row in member)
+                                 for member in data["strategies"]),
+                deltas=tuple(tuple(float(x) for x in d) if isinstance(d, list) else float(d)
+                             for d in data["deltas"]),
+                tolerance=float(data["tolerance"]),
+                conditioning_types=(None if cond is None
+                                    else tuple(operator.index(x) for x in cond)),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DimensionMismatch(f"malformed certificate field: {exc}") from exc
 
 
 def _check_coalition(cert: DeviationCertificate, n: int) -> None:
@@ -411,22 +421,37 @@ def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: fl
     return deviation_succeeds(cert.concept, recomputed, tol)
 
 
+# Cells (candidates x reduced-tensor entries) one chunk contraction holds at
+# once.  Each of the chunk's few temporaries is this many floats (256 KB).
+_CHUNK_CELLS = 2 ** 15
+
+
 class _CoalitionEvaluator:
-    """Per-coalition reduced tensors: one full-lattice pass, cheap per candidate.
+    """Per-coalition reduced tensors: one full-lattice pass, then cheap chunks.
 
     For member i, T_i[t_D..., a_D...] (axes interleaved per member in
     coalition order) sums the prior times non-member play times utility over
-    everything outside the coalition.  Each candidate assignment then only
-    contracts T_i with the members' strategy matrices.  These tensors are
-    the only way ``find_deviation`` and ``bne_check`` evaluate utilities;
-    the full-lattice ``_utility`` stays the independent oracle that
-    ``verify_certificate`` recomputes deltas with.
+    everything outside the coalition.  ``ex_ante`` and ``interim`` then
+    contract T_i with a chunk of B candidate assignments at once: one
+    (B, types, actions) stack of strategy matrices per member.  These
+    tensors are the only way ``find_deviation`` and ``bne_check`` evaluate
+    utilities; the full-lattice ``_utility`` stays the independent oracle
+    that ``verify_certificate`` recomputes deltas with.
+
+    ``paths`` maps (coalition size, operand shapes) to an einsum
+    contraction path.  The caller shares one dict across the builds of one
+    search, so numpy's greedy path search runs once per key, not once per
+    member of every coalition.  Greedy reads only the operands' index sets
+    and sizes, and the expressions that share a key differ only by a
+    size-preserving relabelling of indices, so it would pick the same path
+    for each of them: the reuse changes no float.
     """
 
     def __init__(self, game: FiniteBayesianGame, profile: MixedProfile,
-                 coalition: tuple[int, ...]):
+                 coalition: tuple[int, ...], paths: dict | None = None):
         self.game = game
         self.coalition = coalition
+        paths = {} if paths is None else paths
         n = game.n
         letters = string.ascii_letters
         t = letters[:n]
@@ -444,29 +469,54 @@ class _CoalitionEvaluator:
             operands.append(game.utilities[i])
             subs.append(t[i] + a)
             expr = ",".join(subs) + "->" + out
-            self.tensors.append(np.einsum(expr, *operands, optimize=True))
+            key = (len(coalition),) + tuple(op.shape for op in operands)
+            if key not in paths:
+                paths[key] = np.einsum_path(expr, *operands, optimize="greedy")[0]
+            self.tensors.append(np.einsum(expr, *operands, optimize=paths[key]))
         self.marginals = [game.type_marginal(i) for i in coalition]
 
-    def _weight(self, assignment: Sequence[np.ndarray]) -> np.ndarray:
-        return reduce(np.multiply.outer, assignment)
+    @staticmethod
+    def _weight(assignment: Sequence[np.ndarray]) -> np.ndarray:
+        """W[b] = reduce(np.multiply.outer, (m[b] for m in assignment)), same fold order."""
+        w = assignment[0]
+        for m in assignment[1:]:
+            w = w[..., None, None] * m.reshape((len(m),) + (1,) * (w.ndim - 1) + m.shape[1:])
+        return w
 
-    def ex_ante(self, assignment: Sequence[np.ndarray]) -> list[float]:
+    def ex_ante(self, assignment: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Each member's ex-ante utility, one (B,) array per member."""
         w = self._weight(assignment)
-        return [float((tensor * w).sum()) for tensor in self.tensors]
+        return [(tensor * w).reshape(len(w), -1).sum(axis=1) for tensor in self.tensors]
 
-    def interim(self, assignment: Sequence[np.ndarray]) -> list[tuple[float, ...]]:
+    def interim(self, assignment: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Each member's per-type utility, one (B, member types) array per member."""
         w = self._weight(assignment)
         out = []
-        for pos, tensor in enumerate(self.tensors):
-            marginal = self.marginals[pos]
-            by_type = np.moveaxis(tensor * w, 2 * pos, 0).reshape(len(marginal), -1).sum(axis=1)
-            out.append(tuple(float(x) / float(m) for x, m in zip(by_type, marginal)))
+        for pos, (tensor, marginal) in enumerate(zip(self.tensors, self.marginals)):
+            by_type = np.moveaxis(tensor * w, 1 + 2 * pos, 1).reshape(len(w), len(marginal), -1)
+            out.append(by_type.sum(axis=2) / marginal)
         return out
 
 
 def _grid_index(strategies: Sequence[np.ndarray], m: np.ndarray) -> Optional[int]:
     """Position of ``m`` among the grid strategies, None when it is off the grid."""
     return next((ix for ix, s in enumerate(strategies) if np.allclose(s, m, atol=1e-12)), None)
+
+
+def _first_success(deltas: Sequence[np.ndarray], tol: float) -> Optional[int]:
+    """First row of a chunk that passes ``deviation_succeeds`` (ex ante or per type).
+
+    ``deltas`` holds one (B,) or (B, types) array per member: no entry of
+    a row may fall below -tol and some entry must exceed tol.
+    """
+    rows = len(deltas[0])
+    no_loss, gain = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    for d in deltas:
+        d = d.reshape(rows, -1)
+        no_loss &= (d >= -tol).all(axis=1)
+        gain |= (d > tol).any(axis=1)
+    hits = np.flatnonzero(no_loss & gain)
+    return int(hits[0]) if hits.size else None
 
 
 def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, concept: str,
@@ -477,12 +527,20 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     Enumerates coalition sizes in ascending order.  For exchangeable games
     with a symmetric base profile, coalitions collapse to sizes and member
     assignments to strategy multisets; symmetric assignments (everyone plays
-    the same grid strategy) are tried before asymmetric ones.  Raises
-    BudgetExceeded once the number of utility evaluations passes ``budget``.
+    the same grid strategy) are tried before asymmetric ones.  The first
+    success in that order is returned.
 
     Each coalition's baseline and candidates are contractions of the same
-    reduced tensors (``_CoalitionEvaluator``); the members' current play is
-    skipped by grid index.
+    reduced tensors (``_CoalitionEvaluator``), built with one einsum path
+    search per operand shape for the whole call.  The members' current play
+    is skipped by grid index.  Candidates are contracted in chunks of at
+    most ``_CHUNK_CELLS`` cells, so memory stays bounded at any k.
+
+    The budget counts utility evaluations: each coalition's build charges
+    one per member, each candidate one per member (ex ante) or one per
+    member type (bayesian), in enumeration order.  A chunk never reaches
+    past the budget: BudgetExceeded is raised at the first candidate whose
+    charge would pass it, with ``nodes_searched`` counting that candidate.
     """
     _check_profile(game, profile)
     if not 1 <= k <= game.n:
@@ -494,8 +552,10 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
 
     strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
+    stacks = [np.stack(s) for s in strategy_lists]
     own = [_grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
     nodes = 0
+    paths: dict = {}
 
     for size in range(1, k + 1):
         if symmetric:
@@ -503,13 +563,13 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         else:
             coalitions = list(itertools.combinations(range(game.n), size))
         for coalition in coalitions:
-            ev = _CoalitionEvaluator(game, profile, coalition)
+            ev = _CoalitionEvaluator(game, profile, coalition, paths)
             nodes += len(coalition)  # tensor-build pass, roughly one eval per member
             if concept == EX_ANTE:
                 contract, cost = ev.ex_ante, len(coalition)
             else:
                 contract, cost = ev.interim, sum(len(game.type_sets[c]) for c in coalition)
-            base = contract(tuple(profile.strategies[c] for c in coalition))
+            base = contract(tuple(profile.strategies[c][None] for c in coalition))
             current = tuple(own[c] for c in coalition)
 
             pools = [range(len(strategy_lists[c])) for c in coalition]
@@ -523,26 +583,34 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
                                          (c for c in rest if len(set(c)) > 1))
             else:
                 combos = itertools.product(*pools)
+            candidates = (combo for combo in combos if combo != current)
 
-            for combo in combos:
-                if combo == current:
-                    continue
-                nodes += cost
-                if nodes > budget:
-                    raise BudgetExceeded(nodes)
-                assignment = tuple(strategy_lists[c][ix] for c, ix in zip(coalition, combo))
-                new = contract(assignment)
-                if concept == EX_ANTE:
-                    deltas: tuple = tuple(x - b for x, b in zip(new, base))
-                else:
-                    deltas = tuple(tuple(x - b for x, b in zip(xs, bs))
-                                   for xs, bs in zip(new, base))
-                if deviation_succeeds(concept, deltas, tol):
+            rows = max(1, _CHUNK_CELLS // ev.tensors[0].size)
+            while True:
+                room = (budget - nodes) // cost  # candidates chargeable within budget
+                if room <= 0:
+                    if next(candidates, None) is not None:
+                        raise BudgetExceeded(nodes + cost)
+                    break
+                chunk = list(itertools.islice(candidates, min(rows, room)))
+                if not chunk:
+                    break
+                picks = np.array(chunk).T
+                new = contract([stacks[c][ix] for c, ix in zip(coalition, picks)])
+                deltas = [x - b for x, b in zip(new, base)]
+                hit = _first_success(deltas, tol)
+                if hit is not None:
+                    if concept == EX_ANTE:
+                        found: tuple = tuple(float(d[hit]) for d in deltas)
+                    else:
+                        found = tuple(tuple(float(x) for x in d[hit]) for d in deltas)
                     return DeviationCertificate(
                         concept=concept, coalition=coalition,
-                        strategies=tuple(tuple(tuple(float(x) for x in row) for row in m)
-                                         for m in assignment),
-                        deltas=deltas, tolerance=tol)
+                        strategies=tuple(tuple(tuple(float(x) for x in row)
+                                               for row in strategy_lists[c][ix])
+                                         for c, ix in zip(coalition, chunk[hit])),
+                        deltas=found, tolerance=tol)
+                nodes += len(chunk) * cost
     return None
 
 
@@ -579,6 +647,9 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
     elif cert.concept == INTERIM_D:
         if cert.conditioning_types is None or len(cert.conditioning_types) != k:
             raise DimensionMismatch("interim_D certificate needs one conditioning type per member")
+        for agent, v in zip(cert.coalition, cert.conditioning_types):
+            if not 0 <= v < len(game.type_sets[agent]):
+                raise DimensionMismatch(f"conditioning type {v} out of range for agent {agent}")
         s_d = dict(zip(cert.coalition, cert.conditioning_types))
         recomputed = [delta(agent, s_d) for agent in cert.coalition]
     else:
@@ -597,9 +668,10 @@ def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
     """
     _check_profile(game, profile)
     worst = -np.inf
+    paths: dict = {}
     for i in range(game.n):
-        ev = _CoalitionEvaluator(game, profile, (i,))
-        current = np.array(ev.interim((profile.strategies[i],))[0])
+        ev = _CoalitionEvaluator(game, profile, (i,), paths)
+        current = ev.interim((profile.strategies[i][None],))[0][0]
         pure = ev.tensors[0] / ev.marginals[0][:, None]
         worst = max(worst, float((pure - current[:, None]).max()))
     return worst <= tol, float(worst)
@@ -823,7 +895,11 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
                 or len(cert.conditioning_types) != k):
             raise DimensionMismatch(
                 "interim_D verification needs a world model and one type per member")
-        s_d = tuple(LOW if ix == 0 else HIGH for ix in cert.conditioning_types)
+        signals = {ix: s for s, ix in _SIGNAL_INDEX.items()}
+        if any(ix not in signals for ix in cert.conditioning_types):
+            raise DimensionMismatch(
+                f"conditioning types {list(cert.conditioning_types)} must be 0 (l) or 1 (h)")
+        s_d = tuple(signals[ix] for ix in cert.conditioning_types)
         table = _score_table(setting)
         outsider = _outsider_rewards(setting, table, s_d)
         base = _interim_d_utilities(table, setting.n, outsider,

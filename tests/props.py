@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import string
+from functools import reduce
 
 import numpy as np
 
@@ -537,17 +539,258 @@ def game_search_cases(seed: int = 919, count: int = 60) -> list[dict]:
     return cases
 
 
+def game_search_case_args(case: dict) -> tuple:
+    """A ``game_search_cases`` record as (game, profile, k, concept, options)."""
+    return (cl.FiniteBayesianGame.from_dict(case["game"]),
+            cl.MixedProfile.from_dict(case["profile"]), case["k"], case["concept"],
+            {"grid_steps": case["grid_steps"], "budget": case["budget"]})
+
+
 def game_search_outcome(case: dict) -> dict:
     """What ``find_deviation`` returns on one case, as a JSON-ready record."""
-    game = cl.FiniteBayesianGame.from_dict(case["game"])
-    profile = cl.MixedProfile.from_dict(case["profile"])
+    game, profile, k, concept, options = game_search_case_args(case)
     try:
-        cert = cl.find_deviation(game, profile, case["k"], case["concept"],
-                                 grid_steps=case["grid_steps"], budget=case["budget"])
+        cert = cl.find_deviation(game, profile, k, concept, **options)
     except cl.BudgetExceeded as exc:
         return {"budget_exceeded": True, "nodes_searched": exc.nodes_searched}
     return {"budget_exceeded": False,
             "certificate": None if cert is None else cert.to_dict()}
+
+
+# ---------------------------------------------------------------------------
+# finite-game search: the per-candidate loop as an oracle
+# ---------------------------------------------------------------------------
+
+class CandidateEvaluator:
+    """Reduced coalition tensors contracted one candidate at a time.
+
+    The coalition evaluator as it was before it contracted candidates in
+    chunks.  Every build plans its own einsum paths (``optimize=True``), so
+    this oracle shares no path and no batching with the code it checks.
+    """
+
+    def __init__(self, game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                 coalition: tuple[int, ...]):
+        n = game.n
+        t = string.ascii_letters[:n]
+        a = string.ascii_letters[n:2 * n]
+        out = "".join(t[c] + a[c] for c in coalition)
+        self.tensors = []
+        for i in coalition:
+            operands = [game.prior]
+            subs = [t[:n]]
+            for j in range(n):
+                if j in coalition:
+                    continue
+                operands.append(profile.strategies[j])
+                subs.append(t[j] + a[j])
+            operands.append(game.utilities[i])
+            subs.append(t[i] + a)
+            expr = ",".join(subs) + "->" + out
+            self.tensors.append(np.einsum(expr, *operands, optimize=True))
+        self.marginals = [game.type_marginal(i) for i in coalition]
+
+    def ex_ante(self, assignment) -> list[float]:
+        w = reduce(np.multiply.outer, assignment)
+        return [float((tensor * w).sum()) for tensor in self.tensors]
+
+    def interim(self, assignment) -> list[tuple[float, ...]]:
+        w = reduce(np.multiply.outer, assignment)
+        out = []
+        for pos, tensor in enumerate(self.tensors):
+            marginal = self.marginals[pos]
+            by_type = np.moveaxis(tensor * w, 2 * pos, 0).reshape(len(marginal), -1).sum(axis=1)
+            out.append(tuple(float(x) / float(m) for x, m in zip(by_type, marginal)))
+        return out
+
+
+def find_deviation_by_candidates(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                                 k: int, concept: str, grid_steps: int = 11,
+                                 budget: int = cl.DEFAULT_BUDGET, tol: float = cl.DEFAULT_TOL):
+    """``find_deviation`` as a plain loop: one contraction and one budget check per candidate."""
+    from collusion_lab.checker import (
+        _check_profile, _grid_index, _member_strategies, _profile_symmetric)
+    from collusion_lab.thresholds import deviation_succeeds
+
+    _check_profile(game, profile)
+    symmetric = cl.is_symmetric_game(game) and _profile_symmetric(profile)
+    strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
+    own = [_grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
+    nodes = 0
+
+    for size in range(1, k + 1):
+        if symmetric:
+            coalitions = [tuple(range(size))]
+        else:
+            coalitions = list(itertools.combinations(range(game.n), size))
+        for coalition in coalitions:
+            ev = CandidateEvaluator(game, profile, coalition)
+            nodes += len(coalition)  # tensor-build pass, roughly one eval per member
+            if concept == cl.EX_ANTE:
+                contract, cost = ev.ex_ante, len(coalition)
+            else:
+                contract, cost = ev.interim, sum(len(game.type_sets[c]) for c in coalition)
+            base = contract(tuple(profile.strategies[c] for c in coalition))
+            current = tuple(own[c] for c in coalition)
+
+            pools = [range(len(strategy_lists[c])) for c in coalition]
+            first = coalition[0]
+            if all(game.type_sets[c] == game.type_sets[first]
+                   and game.action_sets[c] == game.action_sets[first] for c in coalition):
+                # symmetric assignments first: members share one grid strategy
+                rest = (itertools.combinations_with_replacement(pools[0], size) if symmetric
+                        else itertools.product(*pools))
+                combos = itertools.chain(((ix,) * size for ix in pools[0]),
+                                         (c for c in rest if len(set(c)) > 1))
+            else:
+                combos = itertools.product(*pools)
+
+            for combo in combos:
+                if combo == current:
+                    continue
+                nodes += cost
+                if nodes > budget:
+                    raise cl.BudgetExceeded(nodes)
+                assignment = tuple(strategy_lists[c][ix] for c, ix in zip(coalition, combo))
+                new = contract(assignment)
+                if concept == cl.EX_ANTE:
+                    deltas: tuple = tuple(x - b for x, b in zip(new, base))
+                else:
+                    deltas = tuple(tuple(x - b for x, b in zip(xs, bs))
+                                   for xs, bs in zip(new, base))
+                if deviation_succeeds(concept, deltas, tol):
+                    return cl.DeviationCertificate(
+                        concept=concept, coalition=coalition,
+                        strategies=tuple(tuple(tuple(float(x) for x in row) for row in m)
+                                         for m in assignment),
+                        deltas=deltas, tolerance=tol)
+    return None
+
+
+def bne_check_by_tensors(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                         tol: float = cl.DEFAULT_TOL) -> tuple[bool, float]:
+    """``bne_check`` on one ``CandidateEvaluator`` per agent."""
+    worst = -np.inf
+    for i in range(game.n):
+        ev = CandidateEvaluator(game, profile, (i,))
+        current = np.array(ev.interim((profile.strategies[i],))[0])
+        pure = ev.tensors[0] / ev.marginals[0][:, None]
+        worst = max(worst, float((pure - current[:, None]).max()))
+    return worst <= tol, float(worst)
+
+
+def check_chunk_contraction_matches_candidates(seed: int = 3131, games: int = 40) -> None:
+    """A chunk of B assignments contracts to exactly the B single-candidate values.
+
+    Random games (n 2..4, one or two types per agent) and random mixed
+    assignments, so the members' weight products are inexact and their
+    fold order shows in the last bit.  Compared with ``==``.
+    """
+    from collusion_lab.checker import _CoalitionEvaluator
+
+    rng = np.random.default_rng(seed)
+    for g in range(games):
+        game = random_game(rng, n=int(rng.integers(2, 5)))
+        profile = random_mixed_profile(rng, game)
+        size = int(rng.integers(1, game.n + 1))
+        coalition = tuple(sorted(rng.choice(game.n, size=size, replace=False).tolist()))
+        rows = int(rng.integers(1, 6))
+        stacks = [rng.dirichlet(np.ones(len(game.action_sets[c])),
+                                size=(rows, len(game.type_sets[c]))) for c in coalition]
+        chunked = _CoalitionEvaluator(game, profile, coalition)
+        single = CandidateEvaluator(game, profile, coalition)
+        ex_ante = chunked.ex_ante(stacks)
+        interim = chunked.interim(stacks)
+        for b in range(rows):
+            assignment = tuple(m[b] for m in stacks)
+            assert [float(x[b]) for x in ex_ante] == single.ex_ante(assignment), (g, b)
+            assert ([tuple(float(v) for v in x[b]) for x in interim]
+                    == single.interim(assignment)), (g, b)
+
+
+def search_outcome(search, *args, **kwargs):
+    """("budget", nodes_searched) or ("found", the certificate as a dict, or None)."""
+    try:
+        cert = search(*args, **kwargs)
+    except cl.BudgetExceeded as exc:
+        return "budget", exc.nodes_searched
+    return "found", None if cert is None else cert.to_dict()
+
+
+def peer_prediction_search_cases(seed: int = 7171, count: int = 36) -> list[tuple]:
+    """Seeded (game, profile, k, concept, options) on peer prediction games, n 3..8.
+
+    Exchangeable games under the truthful profile (multiset search), games
+    with per-agent utility scales (every coalition, product of strategies)
+    and one agent on a noisy report (off the grid), both concepts.  k and
+    the grid are kept small where the search would run for seconds.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    for c in range(count):
+        n = 3 + c % 6
+        kind = (c // 6) % 3
+        concept = cl.EX_ANTE if (c // 18) % 2 == 0 else cl.BAYESIAN
+        setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
+        game = cl.peer_prediction_game(setting)
+        profile = cl.truthful_profile(game)
+        # grid 4 (thirds) puts weights that are not dyadic into the chunks
+        if kind == 0:
+            k = int(rng.integers(1, n + 1))
+            grid_steps = int(rng.choice([3, 4, 5])) if n <= 5 else 3
+        else:
+            k = int(rng.integers(1, (3 if n <= 6 else 2) + 1))
+            grid_steps = 4 if n <= 4 else 3
+        if kind == 1:
+            scales = rng.uniform(0.5, 2.0, size=n)
+            game = cl.FiniteBayesianGame(
+                n=n, type_sets=game.type_sets, action_sets=game.action_sets,
+                prior=game.prior,
+                utilities=tuple(s * v for s, v in zip(scales, game.utilities)))
+        elif kind == 2:
+            eps = float(rng.uniform(0.1, 0.3))
+            profile = profile.replace({n - 1: np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])})
+        cases.append((game, profile, k, concept, {"grid_steps": grid_steps}))
+    return cases
+
+
+def check_find_deviation_matches_candidate_loop(cases) -> dict:
+    """``find_deviation`` returns exactly what the per-candidate loop returns.
+
+    Same verdict, same ``nodes_searched``, and the same certificate compared
+    with ``==``: coalition, strategies and every delta bit for bit.  Also
+    ``bne_check``'s (holds, worst) against ``bne_check_by_tensors``.
+    Returns how many cases found a certificate, found none, or ran out.
+    """
+    kinds = {"found": 0, "none": 0, "budget": 0}
+    for i, (game, profile, k, concept, kwargs) in enumerate(cases):
+        fast = search_outcome(cl.find_deviation, game, profile, k, concept, **kwargs)
+        slow = search_outcome(find_deviation_by_candidates, game, profile, k, concept, **kwargs)
+        assert fast == slow, (i, k, concept, kwargs, fast, slow)
+        assert cl.bne_check(game, profile) == bne_check_by_tensors(game, profile), i
+        kinds["budget" if fast[0] == "budget" else
+              ("none" if fast[1] is None else "found")] += 1
+    return kinds
+
+
+def check_budget_sweep_matches_candidate_loop(game: cl.FiniteBayesianGame,
+                                              profile: cl.MixedProfile, k: int, concept: str,
+                                              grid_steps: int) -> int:
+    """Every budget from 1 up to the first that lets the search finish.
+
+    At each budget ``find_deviation`` and the per-candidate loop must raise
+    with the same ``nodes_searched`` or return the same result.  Returns
+    the budget at which the search first finishes.
+    """
+    budget = 1
+    while True:
+        kwargs = {"grid_steps": grid_steps, "budget": budget}
+        fast = search_outcome(cl.find_deviation, game, profile, k, concept, **kwargs)
+        slow = search_outcome(find_deviation_by_candidates, game, profile, k, concept, **kwargs)
+        assert fast == slow, (budget, fast, slow)
+        if fast[0] == "found":
+            return budget
+        budget += 1
 
 
 # ---------------------------------------------------------------------------
@@ -584,14 +827,6 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
     return None
 
 
-def _falsifier_outcome(search, *args, **kwargs):
-    try:
-        cert = search(*args, **kwargs)
-    except cl.BudgetExceeded as exc:
-        return "budget", exc.nodes_searched
-    return "found", None if cert is None else cert.to_dict()
-
-
 def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> None:
     """The closed-form setting falsifier returns exactly what the size loop returns.
 
@@ -612,8 +847,8 @@ def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> N
         k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
         args = (setting, k, concept)
         kwargs = {"grid_steps": grid_steps, "budget": budget}
-        fast = _falsifier_outcome(cl.find_setting_deviation, *args, **kwargs)
-        slow = _falsifier_outcome(setting_falsifier_by_size, *args, **kwargs)
+        fast = search_outcome(cl.find_setting_deviation, *args, **kwargs)
+        slow = search_outcome(setting_falsifier_by_size, *args, **kwargs)
         assert fast == slow, (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
         kind = "budget" if fast[0] == "budget" else ("none" if fast[1] is None else "found")
         kinds[kind] += 1

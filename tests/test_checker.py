@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 import collusion_lab as cl
 import props
+from collusion_lab import checker
 
 
 def constant_game(n=2, c=3.5):
@@ -195,13 +197,74 @@ class TestFindDeviation:
         # a certificate found at one grid stays valid at any other
         assert cl.verify_certificate(game, profile, cert)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
         setting = cl.make_setting(5, cl.BrierRule(), prior=cl.make_prior(2 / 3, 0.8))
         game = cl.peer_prediction_game(setting)
         profile = cl.truthful_profile(game)
+        rows = []
+        contract = checker._CoalitionEvaluator.ex_ante
+
+        def counted(ev, assignment):
+            rows.append(len(assignment[0]))
+            return contract(ev, assignment)
+
+        monkeypatch.setattr(checker._CoalitionEvaluator, "ex_ante", counted)
         with pytest.raises(cl.BudgetExceeded) as err:
             cl.find_deviation(game, profile, 2, "ex_ante", grid_steps=11, budget=10)
-        assert err.value.nodes_searched > 10
+        # one node for the size-1 build, nine candidates fit, the tenth passes
+        assert err.value.nodes_searched == 11
+        assert rows == [1, 9]  # the baseline, then only the candidates within budget
+        # 121 grid strategies less the truthful one: size 1 needs 121 nodes
+        for budget in (1, 2, 120, 121, 122, 123, 124, 500):
+            kwargs = {"grid_steps": 11, "budget": budget}
+            assert (props.search_outcome(cl.find_deviation, game, profile, 2, "ex_ante", **kwargs)
+                    == props.search_outcome(props.find_deviation_by_candidates, game, profile,
+                                            2, "ex_ante", **kwargs)), budget
+
+    def test_matches_candidate_loop(self):
+        # exact ==, not a tolerance: the chunked contraction sums the same
+        # products in the same order as one candidate at a time
+        cases = [props.game_search_case_args(c) for c in props.game_search_cases()]
+        kinds = props.check_find_deviation_matches_candidate_loop(
+            cases + props.peer_prediction_search_cases())
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_chunk_contraction_matches_candidates(self):
+        props.check_chunk_contraction_matches_candidates()
+
+    def test_one_candidate_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(checker, "_CHUNK_CELLS", 1)
+        cases = [props.game_search_case_args(c) for c in props.game_search_cases()]
+        props.check_find_deviation_matches_candidate_loop(cases)
+
+    # (case in props.peer_prediction_search_cases(), budget at which it finishes)
+    @pytest.mark.parametrize("cells, picks", [
+        (None, ((25, 130), (4, 105))),  # size-2 product, size-3 multiset
+        (100, ((21, 204),)),            # size-3 multiset; 25, 6, 1 rows per chunk by size
+    ])
+    def test_budget_sweep_matches_candidate_loop(self, monkeypatch, cells, picks):
+        if cells is not None:
+            monkeypatch.setattr(checker, "_CHUNK_CELLS", cells)
+        cases = props.peer_prediction_search_cases()
+        for index, finish in picks:
+            game, profile, k, concept, options = cases[index]
+            assert props.check_budget_sweep_matches_candidate_loop(
+                game, profile, k, concept, options["grid_steps"]) == finish
+
+    def test_chunk_memory_bounded(self):
+        # n = 10, k = 6: 4096-cell reduced tensors and 3003 size-6 multisets.
+        # Peak 0.8 MB with chunks of 2^15 cells (2.3 MB at 2^17, 33 MB at 2^21).
+        setting = cl.make_setting(10, cl.BrierRule(), prior=cl.make_prior(0.5, 0.8))
+        game = cl.peer_prediction_game(setting)
+        profile = cl.truthful_profile(game)
+        tracemalloc.start()
+        try:
+            cert = cl.find_deviation(game, profile, 6, "ex_ante", grid_steps=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cert is None
+        assert peak < 1.5 * 2 ** 20, peak
 
     def test_golden_search_outcomes(self):
         # captured before the searches read only the reduced coalition
@@ -296,6 +359,37 @@ class TestVerifyCertificate:
         again = cl.DeviationCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert again == cert
         assert cl.verify_certificate(game, profile, again)
+
+    def test_from_dict_typed_errors(self):
+        good = self._found()[2].to_dict()
+        bad = [None, [], "cert", {}, {k: v for k, v in good.items() if k != "deltas"},
+               {**good, "extra": 1}, {**good, "concept": 5}, {**good, "coalition": "ab"},
+               {**good, "coalition": 3}, {**good, "coalition": [0.5, 1]},
+               {**good, "strategies": [[1.0, 0.0]]}, {**good, "deltas": ["x", 1.0]},
+               {**good, "deltas": [None]}, {**good, "tolerance": "tight"},
+               {**good, "tolerance": 10 ** 400}, {**good, "conditioning_types": ["h"]},
+               {**good, "conditioning_types": 1}]
+        for data in bad:
+            with pytest.raises(cl.DimensionMismatch):
+                cl.DeviationCertificate.from_dict(data)
+        no_types = {k: v for k, v in good.items() if k != "conditioning_types"}
+        assert cl.DeviationCertificate.from_dict(no_types) == self._found()[2]
+
+    def test_conditioning_types_range_checked(self):
+        # the n = 6 reference interim_D certificate, members (h, l)
+        wm = cl.world_model_for_prior(cl.make_prior(2 / 3, 0.8))
+        cert = cl.interim_D_deviation(wm, cl.BrierRule(), 6, (cl.HIGH, cl.LOW))
+        setting = cl.make_setting(6, cl.BrierRule(), world_model=wm)
+        game = cl.peer_prediction_game(setting)
+        profile = cl.truthful_profile(game)
+        assert cl.verify_setting_certificate(setting, cert)
+        assert cl.verify_certificate(game, profile, cert)
+        for types in ((5, 0), (1, 2), (-1, 0), (1, -1)):
+            tampered = replace(cert, conditioning_types=types)
+            with pytest.raises(cl.DimensionMismatch):
+                cl.verify_setting_certificate(setting, tampered)
+            with pytest.raises(cl.DimensionMismatch):
+                cl.verify_certificate(game, profile, tampered)
 
 
 class TestBneCheck:
