@@ -72,7 +72,7 @@ from .mechanism import (
     make_setting,
 )
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
-from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule
+from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule, is_finite_number
 from .thresholds import (
     BAYESIAN,
     CONCEPTS,
@@ -86,6 +86,26 @@ from .thresholds import (
 
 _PROB_TOL = 1e-12
 DEFAULT_BUDGET = 10_000_000
+
+
+def _number(value) -> float:
+    """A finite JSON number as a float; strings and bools are not numbers."""
+    if not is_finite_number(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _index(value) -> int:
+    """A JSON integer; bools, floats and strings are not integers."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _number_array(value) -> np.ndarray:
+    """A nested list of JSON numbers as a float array (see ``_number``)."""
+    cells = np.asarray(value, dtype=object)
+    return np.array([_number(x) for x in cells.flat], dtype=float).reshape(cells.shape)
 
 
 @dataclass(frozen=True)
@@ -150,7 +170,7 @@ class FiniteBayesianGame:
             raise InvalidGame(f"game needs exactly the keys {sorted(keys)}, got {sorted(data)}")
         try:
             fields = dict(
-                n=int(data["n"]),
+                n=_index(data["n"]),
                 type_sets=tuple(tuple(ts) for ts in data["types"]),
                 action_sets=tuple(tuple(a) for a in data["actions"]),
                 prior=np.asarray(data["prior"], dtype=float),
@@ -191,7 +211,7 @@ class MixedProfile:
             got = sorted(data) if isinstance(data, dict) else type(data).__name__
             raise DimensionMismatch(f'profile needs exactly the key "strategies", got {got}')
         try:
-            mats = tuple(np.asarray(m, dtype=float) for m in data["strategies"])
+            mats = tuple(_number_array(m) for m in data["strategies"])
         except (TypeError, ValueError) as exc:
             raise DimensionMismatch(f"malformed profile strategies: {exc}") from exc
         return MixedProfile(mats)
@@ -380,14 +400,14 @@ class DeviationCertificate:
             cond = data.get("conditioning_types")
             return DeviationCertificate(
                 concept=data["concept"],
-                coalition=tuple(operator.index(x) for x in data["coalition"]),
-                strategies=tuple(tuple(tuple(float(x) for x in row) for row in member)
+                coalition=tuple(_index(x) for x in data["coalition"]),
+                strategies=tuple(tuple(tuple(_number(x) for x in row) for row in member)
                                  for member in data["strategies"]),
-                deltas=tuple(tuple(float(x) for x in d) if isinstance(d, list) else float(d)
+                deltas=tuple(tuple(_number(x) for x in d) if isinstance(d, list) else _number(d)
                              for d in data["deltas"]),
-                tolerance=float(data["tolerance"]),
+                tolerance=_number(data["tolerance"]),
                 conditioning_types=(None if cond is None
-                                    else tuple(operator.index(x) for x in cond)),
+                                    else tuple(_index(x) for x in cond)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise DimensionMismatch(f"malformed certificate field: {exc}") from exc

@@ -392,22 +392,26 @@ def cmd_scan(cfg: RunConfig) -> int:
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
-    # Rule and prior parsed once per sweep (prior per row in a prior sweep), n_zero
-    # once per prior; a failed part is its error cell, first of n, rule, prior, n_zero.
+    # Rule and prior parsed once per sweep (prior per row in a prior sweep); the
+    # threshold table and n_zero once per prior, so a row costs one step per side.
+    # Only the last table is kept: a prior sweep rarely revisits a prior.
+    # A failed part is its error cell, first of n, rule, prior, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
+    table_of = functools.lru_cache(maxsize=1)(
+        lambda pr: thresholds.ThresholdTable(pr, rule, tol))
     n_zero_of = functools.cache(lambda pr: _outcome(thresholds.n_zero, pr, rule, tol))
 
     def row(label, n, parsed) -> str:
         for part in (n, rule, parsed):
             if isinstance(part, str):
                 return f"{label},,,,,,,,{part}"
-        setting = mechanism.make_setting(n, rule, prior=parsed[0], world_model=parsed[1])
-        ex = thresholds.k_ex_ante(setting, tol=tol)
-        ba = thresholds.k_bayesian(setting, tol=tol)
-        nz = n_zero_of(setting.prior)
+        table = table_of(parsed[0])
+        ex_h, ex_l, ex = table.k(thresholds.EX_ANTE, n)
+        ba_h, ba_l, ba = table.k(thresholds.BAYESIAN, n)
+        nz = n_zero_of(parsed[0])
         if isinstance(nz, str):
             return f"{label},,,,,,,,{nz}"
-        return f"{n},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+        return f"{n},{ex_h},{ex_l},{ex},{ba_h},{ba_l},{ba},{nz},"
 
     if param == "n":
         parsed = _outcome(prior.from_config, raw)

@@ -25,6 +25,12 @@ is exact against arbitrary (asymmetric) coalition strategies, and
 ``liar_threshold`` the corner threshold of the always-lie profile, which
 never undercuts the ex-ante threshold.
 
+Only the factor n - 1 in these formulas depends on n.  ``ThresholdTable``
+holds the rest for one (prior, rule, tol): the four scores, E_l, E_h, d_h,
+d_l and each concept's side ratios, with the one ``four_scores`` call.
+``k_ex_ante``, ``k_bayesian``, ``liar_threshold`` and ``n_zero`` each read
+a table, and ``scan`` builds one per prior and scales it row by row.
+
 ``dichotomy_check`` evaluates a canonical deviation against the letter of
 the equilibrium definitions via exact mechanism utilities.
 
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidSetting, NoFiniteN
 from .mechanism import (
@@ -113,49 +119,73 @@ class ThresholdReport:
         return ThresholdReport(**data)
 
 
-def _gaps(prior: BinaryPrior, scores: tuple) -> tuple[float, float, float, float]:
-    """(E_l, E_h, d_h, d_l) from ``four_scores``: outsider losses, corner reward surpluses."""
-    s_hh, s_lh, s_hl, s_ll = scores
-    e_l = prior.p_hl * (s_hl - s_hh) + prior.p_ll * (s_ll - s_lh)
-    e_h = prior.p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
-    d_h = s_hh - s_lh
-    d_l = s_ll - s_hl
-    return e_l, e_h, d_h, d_l
+class _Side(NamedTuple):
+    """One corner's n-free part: ``num / den`` once, or None when ``den <= tol``."""
+
+    num: float
+    den: float
+    ratio: float | None
 
 
-def _side(n: int, num: float, den: float, interim: bool,
-          tol: float) -> tuple[int, float] | None:
-    """Smallest coalition size at which one corner deviation profits, with its ratio.
+def _side(num: float, den: float, tol: float) -> _Side:
+    return _Side(num, den, None if den <= tol else num / den)
 
-    ``floor((n-1) * num / den) + 1`` ex ante, ``ceil((n-1) * num / den)``
-    per type (a zero delta for one type beside a strict gain for the other
-    already succeeds), never below 1.  None when ``den <= tol``: that corner never profits.
+
+def _step(n: int, ratio: float, interim: bool, tol: float) -> int:
+    """A side's per-n half: the smallest coalition size at which its corner profits.
+
+    ``floor((n-1) * ratio) + 1`` ex ante, ``ceil((n-1) * ratio)`` per type
+    (a zero delta for one type beside a strict gain for the other already
+    succeeds), never below 1.
     """
-    if den <= tol:
-        return None
-    ratio = num / den
     scaled = _snap((n - 1) * ratio, tol)
-    k = int(math.ceil(scaled)) if interim else int(math.floor(scaled)) + 1
-    return max(1, k), ratio
+    return max(1, math.ceil(scaled) if interim else math.floor(scaled) + 1)
+
+
+class ThresholdTable:
+    """Everything the thresholds of one (prior, rule, tol) need but ``n``.
+
+    ``scores`` are ``four_scores``, the only call of it for these thresholds;
+    ``e_l, e_h, d_h, d_l`` the outsider losses and corner reward surpluses;
+    ``sides`` each concept's (h, l) corners, the per-type surpluses
+    discounted by Pr(l|l) and Pr(h|h).  Only the factor n - 1 depends on n,
+    so a threshold at any n costs one ``_step`` per side.
+    """
+
+    __slots__ = ("tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")
+
+    def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
+        self.tol = tol
+        self.scores = s_hh, s_lh, s_hl, s_ll = four_scores(rule, prior)
+        p_hh, p_ll = prior.p_hh, prior.p_ll
+        self.e_l = e_l = prior.p_hl * (s_hl - s_hh) + p_ll * (s_ll - s_lh)
+        self.e_h = e_h = p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
+        self.d_h = d_h = s_hh - s_lh
+        self.d_l = d_l = s_ll - s_hl
+        # per type, each corner's inside surplus is discounted (module docstring)
+        b_h, b_l = p_ll * d_h, p_hh * d_l
+        self.sides = {EX_ANTE: (_side(e_l, d_h, tol), _side(e_h, d_l, tol)),
+                      BAYESIAN: (_side(e_l, b_h, tol), _side(e_h, b_l, tol))}
+
+    def k(self, concept: str, n: int) -> tuple[int, int, int]:
+        """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n."""
+        interim = concept == BAYESIAN
+        side_h, side_l = self.sides[concept]
+        k_h = n if side_h.ratio is None else _step(n, side_h.ratio, interim, self.tol)
+        k_l = n if side_l.ratio is None else _step(n, side_l.ratio, interim, self.tol)
+        return k_h, k_l, min(k_h, k_l, n)
 
 
 def _report(setting: Setting, concept: str, tol: float) -> ThresholdReport:
-    e_l, e_h, d_h, d_l = _gaps(setting.prior, four_scores(setting.rule, setting.prior))
-    if concept == BAYESIAN:
-        # per type, each corner's inside surplus is discounted (module docstring)
-        d_h, d_l = setting.prior.p_ll * d_h, setting.prior.p_hh * d_l
-    n = setting.n
-    side_h = _side(n, e_l, d_h, concept == BAYESIAN, tol)
-    side_l = _side(n, e_h, d_l, concept == BAYESIAN, tol)
-    k_h, ratio_h = side_h or (n, None)
-    k_l, ratio_l = side_l or (n, None)
+    table = ThresholdTable(setting.prior, setting.rule, tol)
+    side_h, side_l = table.sides[concept]
+    k_h, k_l, k = table.k(concept, setting.n)
     return ThresholdReport(
-        concept=concept, n=n,
-        k_h=k_h, k_l=k_l, k=min(k_h, k_l, n),
-        k_h_infinite=side_h is None, k_l_infinite=side_l is None,
-        numerator_h=e_l, denominator_h=d_h,
-        numerator_l=e_h, denominator_l=d_l,
-        ratio_h=ratio_h, ratio_l=ratio_l,
+        concept=concept, n=setting.n, k_h=k_h, k_l=k_l, k=k,
+        k_h_infinite=side_h.ratio is None, k_l_infinite=side_l.ratio is None,
+        numerator_h=side_h.num, denominator_h=side_h.den,
+        numerator_l=side_l.num, denominator_l=side_l.den,
+        ratio_h=side_h.ratio, ratio_l=side_l.ratio,
     )
 
 
@@ -210,9 +240,9 @@ def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> i
     below its side's outsider loss over (posterior * D).  Each is ``c/(n-1) < bound``
     (``<=`` but for 1/4), true from n = 1 + c/bound on; n_zero is the largest such n.
     """
-    scores = four_scores(rule, prior)
-    s_hh, s_lh, s_hl, s_ll = scores
-    e_l, e_h, d_h, d_l = _gaps(prior, scores)
+    table = ThresholdTable(prior, rule, tol)
+    s_hh, s_lh, s_hl, s_ll = scores = table.scores
+    e_l, e_h, d_h, d_l = table.e_l, table.e_h, table.d_h, table.d_l
     big_d = (s_hh - s_hl) + (s_ll - s_lh)
     spread = max(scores) - min(scores)
     if big_d <= tol or e_h <= tol or e_l <= tol:
@@ -245,12 +275,11 @@ def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
     which never undercuts the ex-ante threshold.
     """
     prior = setting.prior
-    e_l, e_h, d_h, d_l = _gaps(prior, four_scores(setting.rule, prior))
-    num = prior.p_h * e_h + prior.p_l * e_l
-    den = (prior.p_h * (prior.p_hh - prior.p_lh) * d_l
-           + prior.p_l * (prior.p_ll - prior.p_hl) * d_h)
-    side = _side(setting.n, num, den, False, tol)
-    return math.inf if side is None else side[0]
+    table = ThresholdTable(prior, setting.rule, tol)
+    num = prior.p_h * table.e_h + prior.p_l * table.e_l
+    den = (prior.p_h * (prior.p_hh - prior.p_lh) * table.d_l
+           + prior.p_l * (prior.p_ll - prior.p_hl) * table.d_h)
+    return math.inf if den <= tol else _step(setting.n, num / den, False, tol)
 
 
 @dataclass(frozen=True)

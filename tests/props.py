@@ -328,6 +328,116 @@ def check_threshold_ordering(seed: int = 2718, samples: int = 1000) -> None:
 
 
 # ---------------------------------------------------------------------------
+# thresholds: the per-setting recomputation as an oracle
+# ---------------------------------------------------------------------------
+# Scores, gaps and sides rebuilt from scratch for every setting, as the
+# thresholds were computed before ``ThresholdTable``; float operations in
+# the same order, so results must match exactly.
+
+def _snap_per_setting(x: float, tol: float) -> float:
+    nearest = round(x)
+    return float(nearest) if abs(x - nearest) <= tol else x
+
+
+def _gaps_per_setting(prior: cl.BinaryPrior, scores: tuple) -> tuple:
+    s_hh, s_lh, s_hl, s_ll = scores
+    e_l = prior.p_hl * (s_hl - s_hh) + prior.p_ll * (s_ll - s_lh)
+    e_h = prior.p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
+    return e_l, e_h, s_hh - s_lh, s_ll - s_hl
+
+
+def _side_per_setting(n: int, num: float, den: float, interim: bool, tol: float):
+    if den <= tol:
+        return None
+    ratio = num / den
+    scaled = _snap_per_setting((n - 1) * ratio, tol)
+    k = int(math.ceil(scaled)) if interim else int(math.floor(scaled)) + 1
+    return max(1, k), ratio
+
+
+def report_per_setting(setting: cl.Setting, concept: str,
+                       tol: float = cl.DEFAULT_TOL) -> cl.ThresholdReport:
+    """One concept's report recomputed from ``four_scores`` for this setting alone."""
+    e_l, e_h, d_h, d_l = _gaps_per_setting(setting.prior,
+                                           cl.four_scores(setting.rule, setting.prior))
+    interim = concept == cl.BAYESIAN
+    if interim:
+        d_h, d_l = setting.prior.p_ll * d_h, setting.prior.p_hh * d_l
+    n = setting.n
+    side_h = _side_per_setting(n, e_l, d_h, interim, tol)
+    side_l = _side_per_setting(n, e_h, d_l, interim, tol)
+    k_h, ratio_h = side_h or (n, None)
+    k_l, ratio_l = side_l or (n, None)
+    return cl.ThresholdReport(
+        concept=concept, n=n, k_h=k_h, k_l=k_l, k=min(k_h, k_l, n),
+        k_h_infinite=side_h is None, k_l_infinite=side_l is None,
+        numerator_h=e_l, denominator_h=d_h, numerator_l=e_h, denominator_l=d_l,
+        ratio_h=ratio_h, ratio_l=ratio_l)
+
+
+def liar_threshold_per_setting(setting: cl.Setting, tol: float = cl.DEFAULT_TOL):
+    prior = setting.prior
+    e_l, e_h, d_h, d_l = _gaps_per_setting(prior, cl.four_scores(setting.rule, prior))
+    num = prior.p_h * e_h + prior.p_l * e_l
+    den = (prior.p_h * (prior.p_hh - prior.p_lh) * d_l
+           + prior.p_l * (prior.p_ll - prior.p_hl) * d_h)
+    side = _side_per_setting(setting.n, num, den, False, tol)
+    return math.inf if side is None else side[0]
+
+
+def scan_row_per_setting(n: int, rule: cl.ScoringRule, prior: cl.BinaryPrior,
+                         tol: float = cl.DEFAULT_TOL) -> str | None:
+    """The ``scan`` CSV row of one setting; None where n_zero has no finite value."""
+    nz = _n_zero_outcome(n_zero_by_search, prior, rule, tol)
+    if nz is None:
+        return None
+    setting = cl.make_setting(n, rule, prior=prior)
+    ex = report_per_setting(setting, cl.EX_ANTE, tol)
+    ba = report_per_setting(setting, cl.BAYESIAN, tol)
+    return f"{n},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+
+
+def log_spaced_n(points: int = 48) -> list[int]:
+    """Population sizes from 2 to 2**62, evenly spaced in log n."""
+    return sorted({max(2, round(2.0 ** (62 * j / (points - 1)))) for j in range(points)}
+                  | {2, 3, 2 ** 62 - 1, 2 ** 62})
+
+
+def check_thresholds_match_per_setting(seed: int = 5151, priors: int = 12,
+                                       tables: int = 8) -> None:
+    """k_ex_ante, k_bayesian and liar_threshold equal the per-setting oracle exactly.
+
+    Brier, log base e and 2, a rule with an infinite h side and ``tables``
+    random table rules, each on ``priors`` seeded priors, at every n of
+    ``log_spaced_n`` and tol 1e-9 and 1e-3.  Infinite sides, finite liar
+    thresholds and an infinite one must all occur.
+    """
+    rng = np.random.default_rng(seed)
+    rules = ([cl.BrierRule(), cl.LogRule(), cl.LogRule(base=2.0),
+              cl.TableRule(h_intercept=0.0, h_slope=0.0, l_intercept=1.0, l_slope=0.0)]
+             + [cl.TableRule(*(float(x) for x in rng.uniform(-2.0, 2.0, size=4)))
+                for _ in range(tables)])
+    seen = {"infinite_side": 0, "finite_liar": 0, "infinite_liar": 0}
+    ns = log_spaced_n()
+    for rule in rules:
+        for _ in range(priors):
+            prior = random_prior(rng)
+            for tol in (1e-9, 1e-3):
+                for n in ns:
+                    setting = cl.make_setting(n, rule, prior=prior)
+                    for concept, fn in ((cl.EX_ANTE, cl.k_ex_ante),
+                                        (cl.BAYESIAN, cl.k_bayesian)):
+                        got = fn(setting, tol).to_dict()
+                        want = report_per_setting(setting, concept, tol).to_dict()
+                        assert got == want, (rule, prior, tol, n, got, want)
+                        seen["infinite_side"] += got["k_h_infinite"] or got["k_l_infinite"]
+                    liar = cl.liar_threshold(setting, tol)
+                    assert liar == liar_threshold_per_setting(setting, tol), (rule, prior, n)
+                    seen["finite_liar" if liar < math.inf else "infinite_liar"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+# ---------------------------------------------------------------------------
 # random finite games
 # ---------------------------------------------------------------------------
 

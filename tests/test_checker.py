@@ -375,6 +375,29 @@ class TestVerifyCertificate:
         no_types = {k: v for k, v in good.items() if k != "conditioning_types"}
         assert cl.DeviationCertificate.from_dict(no_types) == self._found()[2]
 
+    @pytest.mark.parametrize("field,value", [
+        ("deltas", ["0.5", 1.0]), ("tolerance", "1e-9"),
+        ("strategies", [[["1.0", "0.0"]], [[1.0, 0.0]]])])
+    def test_from_dict_rejects_numeric_strings(self, field, value):
+        good = self._found()[2].to_dict()
+        with pytest.raises(cl.DimensionMismatch):
+            cl.DeviationCertificate.from_dict({**good, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("deltas", [True, 1.0]), ("tolerance", False),
+        ("strategies", [[[True, False]], [[1.0, 0.0]]])])
+    def test_from_dict_rejects_bool_numbers(self, field, value):
+        good = self._found()[2].to_dict()
+        with pytest.raises(cl.DimensionMismatch):
+            cl.DeviationCertificate.from_dict({**good, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("coalition", [True]), ("coalition", [0, True]), ("conditioning_types", [False, 1])])
+    def test_from_dict_rejects_bool_indices(self, field, value):
+        good = self._found()[2].to_dict()
+        with pytest.raises(cl.DimensionMismatch):
+            cl.DeviationCertificate.from_dict({**good, field: value})
+
     def test_conditioning_types_range_checked(self):
         # the n = 6 reference interim_D certificate, members (h, l)
         wm = cl.world_model_for_prior(cl.make_prior(2 / 3, 0.8))
@@ -572,3 +595,26 @@ class TestGameSerialization:
         assert np.allclose(again.prior, game.prior, atol=0)
         for a, b in zip(again.utilities, game.utilities):
             assert np.allclose(a, b, atol=0)
+
+    @pytest.mark.parametrize("n", [3.7, 3.0, "3", None])
+    def test_game_rejects_non_integer_n(self, n):
+        data = props.random_game(np.random.default_rng(44), n=3).to_dict()
+        assert cl.FiniteBayesianGame.from_dict(data).n == 3
+        with pytest.raises(cl.InvalidGame):
+            cl.FiniteBayesianGame.from_dict({**data, "n": n})
+
+    def test_game_rejects_bool_n(self):
+        # a one-agent game, which n = true would otherwise read as n = 1
+        data = {"n": 1, "types": [["a", "b"]], "actions": [["a", "b"]], "prior": [0.5, 0.5],
+                "utilities": [[[1.0, 0.0], [0.0, 1.0]]]}
+        assert cl.FiniteBayesianGame.from_dict(data).n == 1
+        with pytest.raises(cl.InvalidGame):
+            cl.FiniteBayesianGame.from_dict({**data, "n": True})
+
+    @pytest.mark.parametrize("row", [["1.0", 0.0], ["1", "0"], [True, False], [1.0, False],
+                                     [None, 1.0], [[1.0], 0.0]])
+    def test_profile_rejects_non_number_entries(self, row):
+        good = {"strategies": [[[0.5, 0.5]], [[1, 0]]]}
+        assert cl.MixedProfile.from_dict(good).strategies[1].tolist() == [[1.0, 0.0]]
+        with pytest.raises(cl.DimensionMismatch):
+            cl.MixedProfile.from_dict({"strategies": [[[0.5, 0.5]], [row]]})

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import collusion_lab as cl
-from collusion_lab import cli
+import props
+from collusion_lab import cli, scoring, thresholds
 
 
 REFERENCE = {
@@ -205,6 +206,69 @@ class TestScanCommand:
         for row in lines[3:]:
             assert row.endswith(",")
 
+    ORACLE_RULES = [{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
+                    {"rule": "table", "h": [0.0, 0.0], "l": [1.0, 0.0]},
+                    {"rule": "table", "h": [-0.3, 1.7], "l": [0.9, -1.2]}]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-3])
+    @pytest.mark.parametrize("rule", ORACLE_RULES)
+    def test_rows_match_per_setting_oracle(self, tmp_path, capsys, rule, tol):
+        # n-sweeps to 2^62 (one over a world model) and both prior sweeps,
+        # each row against the thresholds recomputed for its setting alone
+        base = {"rule": rule, "tolerance": tol, "n": 300,
+                "prior": {"p_h": 0.4, "p_h_given_h": 0.7}}
+        world = {"p_state": [0.3, 0.7], "p_h_given_state": [0.2, 0.9]}
+        ns = props.log_spaced_n()
+        p_hs = [round(0.05 + 0.6 * j / 39, 6) for j in range(40)]
+        p_hhs = [round(0.45 + 0.5 * j / 39, 6) for j in range(40)]
+        cases = [
+            (dict(base, sweep={"param": "n", "values": ns}),
+             [(n, cl.make_prior(0.4, 0.7)) for n in ns]),
+            (dict(base, sweep={"param": "n", "start": 2, "stop": 400, "step": 3}),
+             [(n, cl.make_prior(0.4, 0.7)) for n in range(2, 401, 3)]),
+            ({k: v for k, v in base.items() if k != "prior"}
+             | {"world_model": world, "sweep": {"param": "n", "values": ns}},
+             [(n, cl.induce_prior(cl.WorldModel((0.3, 0.7), (0.2, 0.9)))) for n in ns]),
+            (dict(base, sweep={"param": "p_h", "values": p_hs}),
+             [(300, cl.make_prior(p, 0.7)) for p in p_hs]),
+            (dict(base, sweep={"param": "p_h_given_h", "values": p_hhs}),
+             [(300, cl.make_prior(0.4, p)) for p in p_hhs]),
+        ]
+        scoring_rule = cl.rule_from_config(rule)
+        for cfg, settings in cases:
+            code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+            lines = out.split("\n")
+            assert code == 0 and lines[0] == cli.SCAN_HEADER and lines[-1] == ""
+            assert len(lines) == len(settings) + 2
+            for line, (n, pr) in zip(lines[1:], settings):
+                want = props.scan_row_per_setting(n, scoring_rule, pr, tol)
+                if want is None:
+                    assert line.startswith(f"{n},,,,,,,,NoFiniteN: "), (cfg, line)
+                else:
+                    assert line == want, (cfg, line, want)
+
+    def test_work_per_row(self, tmp_path, capsys, monkeypatch):
+        # four_scores once for the table and once inside n_zero, per prior:
+        # never per row
+        calls = []
+
+        def counted(rule, pr):
+            calls.append(pr)
+            return scoring.four_scores(rule, pr)
+
+        monkeypatch.setattr(thresholds, "four_scores", counted)
+        cfg = dict(self.BASE, sweep={"param": "n", "start": 10, "stop": 5009, "step": 1})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        assert code == 0 and out.count("\n") == 5001
+        assert len(calls) <= 2
+        values = [round(0.1 + 0.6 * j / 249, 6) for j in range(250)]
+        cfg = dict(self.BASE, sweep={"param": "p_h", "values": values})
+        calls.clear()
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        rows = out.split("\n")[1:-1]
+        assert code == 0 and len(rows) == 250 and all(row.endswith(",") for row in rows)
+        assert 0 < len(calls) <= 2 * len(values)
+
     def test_golden_output(self, tmp_path, capsys):
         # captured before n_zero became closed form and scan parsed once per
         # sweep: valid rows, n < 2, invalid priors, bad rules, NoFiniteN
@@ -313,6 +377,12 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("simulate", dict(TestSimulateCommand.WM_CFG, seed=False)),
     ("thresholds", dict(REFERENCE, n=10 ** 400)),
     ("simulate", dict(TestSimulateCommand.WM_CFG, n=2 ** 63 + 1)),
+    ("game-check", {"game": {"n": True, "types": [["a", "b"]], "actions": [["a", "b"]],
+                             "prior": [0.5, 0.5], "utilities": [[[1.0, 0.0], [0.0, 1.0]]]}}),
+    ("game-check", dict(GAME_CFG, game=dict(GAME, n=2.7))),
+    ("game-check", dict(GAME_CFG, game=dict(GAME, n="2"))),
+    ("game-check", dict(GAME_CFG, profile={"strategies": [[["1.0", 0.0]], [[1.0, 0.0]]]})),
+    ("game-check", dict(GAME_CFG, profile={"strategies": [[[True, False]], [[1.0, 0.0]]]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])

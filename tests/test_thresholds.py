@@ -57,6 +57,11 @@ class TestBayesianThreshold:
         props.check_threshold_ordering()
 
 
+class TestThresholdTable:
+    def test_matches_per_setting_oracle(self):
+        props.check_thresholds_match_per_setting()
+
+
 class TestNZero:
     @staticmethod
     def _conditions(prior, rule, n, tol=1e-9):
