@@ -47,8 +47,9 @@ import itertools
 import math
 import operator
 import string
+from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,6 +71,7 @@ from .mechanism import (
     _pair_term_interim,
     _score_table,
     make_setting,
+    peer_average,
 )
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
 from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule, is_finite_number
@@ -105,6 +107,13 @@ def _index(value) -> int:
 def _number_array(value) -> np.ndarray:
     """A nested list of JSON numbers as a float array (see ``_number``)."""
     cells = np.asarray(value, dtype=object)
+    if set(map(type, cells.flat)) <= {int, float}:  # the usual case, checked in bulk
+        try:
+            array = cells.astype(float)
+        except OverflowError:  # an int beyond the float range: _number names it
+            array = None
+        if array is not None and np.isfinite(array).all():
+            return array
     return np.array([_number(x) for x in cells.flat], dtype=float).reshape(cells.shape)
 
 
@@ -173,8 +182,8 @@ class FiniteBayesianGame:
                 n=_index(data["n"]),
                 type_sets=tuple(tuple(ts) for ts in data["types"]),
                 action_sets=tuple(tuple(a) for a in data["actions"]),
-                prior=np.asarray(data["prior"], dtype=float),
-                utilities=tuple(np.asarray(v, dtype=float) for v in data["utilities"]),
+                prior=_number_array(data["prior"]),
+                utilities=tuple(_number_array(v) for v in data["utilities"]),
             )
             hash((fields["type_sets"], fields["action_sets"]))  # labels go into sets
         except (TypeError, ValueError, OverflowError) as exc:
@@ -436,7 +445,8 @@ def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: fl
             return False
         if not isinstance(stored, tuple):
             stored, fresh = (stored,), (fresh,)
-        if len(stored) != len(fresh) or any(abs(s - f) > 1e-9 for s, f in zip(stored, fresh)):
+        # written so that a NaN fails
+        if len(stored) != len(fresh) or not all(abs(s - f) <= 1e-9 for s, f in zip(stored, fresh)):
             return False
     return deviation_succeeds(cert.concept, recomputed, tol)
 
@@ -761,7 +771,8 @@ def _strategy_from_dists(dists: Sequence[Sequence[float]]) -> Strategy:
     return Strategy(beta_l=float(dists[0][1]), beta_h=float(dists[1][1]))
 
 
-def _setting_strategy_grid(grid_steps: int) -> list[Strategy]:
+@lru_cache(maxsize=16)
+def _setting_strategy_grid(grid_steps: int) -> tuple[Strategy, ...]:
     """Corner profiles first, then the rest of the grid."""
     corners = [Strategy(1.0, 1.0), Strategy(0.0, 0.0), Strategy(1.0, 0.0)]
     points = [i / (grid_steps - 1) for i in range(grid_steps)]
@@ -771,7 +782,7 @@ def _setting_strategy_grid(grid_steps: int) -> list[Strategy]:
             s = Strategy(bl, bh)
             if s not in corners and s != Strategy(0.0, 1.0):
                 rest.append(s)
-    return corners + rest
+    return tuple(corners + rest)
 
 
 def _sizes_where(holds, k: int) -> tuple[int, int] | None:
@@ -796,36 +807,35 @@ def _sizes_where(holds, k: int) -> tuple[int, int] | None:
 
 
 def _smallest_winning_size(n: int, k: int, terms: Sequence[tuple[float, float, float]],
-                           tol: float) -> int | None:
+                           tol: float, spend) -> int | None:
     """Smallest size in [1, k] at which a coalition sharing one strategy succeeds.
 
     ``terms`` holds, per delta component (one ex ante, one per signal per
     type), the pair reward against a fellow member, the pair reward against
     a truthful peer and the truthful baseline.  A member's utility at size
-    s is summed role by role as ``mechanism.ex_ante_utility`` and
-    ``interim_utility`` sum it (zero-count roles skipped, members before
-    truthful peers), so every size gives the float those functions give.
-    Success is ``deviation_succeeds``: every component >= -tol and some
-    component > tol, each a half-line in s.
+    s is ``mechanism.peer_average`` over s-1 fellow members and n-s
+    truthful peers, the sum every mechanism utility makes.  Success is
+    ``deviation_succeeds``: every component >= -tol and some component >
+    tol, each a half-line in s.  ``spend()`` is called once per component
+    read at one size.
     """
-    def delta(s: int, term: tuple[float, float, float]) -> float:
+    def sizes(term: tuple[float, float, float], test) -> tuple[int, int] | None:
         p_member, p_truthful, base = term
-        total = 0.0
-        if s > 1:
-            total += (s - 1) * p_member
-        if n > s:
-            total += (n - s) * p_truthful
-        return total / (n - 1) - base
+
+        def holds(s: int) -> bool:
+            spend()
+            return test(peer_average(n, ((s - 1, p_member), (n - s, p_truthful))) - base)
+        return _sizes_where(holds, k)
 
     first, last = 1, k
     for term in terms:
-        span = _sizes_where(lambda s, t=term: delta(s, t) >= -tol, k)
+        span = sizes(term, lambda d: d >= -tol)
         if span is None:
             return None
         first, last = max(first, span[0]), min(last, span[1])
     best = None
     for term in terms:
-        span = _sizes_where(lambda s, t=term: delta(s, t) > tol, k)
+        span = sizes(term, lambda d: d > tol)
         if span is not None and max(first, span[0]) <= min(last, span[1]):
             size = max(first, span[0])
             best = size if best is None else min(best, size)
@@ -846,10 +856,11 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
 
     A member's delta is affine in the coalition size, so each grid strategy's
     smallest successful size is found by bisection: O(grid * log k) work.
-    ``budget`` still charges the nodes a size-by-size search (every grid
-    strategy at size 1, then at size 2, ...) would have spent, one per
-    utility evaluation, so its verdicts and ``BudgetExceeded.nodes_searched``
-    do not depend on how the search runs.
+    ``budget`` counts the evaluations made, one per delta component (one
+    ex ante, two per type) read at one size; as in ``find_deviation``, the
+    first evaluation past it raises ``BudgetExceeded`` with
+    ``nodes_searched`` counting that evaluation.  A search that finishes
+    makes at most grid * components * 2 * (2 + ceil(log2 k)) of them.
     """
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
@@ -860,6 +871,14 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     strategies = _setting_strategy_grid(grid_steps)
     base = truthful_baseline(setting, concept)
     prior, table, n = setting.prior, _score_table(setting), setting.n
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceeded(nodes)
+
     winner = None  # (size, grid index)
     for index, strat in enumerate(strategies):
         if concept == EX_ANTE:
@@ -869,17 +888,9 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
             terms = [(_pair_term_interim(prior, table, strat, strat, s),
                       _pair_term_interim(prior, table, strat, TRUTHFUL_STRATEGY, s), b)
                      for s, b in zip((LOW, HIGH), base)]
-        size = _smallest_winning_size(n, k, terms, tol)
+        size = _smallest_winning_size(n, k, terms, tol, spend)
         if size is not None and (winner is None or size < winner[0]):
             winner = (size, index)
-
-    evals = 1 if concept == EX_ANTE else 2  # utility evaluations per candidate
-    if winner is None:
-        nodes = evals * k * len(strategies)
-    else:
-        nodes = evals * ((winner[0] - 1) * len(strategies) + winner[1] + 1)
-    if nodes > budget:
-        raise BudgetExceeded(evals * max(budget // evals + 1, 1))
     if winner is None:
         return None
     size, strat = winner[0], strategies[winner[1]]
@@ -889,28 +900,32 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
         deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
 
 
-def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
-                               tol: float | None = None) -> bool:
-    """Re-verify a mechanism-scale certificate from the closed forms.
+def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) -> list:
+    """Each member's delta, recomputed from the closed forms.
 
-    A member's delta depends only on its own strategy and the coalition's
-    strategy counts, so it is computed once per distinct strategy and
-    shared by the members who play it: O(k) for a symmetric certificate.
+    The strategy rows are grouped before any ``Strategy`` is built, and
+    rows that give the same strategy share a group, in first-appearance
+    order as ``mechanism._peer_roles`` groups a profile.  A member's delta
+    depends only on its own strategy and the group counts, so it is
+    computed once per distinct strategy: a symmetric certificate costs the
+    utilities of one member whatever its size.
     """
-    _check_coalition(cert, setting.n)
-    tol = cert.tolerance if tol is None else tol
     k = len(cert.coalition)
-    strategies = tuple(_strategy_from_dists(d) for d in cert.strategies)
-    profile = DeviationProfile(strategies)
-
+    row_counts = Counter(cert.strategies)
+    strategy_of = {row: _strategy_from_dists(row) for row in row_counts}
     if cert.concept in CONCEPTS:
+        counts: Counter = Counter()
+        for row, count in row_counts.items():
+            counts[strategy_of[row]] += count
         base = truthful_baseline(setting, cert.concept)
-        by_strategy: dict = {}
-        for pos, strat in enumerate(strategies):
-            if strat not in by_strategy:
-                by_strategy[strat] = member_delta(setting, profile, pos, cert.concept, base)
-        recomputed = [by_strategy[strat] for strat in strategies]
-    elif cert.concept == INTERIM_D:
+        delta_of = {}
+        for own in counts:
+            peers = [(c - 1 if s is own else c, s) for s, c in counts.items()]
+            peers.append((setting.n - k, TRUTHFUL_STRATEGY))
+            delta_of[own] = member_delta(setting, own, peers, cert.concept, base)
+        by_row = {row: delta_of[strat] for row, strat in strategy_of.items()}
+        return [by_row[row] for row in cert.strategies]
+    if cert.concept == INTERIM_D:
         if (setting.world_model is None or cert.conditioning_types is None
                 or len(cert.conditioning_types) != k):
             raise DimensionMismatch(
@@ -925,11 +940,23 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
         base = _interim_d_utilities(table, setting.n, outsider,
                                     [TRUTHFUL_REPORTS[s] for s in s_d])
         dev = _interim_d_utilities(table, setting.n, outsider,
-                                   [r.report_prob(s) for r, s in zip(strategies, s_d)])
-        recomputed = [d - b for d, b in zip(dev, base)]
-    else:
-        raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
-    return _certificate_holds(cert, recomputed, tol)
+                                   [strategy_of[row].report_prob(s)
+                                    for row, s in zip(cert.strategies, s_d)])
+        return [d - b for d, b in zip(dev, base)]
+    raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
+
+
+def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
+                               tol: float | None = None) -> bool:
+    """Re-verify a mechanism-scale certificate from the closed forms.
+
+    Deltas are recomputed once per distinct strategy
+    (``_setting_certificate_deltas``), then compared member by member with
+    the stored ones.
+    """
+    _check_coalition(cert, setting.n)
+    tol = cert.tolerance if tol is None else tol
+    return _certificate_holds(cert, _setting_certificate_deltas(setting, cert), tol)
 
 
 TRUTHFUL_REPORTS = {LOW: 0.0, HIGH: 1.0}
@@ -947,9 +974,7 @@ def _outsider_rewards(setting: Setting, table: _ScoreTable,
     if not 1 <= d < setting.n:
         raise InvalidSetting("coalition must leave at least one outsider")
     d1 = sum(1 for s in s_d if s == HIGH)
-    p_star = coalition_posterior(setting.world_model, d1, d - d1).p_h
-    return (p_star * table.s_hh + (1.0 - p_star) * table.s_lh,
-            p_star * table.s_hl + (1.0 - p_star) * table.s_ll)
+    return table.against(coalition_posterior(setting.world_model, d1, d - d1).p_h)
 
 
 def _interim_d_utilities(table: _ScoreTable, n: int, outsider: tuple[float, float],
@@ -960,12 +985,12 @@ def _interim_d_utilities(table: _ScoreTable, n: int, outsider: tuple[float, floa
     report truthfully, and ``outsider`` is ``_outsider_rewards``.  A member's
     inside sum is the coalition total minus its own term, so this is O(d).
     """
-    inside_high = [p * table.s_hh + (1.0 - p) * table.s_lh for p in report_h_probs]
-    inside_low = [p * table.s_hl + (1.0 - p) * table.s_ll for p in report_h_probs]
-    total_high, total_low = math.fsum(inside_high), math.fsum(inside_low)
+    inside = [table.against(p) for p in report_h_probs]
+    total_high = math.fsum(high for high, _ in inside)
+    total_low = math.fsum(low for _, low in inside)
     outside = n - len(report_h_probs)
     out = []
-    for p, own_high, own_low in zip(report_h_probs, inside_high, inside_low):
+    for p, (own_high, own_low) in zip(report_h_probs, inside):
         u_high = (total_high - own_high + outside * outsider[0]) / (n - 1)
         u_low = (total_low - own_low + outside * outsider[1]) / (n - 1)
         out.append(p * u_high + (1.0 - p) * u_low)

@@ -34,6 +34,8 @@ from .errors import (
     BudgetExceeded,
     CollusionLabError,
     ConfigError,
+    InvalidSetting,
+    InvalidStrategy,
     NoFiniteN,
 )
 
@@ -319,11 +321,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if deviators is None:
         profile = mechanism.DeviationProfile((mechanism.TRUTHFUL_STRATEGY,))
     else:
+        if not isinstance(deviators, list):
+            raise ConfigError(f'"deviators" must be a list of strategies, got {deviators!r}')
         try:
-            strategies = tuple(mechanism.Strategy(float(d["bl"]), float(d["bh"]))
-                               for d in deviators)
-            profile = mechanism.DeviationProfile(strategies)
-        except (KeyError, TypeError, ValueError) as exc:
+            profile = mechanism.DeviationProfile(
+                tuple(mechanism.strategy_from_dict(d) for d in deviators))
+        except (InvalidSetting, InvalidStrategy) as exc:
             raise ConfigError(f'bad "deviators" entry: {exc}') from exc
     trials = cfg.raw.get("trials", 10000)
     seed = cfg.raw.get("seed", 0)

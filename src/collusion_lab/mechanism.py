@@ -16,6 +16,14 @@ truthfully.  Expected utilities are exact closed-form sums over the
 (signal, report) lattice of each (i, peer) pair, grouped by peer role, so
 cost scales with the number of distinct strategies rather than n.
 
+Every utility goes through one grouped sum, ``peer_average``: count times
+pair reward, role by role, divided by n - 1.  ``member_utility`` takes an
+agent's strategy and its peers as (count, strategy) groups;
+``ex_ante_utility`` and ``interim_utility`` group a ``DeviationProfile``
+(``_peer_roles``) and call it, and the falsifiers in ``thresholds`` and
+``checker`` pass their groups directly, so every path adds the same terms
+in the same order and gives the same floats.
+
 The module also exposes the one-sided expected-reward forms f/g used in the
 interim analysis, the constant Hessian of the self-play pair reward (whose
 positive semidefiniteness drives the ex-ante threshold), and a seeded Monte
@@ -30,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -41,7 +49,7 @@ from .errors import (
     MissingWorldModel,
 )
 from .prior import BinaryPrior, WorldModel, induce_prior
-from .scoring import HIGH, LOW, SIGNALS, ScoringRule, four_scores
+from .scoring import HIGH, LOW, SIGNALS, ScoringRule, four_scores, is_finite_number
 
 #: Role marker for evaluating a non-deviator's utility.
 TRUTHFUL = "truthful"
@@ -135,11 +143,26 @@ def profile_to_dict(profile: DeviationProfile, n: int) -> dict:
     return {"n": n, "deviators": [{"bl": s.beta_l, "bh": s.beta_h} for s in profile.deviators]}
 
 
+def strategy_from_dict(data) -> Strategy:
+    """A strategy from its JSON form ``{"bl": beta_l, "bh": beta_h}``.
+
+    Exactly those two keys; each value a JSON number (not a string or a
+    bool) in [0, 1].  Anything else raises ``InvalidStrategy``.
+    """
+    if not isinstance(data, dict) or set(data) != {"bl", "bh"}:
+        raise InvalidStrategy(f'a strategy must be an object with exactly the keys "bl" and '
+                              f'"bh", got {data!r}')
+    for key in ("bl", "bh"):
+        if not is_finite_number(data[key]):
+            raise InvalidStrategy(f'"{key}" must be a number in [0, 1], got {data[key]!r}')
+    return Strategy(float(data["bl"]), float(data["bh"]))
+
+
 def profile_from_dict(data: dict) -> tuple[int, DeviationProfile]:
     extra = set(data) - {"n", "deviators"}
     if extra:
         raise InvalidSetting(f"unknown profile keys {sorted(extra)}")
-    deviators = tuple(Strategy(float(d["bl"]), float(d["bh"])) for d in data["deviators"])
+    deviators = tuple(strategy_from_dict(d) for d in data["deviators"])
     return int(data["n"]), DeviationProfile(deviators)
 
 
@@ -156,6 +179,12 @@ class _ScoreTable:
         if report_i == HIGH:
             return self.s_hh if report_j == HIGH else self.s_lh
         return self.s_hl if report_j == HIGH else self.s_ll
+
+    def against(self, p_h: float) -> tuple[float, float]:
+        """Expected reward of reporting h, and of reporting l, against a peer
+        who reports h with probability ``p_h``."""
+        return (p_h * self.s_hh + (1.0 - p_h) * self.s_lh,
+                p_h * self.s_hl + (1.0 - p_h) * self.s_ll)
 
 
 def _score_table(setting: Setting) -> _ScoreTable:
@@ -175,9 +204,7 @@ def _pair_term_interim(prior: BinaryPrior, table: _ScoreTable,
     total = 0.0
     for s_j in SIGNALS:
         w_j = prior.cond(s_own, s_j)
-        p_peer_h = peer.report_prob(s_j)
-        high_part = p_peer_h * table.s_hh + (1.0 - p_peer_h) * table.s_lh
-        low_part = p_peer_h * table.s_hl + (1.0 - p_peer_h) * table.s_ll
+        high_part, low_part = table.against(peer.report_prob(s_j))
         total += w_j * (p_own_h * high_part + (1.0 - p_own_h) * low_part)
     return total
 
@@ -202,7 +229,12 @@ def _pair_term_ex_ante(prior: BinaryPrior, table: _ScoreTable,
 
 def _peer_roles(setting: Setting, profile: DeviationProfile,
                 i: Union[int, str]) -> tuple[Strategy, list[tuple[int, Strategy]]]:
-    """Own strategy and the (count, strategy) groups among the n-1 peers."""
+    """Own strategy and the (count, strategy) groups among the n-1 peers.
+
+    Deviator groups come in first-appearance order, truthful peers last; a
+    deviator who plays the truthful strategy stays in its deviator group.
+    A group may have count 0; ``member_utility`` skips it.
+    """
     k = profile.k
     if k > setting.n:
         raise InvalidSetting(f"profile has {k} deviators but the setting has n={setting.n}")
@@ -219,10 +251,44 @@ def _peer_roles(setting: Setting, profile: DeviationProfile,
         truthful_peers = setting.n - k
     else:
         raise IndexOutOfRange(f"agent index {i!r} not in profile of {k} deviators")
-    roles = [(count, strat) for strat, count in peer_counts.items() if count > 0]
-    if truthful_peers > 0:
-        roles.append((truthful_peers, TRUTHFUL_STRATEGY))
+    roles = [(count, strat) for strat, count in peer_counts.items()]
+    roles.append((truthful_peers, TRUTHFUL_STRATEGY))
     return own, roles
+
+
+def peer_average(n: int, roles: Iterable[tuple[int, float]]) -> float:
+    """Average pair reward over the n-1 peers from (count, pair reward) roles.
+
+    The one summation order of every mechanism utility: ``count * reward``
+    added role by role in the given order, roles with count 0 skipped, the
+    total divided by n - 1.
+    """
+    total = 0.0
+    for count, term in roles:
+        if count:
+            total += count * term
+    return total / (n - 1)
+
+
+def member_utility(setting: Setting, own: Strategy, peers: Sequence[tuple[int, Strategy]],
+                   s: str | None = None) -> float:
+    """Utility of an agent playing ``own`` whose n-1 peers play as grouped.
+
+    ``peers`` lists (count, strategy) groups whose counts sum to n - 1, in
+    the order they are summed.  ``s`` None gives the ex-ante utility, a
+    signal the interim utility conditioned on it.  O(groups), whatever n.
+    """
+    if any(count < 0 for count, _ in peers) or sum(c for c, _ in peers) != setting.n - 1:
+        raise InvalidSetting(f"peer counts must be >= 0 and sum to n-1={setting.n - 1}")
+    table = _score_table(setting)
+    prior = setting.prior
+    if s is None:
+        terms = ((count, _pair_term_ex_ante(prior, table, own, peer))
+                 for count, peer in peers if count)
+    else:
+        terms = ((count, _pair_term_interim(prior, table, own, peer, s))
+                 for count, peer in peers if count)
+    return peer_average(setting.n, terms)
 
 
 def ex_ante_utility(setting: Setting, profile: DeviationProfile, i: Union[int, str]) -> float:
@@ -230,23 +296,13 @@ def ex_ante_utility(setting: Setting, profile: DeviationProfile, i: Union[int, s
 
     ``i`` is a deviator index, or ``TRUTHFUL`` for a non-deviator.
     """
-    own, roles = _peer_roles(setting, profile, i)
-    table = _score_table(setting)
-    total = 0.0
-    for count, strat in roles:
-        total += count * _pair_term_ex_ante(setting.prior, table, own, strat)
-    return total / (setting.n - 1)
+    return member_utility(setting, *_peer_roles(setting, profile, i))
 
 
 def interim_utility(setting: Setting, profile: DeviationProfile, i: Union[int, str],
                     s: str) -> float:
     """Expected utility conditioned on the agent's signal being ``s``."""
-    own, roles = _peer_roles(setting, profile, i)
-    table = _score_table(setting)
-    total = 0.0
-    for count, strat in roles:
-        total += count * _pair_term_interim(setting.prior, table, own, strat, s)
-    return total / (setting.n - 1)
+    return member_utility(setting, *_peer_roles(setting, profile, i), s)
 
 
 def truthful_ex_ante(setting: Setting) -> float:
@@ -272,8 +328,7 @@ def f_side(side: str, beta_own: float, peer: Strategy, setting: Setting) -> floa
     table = _score_table(setting)
     prior = setting.prior
     p_peer_h = prior.cond(side, HIGH) * peer.beta_h + prior.cond(side, LOW) * peer.beta_l
-    high_part = p_peer_h * table.s_hh + (1.0 - p_peer_h) * table.s_lh
-    low_part = p_peer_h * table.s_hl + (1.0 - p_peer_h) * table.s_ll
+    high_part, low_part = table.against(p_peer_h)
     return beta_own * high_part + (1.0 - beta_own) * low_part
 
 

@@ -50,11 +50,10 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidSetting, NoFiniteN
 from .mechanism import (
     CANONICAL_DEVIATIONS,
-    DeviationProfile,
+    TRUTHFUL_STRATEGY,
     Setting,
     Strategy,
-    ex_ante_utility,
-    interim_utility,
+    member_utility,
     truthful_ex_ante,
     truthful_interim,
 )
@@ -342,28 +341,31 @@ def truthful_baseline(setting: Setting, concept: str):
     return truthful_interim(setting, LOW), truthful_interim(setting, HIGH)
 
 
-def member_delta(setting: Setting, profile: DeviationProfile, pos: int, concept: str,
-                 base):
-    """Utility change of deviator ``pos`` over ``base = truthful_baseline(...)``.
+def member_delta(setting: Setting, own: Strategy, peers: Sequence[tuple[int, Strategy]],
+                 concept: str, base):
+    """Utility change of a deviator playing ``own`` over ``base = truthful_baseline(...)``.
 
-    A float ex ante; a (low, high) pair per type.
+    ``peers`` are its n-1 peers as (count, strategy) groups, in the order of
+    ``mechanism.member_utility``.  A float ex ante; a (low, high) pair per type.
     """
     if concept == EX_ANTE:
-        return ex_ante_utility(setting, profile, pos) - base
+        return member_utility(setting, own, peers) - base
     base_l, base_h = base
-    return (interim_utility(setting, profile, pos, LOW) - base_l,
-            interim_utility(setting, profile, pos, HIGH) - base_h)
+    return (member_utility(setting, own, peers, LOW) - base_l,
+            member_utility(setting, own, peers, HIGH) - base_h)
 
 
 def symmetric_deltas(setting: Setting, strategy: Strategy, k: int, concept: str,
                      base) -> tuple:
     """Per-member deltas of a size-k coalition whose members all play ``strategy``.
 
-    Members are exchangeable, so one member's delta is every member's.
+    Members are exchangeable, so one member's delta is every member's: its
+    peers are k-1 fellow members and n-k truthful agents, O(1) at any k.
     ``base`` is ``truthful_baseline(setting, concept)``, computed once by the
     caller across the sizes and strategies it tries.
     """
-    return (member_delta(setting, DeviationProfile((strategy,) * k), 0, concept, base),) * k
+    peers = ((k - 1, strategy), (setting.n - k, TRUTHFUL_STRATEGY))
+    return (member_delta(setting, strategy, peers, concept, base),) * k
 
 
 def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,

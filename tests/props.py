@@ -937,29 +937,164 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
     return None
 
 
+def setting_falsifier_eval_bound(k: int, concept: str, grid_steps: int) -> int:
+    """Evaluations a finishing setting search may make: grid * components * 2 * (2 + ceil(log2 k)).
+
+    Per grid strategy and delta component, two half-line searches (>= -tol,
+    > tol), each reading sizes 1 and k and bisecting between them.
+    """
+    grid = grid_steps ** 2 - 1  # every (beta_l, beta_h) grid point but truthful
+    components = 1 if concept == cl.EX_ANTE else 2
+    return grid * components * 2 * (2 + math.ceil(math.log2(k)))
+
+
+def setting_falsifier_budget_needed(setting: cl.Setting, k: int, concept: str,
+                                    grid_steps: int) -> int:
+    """B*, the smallest budget with which ``find_setting_deviation`` finishes, by bisection.
+
+    Asserts first that it finishes within ``setting_falsifier_eval_bound``.
+    """
+    def finishes(budget: int) -> bool:
+        return search_outcome(cl.find_setting_deviation, setting, k, concept,
+                              grid_steps=grid_steps, budget=budget)[0] == "found"
+
+    lo, hi = 0, setting_falsifier_eval_bound(k, concept, grid_steps)
+    assert finishes(hi), (setting, k, concept, grid_steps, hi)
+    while hi - lo > 1:  # finishes(hi), not finishes(lo)
+        mid = (lo + hi) // 2
+        if finishes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, i,
+                             s: str | None = None) -> float:
+    """A profile member's utility summed as the role loop before ``member_utility``.
+
+    Peers grouped with a ``Counter`` over the deviators (first-appearance
+    order, own group less one), zero counts dropped, truthful peers last,
+    then ``total += count * pair term`` and one division by n - 1.
+    """
+    from collections import Counter
+
+    from collusion_lab.mechanism import _pair_term_ex_ante, _pair_term_interim, _score_table
+
+    k, n = profile.k, setting.n
+    counts = Counter(profile.deviators)
+    if i == cl.TRUTHFUL:
+        own, truthful_peers = cl.TRUTHFUL_STRATEGY, n - k - 1
+    else:
+        own, truthful_peers = profile.deviators[i], n - k
+        counts[own] -= 1
+    roles = [(c, strat) for strat, c in counts.items() if c > 0]
+    if truthful_peers > 0:
+        roles.append((truthful_peers, cl.TRUTHFUL_STRATEGY))
+    table = _score_table(setting)
+    total = 0.0
+    for count, strat in roles:
+        if s is None:
+            total += count * _pair_term_ex_ante(setting.prior, table, own, strat)
+        else:
+            total += count * _pair_term_interim(setting.prior, table, own, strat, s)
+    return total / (n - 1)
+
+
+def profile_deltas(setting: cl.Setting, profile: cl.DeviationProfile, concept: str,
+                   utility) -> list:
+    """Every deviator's delta through ``utility(setting, profile, i[, s])``."""
+    from collusion_lab.thresholds import truthful_baseline
+
+    base = truthful_baseline(setting, concept)
+    if concept == cl.EX_ANTE:
+        return [utility(setting, profile, i) - base for i in range(profile.k)]
+    return [(utility(setting, profile, i, cl.LOW) - base[0],
+             utility(setting, profile, i, cl.HIGH) - base[1]) for i in range(profile.k)]
+
+
+def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120) -> None:
+    """Grouped deltas are the floats of the profile path, compared with ==.
+
+    ``symmetric_deltas`` (k-1 fellow members and n-k truthful peers) and the
+    deltas ``verify_setting_certificate`` recomputes for mixed certificates
+    against ``ex_ante_utility``/``interim_utility`` on an explicit
+    ``DeviationProfile`` and against ``utility_by_profile_roles``.  Sizes
+    include k = 1 and k = n; strategy pools include the truthful strategy,
+    the corners and two rows that read as one strategy.
+    """
+    from collusion_lab.checker import _setting_certificate_deltas, _strategy_dists
+    from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
+
+    rng = np.random.default_rng(seed)
+    for sample in range(samples):
+        n = int(rng.integers(2, 41))
+        setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
+        concept = (cl.EX_ANTE, cl.BAYESIAN)[sample % 2]
+        k = (1, n, int(rng.integers(1, n + 1)))[sample % 3]
+        pool = [cl.TRUTHFUL_STRATEGY, cl.ALL_H, cl.ALL_L, cl.ALL_LIE] + [
+            random_strategy(rng) for _ in range(3)]
+        label = (n, k, concept, setting.prior, setting.rule)
+
+        strat = pool[int(rng.integers(len(pool)))]
+        profile = cl.DeviationProfile((strat,) * k)
+        want = profile_deltas(setting, profile, concept, cl.ex_ante_utility
+                              if concept == cl.EX_ANTE else cl.interim_utility)
+        assert want == profile_deltas(setting, profile, concept, utility_by_profile_roles)
+        got = symmetric_deltas(setting, strat, k, concept, truthful_baseline(setting, concept))
+        assert list(got) == want, label
+
+        picks = [pool[int(j)] for j in rng.integers(0, len(pool), size=k)]
+        rows = [_strategy_dists(p) for p in picks]
+        # the same strategy written with another l-probability groups with it
+        rows = [((0.25, r[0][1]), r[1]) if j % 3 == 1 else r for j, r in enumerate(rows)]
+        profile = cl.DeviationProfile(tuple(picks))
+        want = profile_deltas(setting, profile, concept, cl.ex_ante_utility
+                              if concept == cl.EX_ANTE else cl.interim_utility)
+        assert want == profile_deltas(setting, profile, concept, utility_by_profile_roles)
+        cert = cl.DeviationCertificate(concept=concept, coalition=tuple(range(k)),
+                                       strategies=tuple(rows), deltas=tuple(want),
+                                       tolerance=cl.DEFAULT_TOL)
+        assert _setting_certificate_deltas(setting, cert) == want, label
+
+
 def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> None:
     """The closed-form setting falsifier returns exactly what the size loop returns.
 
-    Same certificate (size, strategy, deltas as floats), same None, same
-    ``nodes_searched`` on an exhausted budget, for n <= 200, both concepts,
-    several grid resolutions and budgets from tiny to the default.
+    For n <= 200, both concepts, several grid resolutions and budgets from
+    tiny to the default: whenever the search finishes, the same certificate
+    (size, strategy, deltas as floats) or the same None as the loop; when it
+    stops, ``nodes_searched`` is budget + 1.  The budget counts the
+    evaluations the search makes, not the loop's, so for every fourth case
+    B* (``setting_falsifier_budget_needed``) must stay within
+    ``setting_falsifier_eval_bound`` and the search at B* - 1 must stop with
+    ``nodes_searched == B*``.
     """
     rng = np.random.default_rng(seed)
     kinds = {"found": 0, "none": 0, "budget": 0}
-    for _ in range(cases):
+    for case in range(cases):
         n = int(round(math.exp(rng.uniform(math.log(2), math.log(200)))))  # the loop is O(n^2)
         setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
         concept = cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN
         grid_steps = int(rng.choice([2, 3, 5, 11]))
-        budget = cl.DEFAULT_BUDGET if rng.random() < 0.5 else int(rng.integers(1, 3001))
+        budget = cl.DEFAULT_BUDGET if rng.random() < 0.5 else int(rng.integers(1, 301))
         # k around the concept's threshold, where the first success sits
         k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
         k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
         args = (setting, k, concept)
-        kwargs = {"grid_steps": grid_steps, "budget": budget}
-        fast = search_outcome(cl.find_setting_deviation, *args, **kwargs)
-        slow = search_outcome(setting_falsifier_by_size, *args, **kwargs)
-        assert fast == slow, (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
+        label = (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
+        fast = search_outcome(cl.find_setting_deviation, *args, grid_steps=grid_steps,
+                              budget=budget)
+        slow = search_outcome(setting_falsifier_by_size, *args, grid_steps=grid_steps)
+        if fast[0] == "budget":
+            assert fast == ("budget", budget + 1), label
+        else:
+            assert fast == slow, label
+        if case % 4 == 0:
+            needed = setting_falsifier_budget_needed(setting, k, concept, grid_steps)
+            assert needed > budget if fast[0] == "budget" else needed <= budget, label
+            assert search_outcome(cl.find_setting_deviation, *args, grid_steps=grid_steps,
+                                  budget=needed - 1) == ("budget", needed), label
         kind = "budget" if fast[0] == "budget" else ("none" if fast[1] is None else "found")
         kinds[kind] += 1
     assert min(kinds.values()) >= cases // 20, kinds

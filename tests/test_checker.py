@@ -1,4 +1,7 @@
+import cProfile
 import json
+import math
+import pstats
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -321,6 +324,11 @@ class TestVerifyCertificate:
         for bad in (replace(ex, deltas=()), replace(ex, deltas=ex.deltas[:1]),
                     replace(ba, deltas=tuple(d[:1] for d in ba.deltas))):
             assert not cl.verify_setting_certificate(setting, bad)
+        # a NaN stored delta matches nothing
+        assert not cl.verify_setting_certificate(
+            setting, replace(ex, deltas=(math.nan,) + ex.deltas[1:]))
+        assert not cl.verify_setting_certificate(
+            setting, replace(ba, deltas=((ba.deltas[0][0], math.nan),) + ba.deltas[1:]))
         game = cl.peer_prediction_game(
             cl.make_setting(6, cl.BrierRule(), prior=cl.make_prior(2 / 3, 0.8)))
         profile = cl.truthful_profile(game)
@@ -574,6 +582,32 @@ class TestSettingFalsifier:
     def test_matches_size_loop_oracle(self):
         props.check_setting_falsifier_matches_loop()
 
+    def test_grouped_deltas_match_profile_path(self):
+        props.check_grouped_deltas_match_profile_path()
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
+    @pytest.mark.parametrize("concept,threshold", [("ex_ante", cl.k_ex_ante),
+                                                   ("bayesian", cl.k_bayesian)])
+    def test_boundary_at_large_n(self, n, concept, threshold):
+        # the default budget covers the O(grid * log k) evaluations at any n
+        setting = cl.make_setting(n, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+        k_star = threshold(setting).k
+        assert cl.find_setting_deviation(setting, k_star, concept) is None
+        cert = cl.find_setting_deviation(setting, k_star + 1, concept)
+        assert cert is not None and len(cert.coalition) == k_star + 1
+        if n == 10 ** 6:
+            assert k_star + 1 == {"ex_ante": 238_097, "bayesian": 396_826}[concept]
+            assert cl.verify_setting_certificate(setting, cert)
+
+    def test_large_n_search_counts_no_members(self):
+        # a member's delta reads grouped peers: no k-long profile, no Counter over it
+        setting = cl.make_setting(10 ** 6, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+        profiler = cProfile.Profile()
+        profiler.runcall(cl.find_setting_deviation, setting, 396_826, "bayesian")
+        called = {name for _, _, name in pstats.Stats(profiler).stats}
+        assert "_peer_roles" not in called
+        assert not any("_count_elements" in name for name in called), called
+
     def test_bad_search_options(self):
         game = joint_switch_game()
         profile = cl.MixedProfile((np.array([[1.0, 0.0]]),) * 2)
@@ -610,6 +644,21 @@ class TestGameSerialization:
         assert cl.FiniteBayesianGame.from_dict(data).n == 1
         with pytest.raises(cl.InvalidGame):
             cl.FiniteBayesianGame.from_dict({**data, "n": True})
+
+    @pytest.mark.parametrize("field,value", [
+        ("prior", ["0.5", 0.5]), ("prior", [True, 0.0]), ("prior", [0.5, None]),
+        ("prior", [[0.5], 0.5]), ("prior", [0.5, 10 ** 400]),
+        ("utilities", [[["1", False], [0.0, True]]]), ("utilities", [[[1.0, 0.0], [0.0, "1"]]]),
+        ("utilities", [[[1.0, False], [0.0, 1.0]]]), ("utilities", [[[1.0, 0.0], [0.0, None]]]),
+    ])
+    def test_game_rejects_non_number_tables(self, field, value):
+        data = {"n": 1, "types": [["a", "b"]], "actions": [["a", "b"]], "prior": [0.5, 0.5],
+                "utilities": [[[1, 0.0], [0.0, 1]]]}
+        game = cl.FiniteBayesianGame.from_dict(data)
+        assert game.prior.tolist() == [0.5, 0.5]
+        assert game.utilities[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(cl.InvalidGame):
+            cl.FiniteBayesianGame.from_dict({**data, field: value})
 
     @pytest.mark.parametrize("row", [["1.0", 0.0], ["1", "0"], [True, False], [1.0, False],
                                      [None, 1.0], [[1.0], 0.0]])

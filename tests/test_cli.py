@@ -383,6 +383,19 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("game-check", dict(GAME_CFG, game=dict(GAME, n="2"))),
     ("game-check", dict(GAME_CFG, profile={"strategies": [[["1.0", 0.0]], [[1.0, 0.0]]]})),
     ("game-check", dict(GAME_CFG, profile={"strategies": [[[True, False]], [[1.0, 0.0]]]})),
+    ("game-check", {"game": {"n": 1, "types": [["a", "b"]], "actions": [["a", "b"]],
+                             "prior": ["0.5", 0.5], "utilities": [[[1.0, 0.0], [0.0, 1.0]]]}}),
+    ("game-check", {"game": {"n": 1, "types": [["a", "b"]], "actions": [["a", "b"]],
+                             "prior": [0.5, 0.5], "utilities": [[["1", False], [0.0, True]]]}}),
+    ("simulate", dict(TestSimulateCommand.WM_CFG,
+                      deviators=[{"bl": True, "bh": "0.7", "extra": 1}])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": 0.2, "bh": "0.7"}])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": True, "bh": 0.7}])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": 0.2, "bh": 0.7, "x": 1}])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[{"bl": 0.2}])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[[0.2, 0.7]])),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators={"bl": 0.2, "bh": 0.7})),
+    ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[])),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])

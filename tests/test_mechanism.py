@@ -362,6 +362,15 @@ class TestProfilesAndStrategies:
         assert n == SETTING.n
         assert again == PROFILE_40
 
+    @pytest.mark.parametrize("entry", [
+        {"bl": "0.2", "bh": 0.7}, {"bl": True, "bh": 0.7}, {"bl": 0.2, "bh": None},
+        {"bl": 0.2, "bh": 0.7, "x": 1}, {"bl": 0.2}, [0.2, 0.7], "bl",
+        {"bl": 0.2, "bh": 1.5}, {"bl": float("nan"), "bh": 0.5}])
+    def test_profile_rejects_bad_deviators(self, entry):
+        assert cl.strategy_from_dict({"bl": 0, "bh": 0.7}) == cl.Strategy(0.0, 0.7)
+        with pytest.raises(cl.InvalidStrategy):
+            cl.profile_from_dict({"n": 10, "deviators": [entry]})
+
     def test_setting_world_model_consistency(self):
         wm = cl.WorldModel((0.5, 0.5), (0.9, 0.1))
         with pytest.raises(cl.InvalidSetting):
