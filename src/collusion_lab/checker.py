@@ -49,7 +49,7 @@ import operator
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -771,75 +771,94 @@ def _strategy_from_dists(dists: Sequence[Sequence[float]]) -> Strategy:
     return Strategy(beta_l=float(dists[0][1]), beta_h=float(dists[1][1]))
 
 
-@lru_cache(maxsize=16)
-def _setting_strategy_grid(grid_steps: int) -> tuple[Strategy, ...]:
-    """Corner profiles first, then the rest of the grid."""
-    corners = [Strategy(1.0, 1.0), Strategy(0.0, 0.0), Strategy(1.0, 0.0)]
-    points = [i / (grid_steps - 1) for i in range(grid_steps)]
-    rest = []
-    for bl in points:
-        for bh in points:
-            s = Strategy(bl, bh)
-            if s not in corners and s != Strategy(0.0, 1.0):
-                rest.append(s)
-    return tuple(corners + rest)
+#: Grid strategies (lanes) priced per chunk by ``find_setting_deviation``.
+_CHUNK_LANES = 2 ** 12
+#: (beta_l, beta_h) of the corner lanes: all-h, all-l, all-lie.
+_CORNER_BETAS = (np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
 
 
-def _sizes_where(holds, k: int) -> tuple[int, int] | None:
-    """The sizes in [1, k] where a condition monotone in the size holds, as (first, last).
+def _grid_lanes(grid_steps: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_l, beta_h) of the grid strategies ``start..stop-1`` in search order.
 
-    The condition is a comparison of a delta affine in the size, so it
-    holds on a half-line: read it at 1 and k, then bisect for the switch.
+    The corner profiles come first, then every point (i, j) / (grid_steps - 1)
+    row by row, i the l-coordinate, except the four corners (the truthful
+    (0, 1) among them): grid_steps^2 - 1 strategies in all.  Lane t >= 3 is
+    the (t - 3)-th non-corner cell of the row-major grid.
     """
-    at_1, at_k = holds(1), holds(k)
-    if at_1 and at_k:
-        return 1, k
-    if not (at_1 or at_k):
-        return None
-    lo, hi = 1, k  # holds(lo) == at_1 != holds(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid) == at_1:
-            lo = mid
-        else:
-            hi = mid
-    return (1, lo) if at_1 else (hi, k)
+    g = grid_steps
+    r = np.arange(start - 3, stop - 3, dtype=np.int64)
+    cell = r + 1 + (r >= g - 2) + (r >= (g - 2) * (g + 1))
+    i, j = np.divmod(cell, g)
+    beta_l, beta_h = i / (g - 1), j / (g - 1)
+    corners = max(0, min(3, stop) - start)
+    beta_l[:corners] = _CORNER_BETAS[0][start:start + corners]
+    beta_h[:corners] = _CORNER_BETAS[1][start:start + corners]
+    return beta_l, beta_h
 
 
-def _smallest_winning_size(n: int, k: int, terms: Sequence[tuple[float, float, float]],
-                           tol: float, spend) -> int | None:
-    """Smallest size in [1, k] at which a coalition sharing one strategy succeeds.
+def _half_lines(holds, k: int, shape: tuple, dtype) -> tuple[np.ndarray, ...]:
+    """Per lane, the sizes in [1, k] where a condition monotone in the size holds.
 
-    ``terms`` holds, per delta component (one ex ante, one per signal per
-    type), the pair reward against a fellow member, the pair reward against
-    a truthful peer and the truthful baseline.  A member's utility at size
-    s is ``mechanism.peer_average`` over s-1 fellow members and n-s
-    truthful peers, the sum every mechanism utility makes.  Success is
+    ``holds(sizes)`` tests every lane at its own size.  The condition is a
+    comparison of a delta affine in the size, so it holds on a half-line:
+    every lane reads it at 1 and k, and the lanes where the two differ
+    bisect in lockstep for the switch, each reading the sizes a one-lane
+    bisection would.  Returns (found, first, last, reads): whether it holds
+    anywhere, the first and last such size, and each lane's reads (2 plus
+    one per bisection step).
+    """
+    lo = np.ones(shape, dtype)
+    hi = np.full(shape, k, dtype)
+    at_1, at_k = holds(lo), holds(hi)
+    reads = np.full(shape, 2, np.int64)
+    hi = np.where(at_1 != at_k, hi, lo)  # only these bisect: holds(lo) == at_1 != holds(hi)
+    while True:
+        gap = hi - lo
+        bisecting = gap > 1
+        if not bisecting.any():
+            break
+        mid = lo + gap // 2
+        reads += bisecting
+        move_lo = holds(mid) == at_1
+        lo = np.where(bisecting & move_lo, mid, lo)
+        hi = np.where(bisecting & ~move_lo, mid, hi)
+    return at_1 | at_k, np.where(at_1, 1, hi), np.where(at_k, k, lo), reads
+
+
+def _smallest_winning_sizes(n: int, k: int, p_member: np.ndarray, p_truthful: np.ndarray,
+                            base: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane, the smallest size in [1, k] at which a coalition sharing its strategy succeeds.
+
+    ``p_member``, ``p_truthful`` (components x lanes) hold the pair reward
+    against a fellow member and against a truthful peer, ``base`` the
+    truthful baseline, per delta component (one ex ante, one per signal per
+    type).  A member's utility at size s is ``mechanism.peer_average`` over
+    s-1 fellow members and n-s truthful peers.  Success is
     ``deviation_succeeds``: every component >= -tol and some component >
-    tol, each a half-line in s.  ``spend()`` is called once per component
-    read at one size.
+    tol, each a half-line in s.
+
+    Returns (sizes, evaluations): k + 1 where no size wins, and the
+    evaluations (one per component read at one size) the sequential search
+    makes.  It searches each component's >= -tol half-line, stopping at the
+    first that is empty, then, if none was, each component's > tol
+    half-line.  Every half-line is searched here; only those reads count.
     """
-    def sizes(term: tuple[float, float, float], test) -> tuple[int, int] | None:
-        p_member, p_truthful, base = term
+    dtype = np.int64 if n <= np.iinfo(np.int64).max else object
+    # d > tol exactly when d >= the next float above tol: one comparison for both tests
+    bounds = np.array([-tol, np.nextafter(tol, np.inf)])[:, None, None]
 
-        def holds(s: int) -> bool:
-            spend()
-            return test(peer_average(n, ((s - 1, p_member), (n - s, p_truthful))) - base)
-        return _sizes_where(holds, k)
+    def holds(sizes: np.ndarray) -> np.ndarray:  # sizes: (weak, strict) x components x lanes
+        delta = peer_average(n, ((sizes - 1, p_member), (n - sizes, p_truthful))) - base
+        return delta >= bounds
 
-    first, last = 1, k
-    for term in terms:
-        span = sizes(term, lambda d: d >= -tol)
-        if span is None:
-            return None
-        first, last = max(first, span[0]), min(last, span[1])
-    best = None
-    for term in terms:
-        span = sizes(term, lambda d: d > tol)
-        if span is not None and max(first, span[0]) <= min(last, span[1]):
-            size = max(first, span[0])
-            best = size if best is None else min(best, size)
-    return best
+    found, first, last, reads = _half_lines(holds, k, (2,) + p_member.shape, dtype)
+    alive = np.logical_and.accumulate(found[0], axis=0)  # weak half-lines 0..c all found
+    live = alive[-1]
+    evals = (reads[0, 0] + (reads[0, 1:] * alive[:-1]).sum(axis=0)
+             + live * reads[1].sum(axis=0))
+    start = np.maximum(first[0].max(axis=0), first[1])
+    wins = live & found[1] & (start <= np.minimum(last[0].min(axis=0), last[1]))
+    return np.where(wins, start, k + 1).min(axis=0), evals
 
 
 def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: int = 11,
@@ -856,11 +875,20 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
 
     A member's delta is affine in the coalition size, so each grid strategy's
     smallest successful size is found by bisection: O(grid * log k) work.
-    ``budget`` counts the evaluations made, one per delta component (one
-    ex ante, two per type) read at one size; as in ``find_deviation``, the
-    first evaluation past it raises ``BudgetExceeded`` with
-    ``nodes_searched`` counting that evaluation.  A search that finishes
-    makes at most grid * components * 2 * (2 + ceil(log2 k)) of them.
+    The grid is priced in one array pass, chunk by chunk of at most
+    ``_CHUNK_LANES`` strategies generated from their indices: the mechanism
+    kernel gives every lane's pair rewards in one call and the lanes bisect
+    in lockstep, with the floats and reads of a one-strategy search.  A
+    ``Strategy`` is built only for a chunk's winner.
+
+    ``budget`` counts the evaluations a strategy-by-strategy search makes,
+    one per delta component (one ex ante, two per type) read at one size;
+    as in ``find_deviation``, a search that needs more raises
+    ``BudgetExceeded`` with ``nodes_searched`` budget + 1, the count at the
+    first evaluation past it.  The count is checked after every chunk, so
+    the work done stays within one chunk of the budget at any
+    ``grid_steps``.  A search that finishes makes at most
+    grid * components * 2 * (2 + ceil(log2 k)) evaluations.
     """
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
@@ -868,32 +896,34 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
         raise InvalidSetting(f"grid_steps must be >= 2, got {grid_steps}")
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
-    strategies = _setting_strategy_grid(grid_steps)
     base = truthful_baseline(setting, concept)
     prior, table, n = setting.prior, _score_table(setting), setting.n
+    truthful = TRUTHFUL_STRATEGY.betas
+    if concept == EX_ANTE:
+        def pair_terms(own, peer):
+            return [_pair_term_ex_ante(prior, table, own, peer)]
+    else:
+        def pair_terms(own, peer):
+            return [_pair_term_interim(prior, table, own, peer, s) for s in (LOW, HIGH)]
+    bases = np.array(base, ndmin=1)[:, None]  # one row per delta component
+
     nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
+    winner = None  # (size, strategy)
+    lanes = grid_steps ** 2 - 1
+    for start in range(0, lanes, _CHUNK_LANES):
+        own = _grid_lanes(grid_steps, start, min(start + _CHUNK_LANES, lanes))
+        sizes, evals = _smallest_winning_sizes(
+            n, k, np.array(pair_terms(own, own)), np.array(pair_terms(own, truthful)),
+            bases, tol)
+        nodes += int(evals.sum())
         if nodes > budget:
-            raise BudgetExceeded(nodes)
-
-    winner = None  # (size, grid index)
-    for index, strat in enumerate(strategies):
-        if concept == EX_ANTE:
-            terms = [(_pair_term_ex_ante(prior, table, strat, strat),
-                      _pair_term_ex_ante(prior, table, strat, TRUTHFUL_STRATEGY), base)]
-        else:
-            terms = [(_pair_term_interim(prior, table, strat, strat, s),
-                      _pair_term_interim(prior, table, strat, TRUTHFUL_STRATEGY, s), b)
-                     for s, b in zip((LOW, HIGH), base)]
-        size = _smallest_winning_size(n, k, terms, tol, spend)
-        if size is not None and (winner is None or size < winner[0]):
-            winner = (size, index)
+            raise BudgetExceeded(budget + 1)
+        best = int(np.argmin(sizes))
+        if sizes[best] <= k and (winner is None or sizes[best] < winner[0]):
+            winner = (int(sizes[best]), Strategy(float(own[0][best]), float(own[1][best])))
     if winner is None:
         return None
-    size, strat = winner[0], strategies[winner[1]]
+    size, strat = winner
     return DeviationCertificate(
         concept=concept, coalition=tuple(range(size)),
         strategies=(_strategy_dists(strat),) * size,

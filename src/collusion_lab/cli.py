@@ -495,7 +495,9 @@ _COMMANDS: dict[str, Callable[[RunConfig], int]] = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="collusion-lab",
         description="Collusion thresholds and deviation falsifiers for peer prediction")

@@ -16,13 +16,19 @@ truthfully.  Expected utilities are exact closed-form sums over the
 (signal, report) lattice of each (i, peer) pair, grouped by peer role, so
 cost scales with the number of distinct strategies rather than n.
 
-Every utility goes through one grouped sum, ``peer_average``: count times
-pair reward, role by role, divided by n - 1.  ``member_utility`` takes an
-agent's strategy and its peers as (count, strategy) groups;
+Every utility goes through one kernel.  The pair rewards
+``_pair_term_ex_ante``/``_pair_term_interim`` read report probabilities,
+and ``peer_average`` sums count times pair reward, role by role, divided by
+n - 1.  The kernel has no branches: it takes Python floats, or equal-shape
+numpy arrays that it prices lane by lane with the same operations in the
+same order, so a lane's float is the scalar float.  ``member_utility``
+takes an agent's strategy and its peers as (count, strategy) groups;
 ``ex_ante_utility`` and ``interim_utility`` group a ``DeviationProfile``
-(``_peer_roles``) and call it, and the falsifiers in ``thresholds`` and
-``checker`` pass their groups directly, so every path adds the same terms
-in the same order and gives the same floats.
+(``_peer_roles``) and call it, ``thresholds`` passes its groups directly,
+and ``checker.find_setting_deviation`` prices a whole chunk of grid
+strategies in one array call.  Zero terms need no skipping because
+``_score_table`` admits only finite scores: 0 times a finite reward adds
+nothing to a sum.
 
 The module also exposes the one-sided expected-reward forms f/g used in the
 interim analysis, the constant Hessian of the self-play pair reward (whose
@@ -71,6 +77,11 @@ class Strategy:
     def report_prob(self, signal: str) -> float:
         """Probability of reporting h given the signal."""
         return self.beta_h if signal == HIGH else self.beta_l
+
+    @property
+    def betas(self) -> tuple[float, float]:
+        """(beta_l, beta_h): the report probabilities the pair-reward kernel reads."""
+        return self.beta_l, self.beta_h
 
 
 TRUTHFUL_STRATEGY = Strategy(0.0, 1.0)
@@ -159,11 +170,19 @@ def strategy_from_dict(data) -> Strategy:
 
 
 def profile_from_dict(data: dict) -> tuple[int, DeviationProfile]:
+    """``n`` and the profile from ``profile_to_dict``'s form.
+
+    ``n`` must be a JSON integer >= 2 (not a float, a string or a bool),
+    else ``InvalidSetting``.
+    """
     extra = set(data) - {"n", "deviators"}
     if extra:
         raise InvalidSetting(f"unknown profile keys {sorted(extra)}")
+    n = data.get("n")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise InvalidSetting(f'profile "n" must be an integer >= 2, got {n!r}')
     deviators = tuple(strategy_from_dict(d) for d in data["deviators"])
-    return int(data["n"]), DeviationProfile(deviators)
+    return n, DeviationProfile(deviators)
 
 
 @dataclass(frozen=True)
@@ -188,8 +207,12 @@ class _ScoreTable:
 
 
 def _score_table(setting: Setting) -> _ScoreTable:
-    s_hh, s_lh, s_hl, s_ll = four_scores(setting.rule, setting.prior)
-    return _ScoreTable(s_hh=s_hh, s_lh=s_lh, s_hl=s_hl, s_ll=s_ll)
+    """The setting's four scores; a non-finite one raises ``InvalidSetting``."""
+    scores = four_scores(setting.rule, setting.prior)
+    if not all(math.isfinite(x) for x in scores):
+        raise InvalidSetting(f"the scoring rule gives a non-finite score at this prior: "
+                             f"{list(scores)}")
+    return _ScoreTable(*scores)
 
 
 def reward(setting: Setting, report_i: str, report_j: str) -> float:
@@ -197,33 +220,39 @@ def reward(setting: Setting, report_i: str, report_j: str) -> float:
     return setting.rule.score(report_j, setting.prior.posterior(report_i))
 
 
-def _pair_term_interim(prior: BinaryPrior, table: _ScoreTable,
-                       own: Strategy, peer: Strategy, s_own: str) -> float:
-    """E[reward] against one peer, conditioned on own signal."""
-    p_own_h = own.report_prob(s_own)
+def _pair_term_interim(prior: BinaryPrior, table: _ScoreTable, own, peer, s_own: str):
+    """E[reward] against one peer, conditioned on own signal.
+
+    ``own`` and ``peer`` are (beta_l, beta_h) report-h probabilities: floats,
+    or equal-shape arrays priced lane by lane.
+    """
+    p_own_h = own[1] if s_own == HIGH else own[0]
     total = 0.0
-    for s_j in SIGNALS:
+    for s_j, p_peer_h in zip(SIGNALS, peer):
         w_j = prior.cond(s_own, s_j)
-        high_part, low_part = table.against(peer.report_prob(s_j))
+        high_part, low_part = table.against(p_peer_h)
         total += w_j * (p_own_h * high_part + (1.0 - p_own_h) * low_part)
     return total
 
 
-def _pair_term_ex_ante(prior: BinaryPrior, table: _ScoreTable,
-                       own: Strategy, peer: Strategy) -> float:
-    """E[reward] against one peer over the full 2x2x2x2 outcome lattice."""
+def _pair_term_ex_ante(prior: BinaryPrior, table: _ScoreTable, own, peer):
+    """E[reward] against one peer over the full 2x2x2x2 outcome lattice.
+
+    ``own`` and ``peer`` as in ``_pair_term_interim``.  Each of the 16 terms
+    is the product w_i * p_ri * w_j * p_rj * score, formed left to right;
+    the leading factors it shares with other terms are formed once.  A
+    report of probability 0 adds terms of 0, which leave the sum unchanged.
+    """
+    peer_reports = [((HIGH, p_peer_h), (LOW, 1.0 - p_peer_h)) for p_peer_h in peer]
     total = 0.0
-    for s_i in SIGNALS:
+    for s_i, p_own_h in zip(SIGNALS, own):
         w_i = prior.marginal(s_i)
-        p_own_h = own.report_prob(s_i)
         for r_i, p_ri in ((HIGH, p_own_h), (LOW, 1.0 - p_own_h)):
-            if p_ri == 0.0:
-                continue
-            for s_j in SIGNALS:
-                w_j = prior.cond(s_i, s_j)
-                p_peer_h = peer.report_prob(s_j)
-                for r_j, p_rj in ((HIGH, p_peer_h), (LOW, 1.0 - p_peer_h)):
-                    total += w_i * p_ri * w_j * p_rj * table.of(r_j, r_i)
+            own_weight = w_i * p_ri
+            for s_j, reports_j in zip(SIGNALS, peer_reports):
+                weight = own_weight * prior.cond(s_i, s_j)
+                for r_j, p_rj in reports_j:
+                    total += weight * p_rj * table.of(r_j, r_i)
     return total
 
 
@@ -233,7 +262,7 @@ def _peer_roles(setting: Setting, profile: DeviationProfile,
 
     Deviator groups come in first-appearance order, truthful peers last; a
     deviator who plays the truthful strategy stays in its deviator group.
-    A group may have count 0; ``member_utility`` skips it.
+    A group may have count 0; it adds nothing to ``peer_average``.
     """
     k = profile.k
     if k > setting.n:
@@ -256,17 +285,16 @@ def _peer_roles(setting: Setting, profile: DeviationProfile,
     return own, roles
 
 
-def peer_average(n: int, roles: Iterable[tuple[int, float]]) -> float:
+def peer_average(n: int, roles: Iterable[tuple]):
     """Average pair reward over the n-1 peers from (count, pair reward) roles.
 
     The one summation order of every mechanism utility: ``count * reward``
-    added role by role in the given order, roles with count 0 skipped, the
-    total divided by n - 1.
+    added role by role in the given order, the total divided by n - 1.
+    Counts and rewards may be per-lane arrays; a count of 0 adds 0.
     """
     total = 0.0
     for count, term in roles:
-        if count:
-            total += count * term
+        total += count * term
     return total / (n - 1)
 
 
@@ -283,11 +311,11 @@ def member_utility(setting: Setting, own: Strategy, peers: Sequence[tuple[int, S
     table = _score_table(setting)
     prior = setting.prior
     if s is None:
-        terms = ((count, _pair_term_ex_ante(prior, table, own, peer))
-                 for count, peer in peers if count)
+        terms = ((count, _pair_term_ex_ante(prior, table, own.betas, peer.betas))
+                 for count, peer in peers)
     else:
-        terms = ((count, _pair_term_interim(prior, table, own, peer, s))
-                 for count, peer in peers if count)
+        terms = ((count, _pair_term_interim(prior, table, own.betas, peer.betas, s))
+                 for count, peer in peers)
     return peer_average(setting.n, terms)
 
 
@@ -308,13 +336,15 @@ def interim_utility(setting: Setting, profile: DeviationProfile, i: Union[int, s
 def truthful_ex_ante(setting: Setting) -> float:
     """Everyone truthful: the common ex-ante expected utility."""
     table = _score_table(setting)
-    return _pair_term_ex_ante(setting.prior, table, TRUTHFUL_STRATEGY, TRUTHFUL_STRATEGY)
+    return _pair_term_ex_ante(setting.prior, table, TRUTHFUL_STRATEGY.betas,
+                              TRUTHFUL_STRATEGY.betas)
 
 
 def truthful_interim(setting: Setting, s: str) -> float:
     """Everyone truthful: expected utility conditioned on own signal ``s``."""
     table = _score_table(setting)
-    return _pair_term_interim(setting.prior, table, TRUTHFUL_STRATEGY, TRUTHFUL_STRATEGY, s)
+    return _pair_term_interim(setting.prior, table, TRUTHFUL_STRATEGY.betas,
+                              TRUTHFUL_STRATEGY.betas, s)
 
 
 def f_side(side: str, beta_own: float, peer: Strategy, setting: Setting) -> float:
@@ -344,7 +374,7 @@ def pair_self_reward(setting: Setting, sigma: Strategy) -> float:
     evaluated directly over the outcome lattice.
     """
     table = _score_table(setting)
-    return _pair_term_ex_ante(setting.prior, table, sigma, sigma)
+    return _pair_term_ex_ante(setting.prior, table, sigma.betas, sigma.betas)
 
 
 @dataclass(frozen=True)

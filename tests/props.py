@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -57,6 +57,11 @@ def informative_prior(rng: np.random.Generator) -> cl.BinaryPrior:
 
 def random_rule(rng: np.random.Generator) -> cl.ScoringRule:
     return cl.BrierRule() if rng.random() < 0.5 else cl.LogRule()
+
+
+def random_table_rule(rng: np.random.Generator) -> cl.TableRule:
+    """An affine table rule with intercepts and slopes in [-2, 2] (not necessarily proper)."""
+    return cl.TableRule(*(float(x) for x in rng.uniform(-2.0, 2.0, size=4)))
 
 
 def random_strategy(rng: np.random.Generator) -> cl.Strategy:
@@ -907,6 +912,264 @@ def check_budget_sweep_matches_candidate_loop(game: cl.FiniteBayesianGame,
 # setting falsifier: the size-by-size search as an oracle
 # ---------------------------------------------------------------------------
 
+def pair_term_interim_scalar(prior: cl.BinaryPrior, table, own: cl.Strategy,
+                             peer: cl.Strategy, s_own: str) -> float:
+    """E[reward] against one peer given own signal, one ``Strategy`` pair at a time."""
+    p_own_h = own.report_prob(s_own)
+    total = 0.0
+    for s_j in SIGNALS:
+        w_j = prior.cond(s_own, s_j)
+        high_part, low_part = table.against(peer.report_prob(s_j))
+        total += w_j * (p_own_h * high_part + (1.0 - p_own_h) * low_part)
+    return total
+
+
+def pair_term_ex_ante_scalar(prior: cl.BinaryPrior, table, own: cl.Strategy,
+                             peer: cl.Strategy) -> float:
+    """E[reward] against one peer over the 2x2x2x2 lattice, skipping reports of probability 0."""
+    total = 0.0
+    for s_i in SIGNALS:
+        w_i = prior.marginal(s_i)
+        p_own_h = own.report_prob(s_i)
+        for r_i, p_ri in ((cl.HIGH, p_own_h), (cl.LOW, 1.0 - p_own_h)):
+            if p_ri == 0.0:
+                continue
+            for s_j in SIGNALS:
+                w_j = prior.cond(s_i, s_j)
+                p_peer_h = peer.report_prob(s_j)
+                for r_j, p_rj in ((cl.HIGH, p_peer_h), (cl.LOW, 1.0 - p_peer_h)):
+                    total += w_i * p_ri * w_j * p_rj * table.of(r_j, r_i)
+    return total
+
+
+def peer_average_scalar(n: int, roles) -> float:
+    """``count * reward`` added role by role, roles with count 0 skipped, over n - 1."""
+    total = 0.0
+    for count, term in roles:
+        if count:
+            total += count * term
+    return total / (n - 1)
+
+
+@lru_cache(maxsize=16)
+def setting_strategy_grid(grid_steps: int) -> tuple[cl.Strategy, ...]:
+    """The setting falsifier's grid as ``Strategy`` objects: corners first, then the rest."""
+    corners = [cl.Strategy(1.0, 1.0), cl.Strategy(0.0, 0.0), cl.Strategy(1.0, 0.0)]
+    points = [i / (grid_steps - 1) for i in range(grid_steps)]
+    rest = []
+    for bl in points:
+        for bh in points:
+            s = cl.Strategy(bl, bh)
+            if s not in corners and s != cl.Strategy(0.0, 1.0):
+                rest.append(s)
+    return tuple(corners + rest)
+
+
+def sizes_where(holds, k: int) -> tuple[int, int] | None:
+    """The sizes in [1, k] where a half-line condition holds, as (first, last), by bisection."""
+    at_1, at_k = holds(1), holds(k)
+    if at_1 and at_k:
+        return 1, k
+    if not (at_1 or at_k):
+        return None
+    lo, hi = 1, k  # holds(lo) == at_1 != holds(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid) == at_1:
+            lo = mid
+        else:
+            hi = mid
+    return (1, lo) if at_1 else (hi, k)
+
+
+def smallest_winning_size(n: int, k: int, terms, tol: float, spend) -> int | None:
+    """One strategy's smallest winning size from its (member, truthful, base) terms.
+
+    Every >= -tol half-line, stopping at the first empty one, then every
+    > tol half-line; ``spend()`` once per component read at one size.
+    """
+    def sizes(term, test):
+        p_member, p_truthful, base = term
+
+        def holds(s: int) -> bool:
+            spend()
+            return test(peer_average_scalar(n, ((s - 1, p_member), (n - s, p_truthful))) - base)
+        return sizes_where(holds, k)
+
+    first, last = 1, k
+    for term in terms:
+        span = sizes(term, lambda d: d >= -tol)
+        if span is None:
+            return None
+        first, last = max(first, span[0]), min(last, span[1])
+    best = None
+    for term in terms:
+        span = sizes(term, lambda d: d > tol)
+        if span is not None and max(first, span[0]) <= min(last, span[1]):
+            size = max(first, span[0])
+            best = size if best is None else min(best, size)
+    return best
+
+
+def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
+                                   grid_steps: int = 11, budget: int = cl.DEFAULT_BUDGET,
+                                   tol: float = cl.DEFAULT_TOL):
+    """The setting falsifier one ``Strategy`` at a time, in grid order.
+
+    Per strategy the scalar pair terms and a scalar bisection; one node per
+    component read at one size, ``BudgetExceeded`` at the first node past
+    ``budget``.  The smallest winning size, first strategy among ties.
+    """
+    from collusion_lab.checker import _strategy_dists
+    from collusion_lab.mechanism import _score_table
+    from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
+
+    base = truthful_baseline(setting, concept)
+    prior, table, n = setting.prior, _score_table(setting), setting.n
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise cl.BudgetExceeded(nodes)
+
+    winner = None  # (size, strategy)
+    for strat in setting_strategy_grid(grid_steps):
+        if concept == cl.EX_ANTE:
+            terms = [(pair_term_ex_ante_scalar(prior, table, strat, strat),
+                      pair_term_ex_ante_scalar(prior, table, strat, cl.TRUTHFUL_STRATEGY), base)]
+        else:
+            terms = [(pair_term_interim_scalar(prior, table, strat, strat, s),
+                      pair_term_interim_scalar(prior, table, strat, cl.TRUTHFUL_STRATEGY, s), b)
+                     for s, b in zip(SIGNALS, base)]
+        size = smallest_winning_size(n, k, terms, tol, spend)
+        if size is not None and (winner is None or size < winner[0]):
+            winner = (size, strat)
+    if winner is None:
+        return None
+    size, strat = winner
+    return cl.DeviationCertificate(
+        concept=concept, coalition=tuple(range(size)),
+        strategies=(_strategy_dists(strat),) * size,
+        deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
+
+
+def kernel_rules(rng: np.random.Generator, tables: int = 4) -> list[cl.ScoringRule]:
+    """Brier, log bases e, 2 and 0.5, and ``tables`` random table rules."""
+    return ([cl.BrierRule(), cl.LogRule(), cl.LogRule(base=2.0), cl.LogRule(base=0.5)]
+            + [random_table_rule(rng) for _ in range(tables)])
+
+
+def check_pair_kernel_matches_scalar(seed: int = 6262, priors: int = 3) -> int:
+    """The array kernel gives the scalar floats at every grid point, compared with ==.
+
+    For each rule of ``kernel_rules`` and grid_steps 2..11, the grid lanes
+    are the ``Strategy`` grid, and each lane's pair reward (ex ante and per
+    signal) against itself, the truthful strategy and one random strategy
+    equals ``pair_term_*_scalar``, and so does the ex-ante reward of every
+    (own, peer) pair of grid strategies, lanes broadcast against lanes, for
+    grids up to 5 x 5; ``peer_average`` on per-lane count arrays
+    (zero counts among them, n up to 2^62) equals ``peer_average_scalar``.
+    Scalar calls of the kernel return Python floats.  Returns the number
+    of values compared.
+    """
+    from collusion_lab.checker import _grid_lanes
+    from collusion_lab.mechanism import (
+        _pair_term_ex_ante, _pair_term_interim, _score_table, peer_average)
+
+    rng = np.random.default_rng(seed)
+    compared = 0
+    for rule in kernel_rules(rng):
+        for _ in range(priors):
+            setting = cl.make_setting(10, rule, prior=random_prior(rng))
+            prior, table = setting.prior, _score_table(setting)
+            other = random_strategy(rng)
+            for grid_steps in range(2, 12):
+                grid = setting_strategy_grid(grid_steps)
+                lanes = _grid_lanes(grid_steps, 0, len(grid))
+                assert [cl.Strategy(float(a), float(b)) for a, b in zip(*lanes)] == list(grid)
+                for peer in (None, cl.TRUTHFUL_STRATEGY, other):
+                    peer_lanes = lanes if peer is None else peer.betas
+                    pairs = [(s, s if peer is None else peer) for s in grid]
+                    got = _pair_term_ex_ante(prior, table, lanes, peer_lanes)
+                    want = [pair_term_ex_ante_scalar(prior, table, a, b) for a, b in pairs]
+                    assert got.tolist() == want, (rule, prior, grid_steps, peer)
+                    for sig in SIGNALS:
+                        got = _pair_term_interim(prior, table, lanes, peer_lanes, sig)
+                        want = [pair_term_interim_scalar(prior, table, a, b, sig) for a, b in pairs]
+                        assert got.tolist() == want, (rule, prior, grid_steps, peer, sig)
+                    compared += 3 * len(grid)
+                if grid_steps <= 5:  # every (own, peer) pair of grid strategies in one call
+                    rows = tuple(b[:, None] for b in lanes)
+                    cols = tuple(b[None, :] for b in lanes)
+                    got = _pair_term_ex_ante(prior, table, rows, cols)
+                    want = [[pair_term_ex_ante_scalar(prior, table, a, b) for b in grid]
+                            for a in grid]
+                    assert got.tolist() == want, (rule, prior, grid_steps)
+                    compared += len(grid) ** 2
+            for a, b in ((other, cl.ALL_LIE), (cl.ALL_H, cl.TRUTHFUL_STRATEGY)):
+                value = _pair_term_ex_ante(prior, table, a.betas, b.betas)
+                assert type(value) is float and value == pair_term_ex_ante_scalar(prior, table, a, b)
+            n = int(rng.choice([2, 3, 1000, 10 ** 6, 2 ** 62]))
+            sizes = rng.integers(1, min(n, 2 ** 40), size=64, endpoint=True)
+            sizes[:3] = (1, n, min(2, n))
+            terms = rng.uniform(-3.0, 3.0, size=(2, 64))
+            got = peer_average(n, ((sizes - 1, terms[0]), (n - sizes, terms[1])))
+            want = [peer_average_scalar(n, ((int(s) - 1, float(a)), (n - int(s), float(b))))
+                    for s, a, b in zip(sizes, *terms)]
+            assert got.tolist() == want, (n, rule)
+            compared += 64
+    return compared
+
+
+def setting_search_case(rng: np.random.Generator) -> tuple:
+    """One seeded (setting, k, concept, grid_steps, budget) for the setting falsifier.
+
+    n log-uniform in 2..10^4, Brier, log (base e) or table rules, k within 3
+    of the concept's threshold, grid 2/3/5/11 and a budget log-uniform in
+    1..10^7.  Small grids are drawn more often: the lane order of every
+    grid 2..11 is checked by ``check_pair_kernel_matches_scalar``.
+    """
+    n = int(round(math.exp(rng.uniform(math.log(2), math.log(10 ** 4)))))
+    rule = random_table_rule(rng) if rng.random() < 0.2 else random_rule(rng)
+    setting = cl.make_setting(n, rule, prior=random_prior(rng))
+    concept = cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN
+    grid_steps = int(rng.choice([2, 3, 5, 11], p=[0.3, 0.3, 0.25, 0.15]))
+    budget = int(10 ** rng.uniform(0, 7))
+    k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
+    k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
+    return setting, k, concept, grid_steps, budget
+
+
+def check_setting_falsifier_matches_bisection(seed: int = 9090, cases: int = 10_000) -> dict:
+    """The chunked array search returns what the one-strategy bisection returns.
+
+    On seeded searches (``setting_search_case``): an equal certificate (the
+    frozen dataclass compares every field, as its ``to_dict()`` would), the
+    same None, or the same ``nodes_searched``.  Returns how many ended each
+    way.
+    """
+    def outcome(search, *args, **kwargs):
+        try:
+            return "found", search(*args, **kwargs)
+        except cl.BudgetExceeded as exc:
+            return "budget", exc.nodes_searched
+
+    rng = np.random.default_rng(seed)
+    kinds = {"found": 0, "none": 0, "budget": 0}
+    for case in range(cases):
+        setting, k, concept, grid_steps, budget = setting_search_case(rng)
+        args = (setting, k, concept)
+        kwargs = {"grid_steps": grid_steps, "budget": budget}
+        fast = outcome(cl.find_setting_deviation, *args, **kwargs)
+        slow = outcome(setting_falsifier_by_bisection, *args, **kwargs)
+        assert fast == slow, (case, setting, k, concept, grid_steps, budget)
+        kinds["budget" if fast[0] == "budget" else
+              ("none" if fast[1] is None else "found")] += 1
+    return kinds
+
+
 def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
                               grid_steps: int = 11, budget: int = cl.DEFAULT_BUDGET,
                               tol: float = cl.DEFAULT_TOL):
@@ -915,11 +1178,11 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
     Charges one node per utility evaluation and raises BudgetExceeded at the
     first node past ``budget``; returns the first certificate that succeeds.
     """
-    from collusion_lab.checker import _setting_strategy_grid, _strategy_dists
+    from collusion_lab.checker import _strategy_dists
     from collusion_lab.thresholds import (
         deviation_succeeds, symmetric_deltas, truthful_baseline)
 
-    strategies = _setting_strategy_grid(grid_steps)
+    strategies = setting_strategy_grid(grid_steps)
     base = truthful_baseline(setting, concept)
     evals = 1 if concept == cl.EX_ANTE else 2
     nodes = 0
@@ -979,7 +1242,7 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
     """
     from collections import Counter
 
-    from collusion_lab.mechanism import _pair_term_ex_ante, _pair_term_interim, _score_table
+    from collusion_lab.mechanism import _score_table
 
     k, n = profile.k, setting.n
     counts = Counter(profile.deviators)
@@ -995,9 +1258,9 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
     total = 0.0
     for count, strat in roles:
         if s is None:
-            total += count * _pair_term_ex_ante(setting.prior, table, own, strat)
+            total += count * pair_term_ex_ante_scalar(setting.prior, table, own, strat)
         else:
-            total += count * _pair_term_interim(setting.prior, table, own, strat, s)
+            total += count * pair_term_interim_scalar(setting.prior, table, own, strat, s)
     return total / (n - 1)
 
 

@@ -2,6 +2,7 @@ import cProfile
 import json
 import math
 import pstats
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -581,6 +582,48 @@ class TestSettingFalsifier:
 
     def test_matches_size_loop_oracle(self):
         props.check_setting_falsifier_matches_loop()
+
+    def test_matches_bisection_oracle(self):
+        # the strategy-by-strategy scalar search: certificate, None or nodes_searched
+        kinds = props.check_setting_falsifier_matches_bisection()
+        assert min(kinds.values()) >= 1000, kinds
+
+    def test_small_chunks_match_bisection_oracle(self, monkeypatch):
+        # many chunks per grid: ties across chunk boundaries and the running budget
+        monkeypatch.setattr(checker, "_CHUNK_LANES", 5)
+        kinds = props.check_setting_falsifier_matches_bisection(seed=9191, cases=600)
+        assert min(kinds.values()) >= 60, kinds
+
+    def test_beyond_int64_matches_bisection_oracle(self):
+        # sizes beyond int64 are Python ints in object arrays, as in the scalar search
+        rng = np.random.default_rng(6464)
+        for case in range(40):
+            n = 2 ** 63 + int(rng.integers(0, 2 ** 62)) * int(rng.integers(1, 20))
+            # table rules that are not proper give small thresholds, so some searches win
+            rule = (props.random_rule, props.random_table_rule)[case % 4 // 2](rng)
+            setting = cl.make_setting(n, rule, prior=props.random_prior(rng))
+            args = (setting, int(rng.integers(1, 1000)), ("ex_ante", "bayesian")[case % 2])
+            kwargs = {"grid_steps": int(rng.choice([3, 5])),
+                      "budget": int(10 ** rng.uniform(1, 4))}
+            assert (props.search_outcome(cl.find_setting_deviation, *args, **kwargs)
+                    == props.search_outcome(props.setting_falsifier_by_bisection, *args,
+                                            **kwargs)), (case, args, kwargs)
+
+    @pytest.mark.parametrize("concept", ["ex_ante", "bayesian"])
+    def test_budget_bounds_the_work(self, concept):
+        # 10^8 grid strategies; the search stops after its first chunk
+        tracemalloc.start()
+        try:
+            start = time.process_time()
+            with pytest.raises(cl.BudgetExceeded) as err:
+                cl.find_setting_deviation(self.SETTING, 40, concept, grid_steps=10 ** 4,
+                                          budget=10)
+            cpu = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.nodes_searched == 11
+        assert cpu < 0.5 and peak < 16 * 2 ** 20, (cpu, peak)
 
     def test_grouped_deltas_match_profile_path(self):
         props.check_grouped_deltas_match_profile_path()

@@ -138,6 +138,15 @@ class TestFalsifyCommand:
         assert len(cert.coalition) == k_star + 1
         assert cl.verify_setting_certificate(setting, cert)
 
+    def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
+        # 10^10 grid strategies: the default budget stops the search after ~10^3 chunks
+        cfg = dict(REFERENCE, k=40, concept="bayesian", grid_steps=10 ** 5)
+        code = cli.main(["falsify", "--config", write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert json.loads(captured.out) == {"found": False, "budget_exceeded": True,
+                                            "nodes_searched": cl.DEFAULT_BUDGET + 1}
+
 
 class TestSimulateCommand:
     WM_CFG = {
@@ -396,6 +405,8 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[[0.2, 0.7]])),
     ("simulate", dict(TestSimulateCommand.WM_CFG, deviators={"bl": 0.2, "bh": 0.7})),
     ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[])),
+    ("falsify", dict(REFERENCE, k=40, rule={"rule": "table", "h": [1e308, 1e308],
+                                            "l": [0.0, 0.0]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])
@@ -495,3 +506,28 @@ def test_mutated_configs_never_traceback(tmp_path, capsys):
                 assert "Traceback" not in err and err.count("\n") <= 1, case
                 runs += 1
     assert runs > 400
+
+
+def test_repeated_main_calls_give_the_same_bytes(tmp_path, capsys):
+    """One process, one parser: a second run of the same calls repeats every byte."""
+    calls = [[command, "--config", write_config(tmp_path, cfg, f"fuzz{i}.json")]
+             for i, (command, cfg) in enumerate(FUZZ_CONFIGS)]
+    calls.append(["thresholds", "--config", write_config(tmp_path, dict(REFERENCE, prior=5),
+                                                         "bad.json")])
+    calls.append(["falsify", "--k", "many"])  # argparse rejects it: SystemExit(2)
+
+    def run_all():
+        results = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            results.append((code, captured.out))
+        return results
+
+    first = run_all()
+    assert cli._build_parser() is cli._build_parser()
+    assert [code for code, _ in first] == [0, 0, 1, 0, 0, 0, 0, 2, ("exit", 2)]
+    assert run_all() == first

@@ -371,6 +371,16 @@ class TestProfilesAndStrategies:
         with pytest.raises(cl.InvalidStrategy):
             cl.profile_from_dict({"n": 10, "deviators": [entry]})
 
+    @pytest.mark.parametrize("n", [3.7, 12.0, "12", True, False, None, 1, 0, -5])
+    def test_profile_rejects_bad_n(self, n):
+        data = cl.profile_to_dict(cl.DeviationProfile((cl.ALL_H,)), 12)
+        assert cl.profile_from_dict(data)[0] == 12
+        with pytest.raises(cl.InvalidSetting):
+            cl.profile_from_dict({**data, "n": n})
+        missing = {key: value for key, value in data.items() if key != "n"}
+        with pytest.raises(cl.InvalidSetting):
+            cl.profile_from_dict(missing)
+
     def test_setting_world_model_consistency(self):
         wm = cl.WorldModel((0.5, 0.5), (0.9, 0.1))
         with pytest.raises(cl.InvalidSetting):
@@ -380,3 +390,23 @@ class TestProfilesAndStrategies:
     def test_minimal_n(self):
         with pytest.raises(cl.InvalidSetting):
             cl.make_setting(1, cl.BrierRule(), prior=SETTING.prior)
+
+
+class TestPairKernel:
+    def test_arrays_match_scalar_terms(self):
+        # every grid lane, Brier, log bases e/2/0.5 and table rules, compared with ==
+        assert props.check_pair_kernel_matches_scalar() > 100_000
+
+    @pytest.mark.parametrize("rule", [
+        cl.TableRule(1e308, 1e308, 0.0, 0.0),
+        cl.CallableRule(fn=lambda s, d: -math.inf if s == cl.LOW else 0.0),
+        cl.CallableRule(fn=lambda s, d: math.nan),
+    ])
+    def test_non_finite_score_rejected(self, rule):
+        setting = cl.make_setting(10, rule, prior=SETTING.prior)
+        for call in (lambda: cl.truthful_ex_ante(setting),
+                     lambda: cl.interim_utility(setting, cl.DeviationProfile((cl.ALL_H,) * 4), 0,
+                                                 cl.HIGH),
+                     lambda: cl.find_setting_deviation(setting, 3, "ex_ante")):
+            with pytest.raises(cl.InvalidSetting):
+                call()
