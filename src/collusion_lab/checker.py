@@ -8,9 +8,10 @@ that sit:
 * ``find_deviation``: searches coalitions of bounded size and replacement
   strategies drawn from a per-type probability grid (plus all pure
   strategies) for a profile that makes every member weakly better off and
-  someone strictly better off, either ex ante or type by type.  A ``None``
-  result is a falsification failure at the stated resolution, NOT a proof
-  of equilibrium.
+  someone strictly better off, either ex ante or type by type.  Strategies
+  are pool indices, built only once the budget has paid for them.  A
+  ``None`` result is a falsification failure at the stated resolution, NOT
+  a proof of equilibrium.
 * ``verify_certificate``: recomputes every delta of a certificate from
   scratch, requires them to match the stored deltas in number, shape and
   value, and re-checks the concept's conditions, independent of how the
@@ -337,33 +338,17 @@ def _profile_symmetric(profile: MixedProfile, atol: float = 1e-12) -> bool:
                for m in profile.strategies[1:])
 
 
-def _dist_grid(n_actions: int, grid_steps: int) -> list[tuple[float, ...]]:
-    """Pure action distributions first, then the uniform simplex grid."""
-    pures = []
-    for j in range(n_actions):
-        v = [0.0] * n_actions
-        v[j] = 1.0
-        pures.append(tuple(v))
+def _dist_grid(n_actions: int, grid_steps: int) -> np.ndarray:
+    """Pure action distributions first, then the other simplex grid points ascending, as rows.
+
+    Stars and bars: the bar placements list the counts, summing to grid_steps - 1, ascending.
+    """
     denom = grid_steps - 1
-    grid = []
-    for combo in itertools.combinations_with_replacement(range(n_actions), denom):
-        counts = [0] * n_actions
-        for c in combo:
-            counts[c] += 1
-        point = tuple(c / denom for c in counts)
-        if point not in pures and point not in grid:
-            grid.append(point)
-    return pures + sorted(grid)
-
-
-def _member_strategies(game: FiniteBayesianGame, j: int, grid_steps: int) -> list[np.ndarray]:
-    """All per-type grid strategies for agent j, pure combinations first."""
-    per_type = _dist_grid(len(game.action_sets[j]), grid_steps)
-    n_types = len(game.type_sets[j])
-    out = []
-    for rows in itertools.product(per_type, repeat=n_types):
-        out.append(np.array(rows))
-    return out
+    slots = denom + n_actions - 1
+    bars = np.array(list(itertools.combinations(range(slots), n_actions - 1)), dtype=np.int64)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
+    counts = np.diff(edges, axis=1) - 1
+    return np.vstack([np.eye(n_actions), counts[counts.max(axis=1) < denom] / denom])
 
 
 @dataclass(frozen=True)
@@ -528,9 +513,37 @@ class _CoalitionEvaluator:
         return out
 
 
-def _grid_index(strategies: Sequence[np.ndarray], m: np.ndarray) -> Optional[int]:
-    """Position of ``m`` among the grid strategies, None when it is off the grid."""
-    return next((ix for ix, s in enumerate(strategies) if np.allclose(s, m, atol=1e-12)), None)
+def _pool_index(grid: np.ndarray, m: np.ndarray) -> Optional[int]:
+    """Pool index of ``m``, each row the first grid row ``np.isclose`` to it; None off the grid."""
+    close = np.isclose(grid, m[:, None], atol=1e-12).all(axis=2)  # (types, grid rows)
+    if not close.any(axis=1).all():
+        return None
+    return reduce(lambda ix, row: ix * len(grid) + int(row), close.argmax(axis=1), 0)
+
+
+def _pool_stack(grid: np.ndarray, n_types: int, indices: Sequence[int]) -> np.ndarray:
+    """The (B, types, actions) strategies at ``indices`` in the pool ``range(len(grid) ** n_types)``.
+
+    An index's base-len(grid) digits pick each type's row, last type fastest (product order).
+    """
+    base = len(grid)
+    ix = np.array(indices, dtype=np.int64 if base ** n_types < 2 ** 63 else object)
+    digits = np.empty((len(ix), n_types), dtype=np.int64)
+    for t in reversed(range(n_types)):
+        ix, digits[:, t] = ix // base, ix % base  # np.divmod has no object loop
+    return grid[digits]
+
+
+def _search_order(pools: Sequence[range], shared: bool, multiset: bool):
+    """A coalition's candidate pool-index tuples; from a shared pool, the symmetric ones first.
+
+    A generator: the iterators after those copy the pools, so they start only once reached.
+    """
+    if shared:
+        yield from ((ix,) * len(pools) for ix in pools[0])
+    rest = (itertools.combinations_with_replacement(pools[0], len(pools)) if multiset
+            else itertools.product(*pools))
+    yield from (c for c in rest if not shared or len(set(c)) > 1)
 
 
 def _first_success(deltas: Sequence[np.ndarray], tol: float) -> Optional[int]:
@@ -562,15 +575,17 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
 
     Each coalition's baseline and candidates are contractions of the same
     reduced tensors (``_CoalitionEvaluator``), built with one einsum path
-    search per operand shape for the whole call.  The members' current play
-    is skipped by grid index.  Candidates are contracted in chunks of at
-    most ``_CHUNK_CELLS`` cells, so memory stays bounded at any k.
+    search per operand shape for the whole call.  Strategies are indices
+    into one per-type grid (``_pool_stack``), the current play skipped by
+    index.  Candidates are contracted in chunks of at most ``_CHUNK_CELLS``
+    cells, so memory stays bounded at any k.
 
     The budget counts utility evaluations: each coalition's build charges
     one per member, each candidate one per member (ex ante) or one per
-    member type (bayesian), in enumeration order.  A chunk never reaches
-    past the budget: BudgetExceeded is raised at the first candidate whose
-    charge would pass it, with ``nodes_searched`` counting that candidate.
+    member type (bayesian), in enumeration order.  Only charged candidates
+    are built, so past the per-type grids the work is O(budget) at any
+    ``grid_steps``.  BudgetExceeded is raised at the first candidate whose
+    charge would pass the budget, with ``nodes_searched`` counting it.
     """
     _check_profile(game, profile)
     if not 1 <= k <= game.n:
@@ -580,10 +595,9 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
     symmetric = is_symmetric_game(game) and _profile_symmetric(profile)
-
-    strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
-    stacks = [np.stack(s) for s in strategy_lists]
-    own = [_grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
+    grids = {m: _dist_grid(m, grid_steps) for m in set(map(len, game.action_sets))}
+    grid_of = [grids[len(a)] for a in game.action_sets]
+    own = [_pool_index(grid_of[j], profile.strategies[j]) for j in range(game.n)]
     nodes = 0
     paths: dict = {}
 
@@ -595,25 +609,17 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         for coalition in coalitions:
             ev = _CoalitionEvaluator(game, profile, coalition, paths)
             nodes += len(coalition)  # tensor-build pass, roughly one eval per member
+            types = [len(game.type_sets[c]) for c in coalition]
             if concept == EX_ANTE:
                 contract, cost = ev.ex_ante, len(coalition)
             else:
-                contract, cost = ev.interim, sum(len(game.type_sets[c]) for c in coalition)
+                contract, cost = ev.interim, sum(types)
             base = contract(tuple(profile.strategies[c][None] for c in coalition))
             current = tuple(own[c] for c in coalition)
-
-            pools = [range(len(strategy_lists[c])) for c in coalition]
-            first = coalition[0]
-            if all(game.type_sets[c] == game.type_sets[first]
-                   and game.action_sets[c] == game.action_sets[first] for c in coalition):
-                # symmetric assignments first: members share one grid strategy
-                rest = (itertools.combinations_with_replacement(pools[0], size) if symmetric
-                        else itertools.product(*pools))
-                combos = itertools.chain(((ix,) * size for ix in pools[0]),
-                                         (c for c in rest if len(set(c)) > 1))
-            else:
-                combos = itertools.product(*pools)
-            candidates = (combo for combo in combos if combo != current)
+            pools = [range(len(grid_of[c]) ** t) for c, t in zip(coalition, types)]
+            shared = len({(game.type_sets[c], game.action_sets[c]) for c in coalition}) == 1
+            candidates = (combo for combo in _search_order(pools, shared, symmetric)
+                          if combo != current)
 
             rows = max(1, _CHUNK_CELLS // ev.tensors[0].size)
             while True:
@@ -625,35 +631,30 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
                 chunk = list(itertools.islice(candidates, min(rows, room)))
                 if not chunk:
                     break
-                picks = np.array(chunk).T
-                new = contract([stacks[c][ix] for c, ix in zip(coalition, picks)])
-                deltas = [x - b for x, b in zip(new, base)]
+                stacks = [_pool_stack(grid_of[c], t, ixs)
+                          for c, t, ixs in zip(coalition, types, zip(*chunk))]
+                deltas = [x - b for x, b in zip(contract(stacks), base)]
                 hit = _first_success(deltas, tol)
                 if hit is not None:
-                    if concept == EX_ANTE:
-                        found: tuple = tuple(float(d[hit]) for d in deltas)
-                    else:
-                        found = tuple(tuple(float(x) for x in d[hit]) for d in deltas)
                     return DeviationCertificate(
                         concept=concept, coalition=coalition,
-                        strategies=tuple(tuple(tuple(float(x) for x in row)
-                                               for row in strategy_lists[c][ix])
-                                         for c, ix in zip(coalition, chunk[hit])),
-                        deltas=found, tolerance=tol)
+                        strategies=tuple(tuple(map(tuple, s[hit].tolist())) for s in stacks),
+                        deltas=tuple(d[hit].item() if d.ndim == 1 else tuple(d[hit].tolist())
+                                     for d in deltas), tolerance=tol)
                 nodes += len(chunk) * cost
     return None
 
 
 def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
-                       cert: DeviationCertificate, tol: float | None = None) -> bool:
+                       cert: DeviationCertificate) -> bool:
     """Recompute every delta from scratch and re-check the concept's conditions.
 
     Also requires the recomputed deltas to match the certificate's stored
     deltas (see ``_certificate_holds``), so a tampered certificate fails.
+    The conditions use the certificate's own ``tolerance``.
     """
     _check_profile(game, profile)
     _check_coalition(cert, game.n)
-    tol = cert.tolerance if tol is None else tol
     k = len(cert.coalition)
     assignments = {}
     for pos, agent in enumerate(cert.coalition):
@@ -684,7 +685,7 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
         recomputed = [delta(agent, s_d) for agent in cert.coalition]
     else:
         raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
-    return _certificate_holds(cert, recomputed, tol)
+    return _certificate_holds(cert, recomputed, cert.tolerance)
 
 
 def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
@@ -976,17 +977,15 @@ def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) ->
     raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
 
 
-def verify_setting_certificate(setting: Setting, cert: DeviationCertificate,
-                               tol: float | None = None) -> bool:
+def verify_setting_certificate(setting: Setting, cert: DeviationCertificate) -> bool:
     """Re-verify a mechanism-scale certificate from the closed forms.
 
     Deltas are recomputed once per distinct strategy
     (``_setting_certificate_deltas``), then compared member by member with
-    the stored ones.
+    the stored ones, under the certificate's own ``tolerance``.
     """
     _check_coalition(cert, setting.n)
-    tol = cert.tolerance if tol is None else tol
-    return _certificate_holds(cert, _setting_certificate_deltas(setting, cert), tol)
+    return _certificate_holds(cert, _setting_certificate_deltas(setting, cert), cert.tolerance)
 
 
 TRUTHFUL_REPORTS = {LOW: 0.0, HIGH: 1.0}

@@ -397,23 +397,22 @@ def cmd_scan(cfg: RunConfig) -> int:
     raw, tol = cfg.raw, cfg.tolerance
     # Rule and prior parsed once per sweep (prior per row in a prior sweep); the
     # threshold table and n_zero once per prior, so a row costs one step per side.
-    # Only the last table is kept: a prior sweep rarely revisits a prior.
-    # A failed part is its error cell, first of n, rule, prior, n_zero.
+    # Only the last prior's pair is kept, so memory stays flat in the sweep length.
+    # A failed part is its error cell, first of n, rule, prior, scores, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
-    table_of = functools.lru_cache(maxsize=1)(
-        lambda pr: thresholds.ThresholdTable(pr, rule, tol))
-    n_zero_of = functools.cache(lambda pr: _outcome(thresholds.n_zero, pr, rule, tol))
+    of_prior = functools.lru_cache(maxsize=1)(
+        lambda pr: (_outcome(thresholds.ThresholdTable, pr, rule, tol),
+                    _outcome(thresholds.n_zero, pr, rule, tol)))
 
     def row(label, n, parsed) -> str:
-        for part in (n, rule, parsed):
+        parts = (n, rule, parsed)
+        if str not in map(type, parts):
+            parts = table, nz = of_prior(parsed[0])
+        for part in parts:
             if isinstance(part, str):
                 return f"{label},,,,,,,,{part}"
-        table = table_of(parsed[0])
         ex_h, ex_l, ex = table.k(thresholds.EX_ANTE, n)
         ba_h, ba_l, ba = table.k(thresholds.BAYESIAN, n)
-        nz = n_zero_of(parsed[0])
-        if isinstance(nz, str):
-            return f"{label},,,,,,,,{nz}"
         return f"{n},{ex_h},{ex_l},{ex},{ba_h},{ba_l},{ba},{nz},"
 
     if param == "n":

@@ -27,7 +27,7 @@ takes an agent's strategy and its peers as (count, strategy) groups;
 (``_peer_roles``) and call it, ``thresholds`` passes its groups directly,
 and ``checker.find_setting_deviation`` prices a whole chunk of grid
 strategies in one array call.  Zero terms need no skipping because
-``_score_table`` admits only finite scores: 0 times a finite reward adds
+``four_scores`` admits only finite scores: 0 times a finite reward adds
 nothing to a sum.
 
 The module also exposes the one-sided expected-reward forms f/g used in the
@@ -207,12 +207,8 @@ class _ScoreTable:
 
 
 def _score_table(setting: Setting) -> _ScoreTable:
-    """The setting's four scores; a non-finite one raises ``InvalidSetting``."""
-    scores = four_scores(setting.rule, setting.prior)
-    if not all(math.isfinite(x) for x in scores):
-        raise InvalidSetting(f"the scoring rule gives a non-finite score at this prior: "
-                             f"{list(scores)}")
-    return _ScoreTable(*scores)
+    """The setting's four scores; ``four_scores`` rejects non-finite ones."""
+    return _ScoreTable(*four_scores(setting.rule, setting.prior))
 
 
 def reward(setting: Setting, report_i: str, report_j: str) -> float:

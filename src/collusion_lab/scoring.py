@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import InvalidDist, LogOfZero
+from .errors import InvalidDist, InvalidSetting, LogOfZero
 
 if TYPE_CHECKING:
     from .prior import BinaryPrior
@@ -288,15 +288,19 @@ class GapReport:
 
 
 def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> tuple[float, float, float, float]:
-    """(PS(h,q_h), PS(l,q_h), PS(h,q_l), PS(l,q_l)) for the prior's posteriors."""
+    """(PS(h,q_h), PS(l,q_h), PS(h,q_l), PS(l,q_l)) for the prior's posteriors.
+
+    ``InvalidSetting`` unless every score and their spread (max - min) are finite.
+    """
     q_h = prior.posterior(HIGH)
     q_l = prior.posterior(LOW)
-    return (
-        rule.score(HIGH, q_h),
-        rule.score(LOW, q_h),
-        rule.score(HIGH, q_l),
-        rule.score(LOW, q_l),
-    )
+    scores = (rule.score(HIGH, q_h), rule.score(LOW, q_h), rule.score(HIGH, q_l),
+              rule.score(LOW, q_l))
+    spread = max(scores) - min(scores)  # finite when every score is, or when one is NaN
+    if not math.isfinite(spread) or math.isnan(sum(scores)):
+        raise InvalidSetting(f"the scoring rule gives a non-finite score or score spread at "
+                             f"this prior: {list(scores)}")
+    return scores
 
 
 def gap_report(rule: ScoringRule, prior: "BinaryPrior") -> GapReport:

@@ -719,18 +719,57 @@ class CandidateEvaluator:
         return out
 
 
+def dist_grid_list(n_actions: int, grid_steps: int) -> list[tuple[float, ...]]:
+    """Pure action distributions first, then the uniform simplex grid, ascending.
+
+    Every count combination is turned into a point and kept unless an
+    earlier one equals it: the plain quadratic construction.
+    """
+    pures = []
+    for j in range(n_actions):
+        v = [0.0] * n_actions
+        v[j] = 1.0
+        pures.append(tuple(v))
+    denom = grid_steps - 1
+    grid = []
+    for combo in itertools.combinations_with_replacement(range(n_actions), denom):
+        counts = [0] * n_actions
+        for c in combo:
+            counts[c] += 1
+        point = tuple(c / denom for c in counts)
+        if point not in pures and point not in grid:
+            grid.append(point)
+    return pures + sorted(grid)
+
+
+def member_strategies(game: cl.FiniteBayesianGame, j: int, grid_steps: int) -> list[np.ndarray]:
+    """Every per-type grid strategy of agent j as its own array, in product order."""
+    per_type = dist_grid_list(len(game.action_sets[j]), grid_steps)
+    return [np.array(rows)
+            for rows in itertools.product(per_type, repeat=len(game.type_sets[j]))]
+
+
+def grid_index(strategies, m: np.ndarray):
+    """Position of ``m`` among the grid strategies, None when it is off the grid."""
+    return next((ix for ix, s in enumerate(strategies) if np.allclose(s, m, atol=1e-12)), None)
+
+
 def find_deviation_by_candidates(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
                                  k: int, concept: str, grid_steps: int = 11,
                                  budget: int = cl.DEFAULT_BUDGET, tol: float = cl.DEFAULT_TOL):
-    """``find_deviation`` as a plain loop: one contraction and one budget check per candidate."""
-    from collusion_lab.checker import (
-        _check_profile, _grid_index, _member_strategies, _profile_symmetric)
+    """``find_deviation`` as a plain loop: one contraction and one budget check per candidate.
+
+    Every member's whole strategy pool is built up front as arrays
+    (``member_strategies``), so it shares no grid or pool code with the
+    index arithmetic it checks.
+    """
+    from collusion_lab.checker import _check_profile, _profile_symmetric
     from collusion_lab.thresholds import deviation_succeeds
 
     _check_profile(game, profile)
     symmetric = cl.is_symmetric_game(game) and _profile_symmetric(profile)
-    strategy_lists = [_member_strategies(game, j, grid_steps) for j in range(game.n)]
-    own = [_grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
+    strategy_lists = [member_strategies(game, j, grid_steps) for j in range(game.n)]
+    own = [grid_index(strategy_lists[j], profile.strategies[j]) for j in range(game.n)]
     nodes = 0
 
     for size in range(1, k + 1):

@@ -225,6 +225,56 @@ class TestFindDeviation:
                     == props.search_outcome(props.find_deviation_by_candidates, game, profile,
                                             2, "ex_ante", **kwargs)), budget
 
+    @pytest.mark.parametrize("concept, nodes", [("ex_ante", 6), ("bayesian", 7)])
+    def test_budget_bounds_the_work_at_any_grid(self, concept, nodes):
+        # 300^2 and 3000^2 strategies per member: the budget stops the search
+        # after the build (1 node) and the candidates that fit in 5 nodes
+        setting = cl.make_setting(3, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+        game = cl.peer_prediction_game(setting)
+        profile = cl.truthful_profile(game)
+        for grid_steps, cpu_bound in ((300, 0.05), (3000, 0.5)):
+            start = time.process_time()
+            with pytest.raises(cl.BudgetExceeded) as err:
+                cl.find_deviation(game, profile, 2, concept, grid_steps=grid_steps, budget=5)
+            cpu = time.process_time() - start
+            assert err.value.nodes_searched == nodes
+            assert cpu < cpu_bound, (grid_steps, cpu)
+            tracemalloc.start()
+            try:
+                with pytest.raises(cl.BudgetExceeded):
+                    cl.find_deviation(game, profile, 2, concept, grid_steps=grid_steps, budget=5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2 ** 20, (grid_steps, peak)
+
+    def test_dist_grid_matches_quadratic_construction(self):
+        for actions in range(1, 6):
+            for grid_steps in range(2, 13):
+                rows = checker._dist_grid(actions, grid_steps)
+                assert ([tuple(row) for row in rows.tolist()]
+                        == props.dist_grid_list(actions, grid_steps)), (actions, grid_steps)
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-4])  # within np.isclose's rtol of 0.5, and not
+    def test_near_grid_rows_match_candidate_loop(self, eps):
+        row = [0.5 + eps, 0.5 - eps]
+        peer = cl.peer_prediction_game(
+            cl.make_setting(3, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6)))
+        constant = constant_game(3)  # no deviation succeeds: every candidate is charged
+        cases = [(peer, np.array([row, [0.0, 1.0]]), cl.truthful_profile(peer)),
+                 (constant, np.array([row]), pure_profile(constant, [(0,)] * 3))]
+        for game, near, base in cases:
+            # one member off its base play (every coalition), then all three (multisets)
+            for profile in (base.replace({0: near}), cl.MixedProfile((near,) * 3)):
+                for concept in ("ex_ante", "bayesian"):
+                    for k in (1, 2, 3):
+                        args = (game, profile, k, concept)
+                        assert (props.search_outcome(cl.find_deviation, *args, grid_steps=3)
+                                == props.search_outcome(props.find_deviation_by_candidates,
+                                                        *args, grid_steps=3)), (eps, k, concept)
+                    # every budget: nodes_searched shows whether the current play was skipped
+                    props.check_budget_sweep_matches_candidate_loop(game, profile, 2, concept, 3)
+
     def test_matches_candidate_loop(self):
         # exact ==, not a tolerance: the chunked contraction sums the same
         # products in the same order as one candidate at a time

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -215,7 +216,42 @@ class TestScanCommand:
         for row in lines[3:]:
             assert row.endswith(",")
 
-    ORACLE_RULES = [{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
+    def test_non_finite_scores_are_error_cells(self, tmp_path, capsys):
+        # score(h, q) = 1e308 q, score(l, q) = -1e308 q: the spread 2e308 max(q)
+        # overflows once Pr(h|h) passes ~0.9
+        rule = {"rule": "table", "h": [0.0, 1e308], "l": [0.0, -1e308]}
+        cfg = dict(self.BASE, rule=rule, prior={"p_h": 0.5, "p_h_given_h": 0.7},
+                   sweep={"param": "p_h_given_h", "values": [0.7, 0.95]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == 4
+        assert "InvalidSetting" not in lines[1]
+        assert lines[2].startswith("100,,,,,,,,InvalidSetting: "), lines[2]
+        # an n error comes before the scores error
+        cfg = dict(self.BASE, rule=rule, prior={"p_h": 0.5, "p_h_given_h": 0.95},
+                   sweep={"param": "n", "values": [1, 10]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and lines[1].startswith("1,,,,,,,,ConfigError: ")
+        assert lines[2].startswith("10,,,,,,,,InvalidSetting: "), lines[2]
+
+    def test_prior_sweep_memory_is_flat(self, tmp_path, capsys):
+        # one table and n_zero kept at a time: ~1.7 MB at 10^4 priors, where a
+        # memo of every prior's n_zero held 3.6 MB
+        cfg = dict(self.BASE, prior={"p_h": 0.4, "p_h_given_h": 0.7},
+                   sweep={"param": "p_h_given_h", "start": 0.5, "stop": 0.95,
+                          "step": 0.45 / 9999})
+        path = write_config(tmp_path, cfg)
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, ["scan", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.count("\n") == 10_001
+        assert peak < 2.5 * 2 ** 20, peak
+
+    ORACLE_RULES =[{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
                     {"rule": "table", "h": [0.0, 0.0], "l": [1.0, 0.0]},
                     {"rule": "table", "h": [-0.3, 1.7], "l": [0.9, -1.2]}]
 
@@ -407,6 +443,13 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("simulate", dict(TestSimulateCommand.WM_CFG, deviators=[])),
     ("falsify", dict(REFERENCE, k=40, rule={"rule": "table", "h": [1e308, 1e308],
                                             "l": [0.0, 0.0]})),
+    # a non-finite score (inf), then finite scores whose spread overflows
+    ("thresholds", dict(REFERENCE, rule={"rule": "table", "h": [1e308, 1e308],
+                                         "l": [0.0, 0.0]})),
+    ("thresholds", dict(REFERENCE, prior={"p_h": 0.4, "p_h_given_h": 0.7},
+                        rule={"rule": "table", "h": [1e308, 0.0], "l": [-1e308, 0.0]})),
+    ("falsify", dict(REFERENCE, k=3, prior={"p_h": 0.4, "p_h_given_h": 0.7},
+                     rule={"rule": "table", "h": [1e308, 0.0], "l": [-1e308, 0.0]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     code = cli.main([command, "--config", write_config(tmp_path, cfg)])
