@@ -32,11 +32,12 @@ the mechanism's closed forms, searching symmetric coalition strategies
 
 Utilities are evaluated two independent ways.  The searches
 (``find_deviation``, ``bne_check``) read only per-coalition reduced tensors
-(``_CoalitionEvaluator``): one full-lattice pass per coalition, with one
-einsum path search per operand shape per call, then candidates contracted
-in chunks of bounded size.  ``_utility``, the full-lattice einsum behind
-the ``game_*_utility`` functions, is the independent oracle that
-``verify_certificate`` recomputes every delta with.
+(``_CoalitionEvaluator``).  A coalition's build folds each outsider's
+strategy into the prior once, then gives each member one batched matmul of
+the fold with its utility table (``_reduced_tensors``); candidates are
+contracted in chunks of bounded size.  ``_utility``, the full-lattice
+einsum behind the ``game_*_utility`` functions, is the independent oracle
+that ``verify_certificate`` recomputes every delta with.
 
 Concept names, the success test and the deltas of a coalition sharing one
 strategy come from ``thresholds``, the same code its dichotomy checks use.
@@ -313,22 +314,27 @@ def game_interim_D_utility(game: FiniteBayesianGame, profile: MixedProfile, i: i
 
 
 def is_symmetric_game(game: FiniteBayesianGame, atol: float = 1e-12) -> bool:
-    """Exchangeability under adjacent agent transpositions (hence all of S_n)."""
+    """Exchangeability under adjacent agent transpositions (hence all of S_n).
+
+    Swapping agents j and j + 1 must leave the prior unchanged (their type
+    axes swapped), turn agent j + 1's utility into agent j's, and leave
+    every other agent's utility unchanged (their action axes swapped).  Each
+    transposition is one ``np.allclose`` of those left sides against their
+    right sides, so memory stays at one transposition's tables.
+    """
     if game.n == 1:
         return True
     if len(set(game.type_sets)) != 1 or len(set(game.action_sets)) != 1:
         return False
     for j in range(game.n - 1):
-        if not np.allclose(game.prior, np.swapaxes(game.prior, j, j + 1), atol=atol):
-            return False
+        lefts, rights = [game.prior], [np.swapaxes(game.prior, j, j + 1)]
         for i in range(game.n):
-            v = game.utilities[i]
-            if i == j:
-                if not np.allclose(v, np.swapaxes(game.utilities[j + 1], 1 + j, 2 + j), atol=atol):
-                    return False
-            elif i != j + 1:
-                if not np.allclose(v, np.swapaxes(v, 1 + j, 2 + j), atol=atol):
-                    return False
+            if i != j + 1:
+                lefts.append(game.utilities[i])
+                rights.append(np.swapaxes(game.utilities[j + 1 if i == j else i], 1 + j, 2 + j))
+        flat = [np.concatenate([side.ravel() for side in sides]) for sides in (lefts, rights)]
+        if not np.allclose(*flat, atol=atol):
+            return False
     return True
 
 
@@ -441,53 +447,62 @@ def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: fl
 _CHUNK_CELLS = 2 ** 15
 
 
+def _reduced_tensors(game: FiniteBayesianGame, profile: MixedProfile,
+                     coalition: tuple[int, ...]) -> list[np.ndarray]:
+    """Each member's T_i[t_D..., a_D...], axes interleaved per member in coalition order.
+
+    The outsiders are folded into the prior once, each by one two-operand
+    einsum over a (before, t_j, after) view that puts a_j in t_j's place.
+    The result, x[t_D..., a_out...], is shared by every member: member i's
+    tensor is one batched matmul of x with u_i[t_i, a_D, a_out] over a_out,
+    t_i the batch axis, returned as an interleaving view.  No einsum here
+    has more than two operands, so none plans or re-parses a path.
+    """
+    n, size = game.n, len(coalition)
+    outsiders = [j for j in range(n) if j not in coalition]
+    x = game.prior
+    for j in outsiders:
+        shape, m = x.shape, profile.strategies[j]
+        x3 = x.reshape(math.prod(shape[:j]), shape[j], math.prod(shape[j + 1:]))
+        x = np.einsum(x3, [0, 1, 2], m, [1, 3], [0, 3, 2])
+        x = x.reshape(shape[:j] + m.shape[1:] + shape[j + 1:])
+    # one copy into (t_D, a_out) order, which every member's reshape then views
+    x = np.ascontiguousarray(x.transpose(list(coalition) + outsiders))
+    t_shape = x.shape[:size]
+    a_shape = tuple(len(game.action_sets[c]) for c in coalition)
+    a_out = math.prod(x.shape[size:])
+    interleave = [ax for pos in range(size) for ax in (pos, size + pos)]
+    tensors = []
+    for pos, i in enumerate(coalition):
+        u = game.utilities[i].transpose([0] + [1 + c for c in coalition]
+                                        + [1 + j for j in outsiders])
+        u = u.reshape(len(u), math.prod(a_shape), a_out)
+        batched = x.reshape(math.prod(t_shape[:pos]), t_shape[pos],
+                            math.prod(t_shape[pos + 1:]), a_out)
+        t_i = np.matmul(batched, u.swapaxes(1, 2))
+        tensors.append(t_i.reshape(t_shape + a_shape).transpose(interleave))
+    return tensors
+
+
 class _CoalitionEvaluator:
-    """Per-coalition reduced tensors: one full-lattice pass, then cheap chunks.
+    """Per-coalition reduced tensors: one build, then cheap chunks.
 
     For member i, T_i[t_D..., a_D...] (axes interleaved per member in
     coalition order) sums the prior times non-member play times utility over
-    everything outside the coalition.  ``ex_ante`` and ``interim`` then
-    contract T_i with a chunk of B candidate assignments at once: one
-    (B, types, actions) stack of strategy matrices per member.  These
-    tensors are the only way ``find_deviation`` and ``bne_check`` evaluate
-    utilities; the full-lattice ``_utility`` stays the independent oracle
-    that ``verify_certificate`` recomputes deltas with.
-
-    ``paths`` maps (coalition size, operand shapes) to an einsum
-    contraction path.  The caller shares one dict across the builds of one
-    search, so numpy's greedy path search runs once per key, not once per
-    member of every coalition.  Greedy reads only the operands' index sets
-    and sizes, and the expressions that share a key differ only by a
-    size-preserving relabelling of indices, so it would pick the same path
-    for each of them: the reuse changes no float.
+    everything outside the coalition (``_reduced_tensors``).  ``ex_ante``
+    and ``interim`` then contract T_i with a chunk of B candidate
+    assignments at once: one (B, types, actions) stack of strategy matrices
+    per member.  These tensors are the only way ``find_deviation`` and
+    ``bne_check`` evaluate utilities; the full-lattice ``_utility`` stays
+    the independent oracle that ``verify_certificate`` recomputes deltas
+    with.
     """
 
     def __init__(self, game: FiniteBayesianGame, profile: MixedProfile,
-                 coalition: tuple[int, ...], paths: dict | None = None):
+                 coalition: tuple[int, ...]):
         self.game = game
         self.coalition = coalition
-        paths = {} if paths is None else paths
-        n = game.n
-        letters = string.ascii_letters
-        t = letters[:n]
-        a = letters[n:2 * n]
-        out = "".join(t[c] + a[c] for c in coalition)
-        self.tensors = []
-        for i in coalition:
-            operands = [game.prior]
-            subs = [t[:n]]
-            for j in range(n):
-                if j in coalition:
-                    continue
-                operands.append(profile.strategies[j])
-                subs.append(t[j] + a[j])
-            operands.append(game.utilities[i])
-            subs.append(t[i] + a)
-            expr = ",".join(subs) + "->" + out
-            key = (len(coalition),) + tuple(op.shape for op in operands)
-            if key not in paths:
-                paths[key] = np.einsum_path(expr, *operands, optimize="greedy")[0]
-            self.tensors.append(np.einsum(expr, *operands, optimize=paths[key]))
+        self.tensors = _reduced_tensors(game, profile, coalition)
         self.marginals = [game.type_marginal(i) for i in coalition]
 
     @staticmethod
@@ -574,8 +589,8 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     success in that order is returned.
 
     Each coalition's baseline and candidates are contractions of the same
-    reduced tensors (``_CoalitionEvaluator``), built with one einsum path
-    search per operand shape for the whole call.  Strategies are indices
+    reduced tensors (``_CoalitionEvaluator``), built once per coalition by
+    folding the outsiders into the prior.  Strategies are indices
     into one per-type grid (``_pool_stack``), the current play skipped by
     index.  Candidates are contracted in chunks of at most ``_CHUNK_CELLS``
     cells, so memory stays bounded at any k.
@@ -599,7 +614,6 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
     grid_of = [grids[len(a)] for a in game.action_sets]
     own = [_pool_index(grid_of[j], profile.strategies[j]) for j in range(game.n)]
     nodes = 0
-    paths: dict = {}
 
     for size in range(1, k + 1):
         if symmetric:
@@ -607,7 +621,7 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
         else:
             coalitions = list(itertools.combinations(range(game.n), size))
         for coalition in coalitions:
-            ev = _CoalitionEvaluator(game, profile, coalition, paths)
+            ev = _CoalitionEvaluator(game, profile, coalition)
             nodes += len(coalition)  # tensor-build pass, roughly one eval per member
             types = [len(game.type_sets[c]) for c in coalition]
             if concept == EX_ANTE:
@@ -699,9 +713,8 @@ def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
     """
     _check_profile(game, profile)
     worst = -np.inf
-    paths: dict = {}
     for i in range(game.n):
-        ev = _CoalitionEvaluator(game, profile, (i,), paths)
+        ev = _CoalitionEvaluator(game, profile, (i,))
         current = ev.interim((profile.strategies[i][None],))[0][0]
         pure = ev.tensors[0] / ev.marginals[0][:, None]
         worst = max(worst, float((pure - current[:, None]).max()))

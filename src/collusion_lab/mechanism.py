@@ -206,9 +206,26 @@ class _ScoreTable:
                 p_h * self.s_hl + (1.0 - p_h) * self.s_ll)
 
 
+#: Largest (n - 1) * |score| a utility sum may reach: a factor 2^24 below the
+#: float maximum, so sums over the n - 1 peers, and their differences, stay finite.
+_MAX_SCORE_SUM = 2.0 ** 1000
+
+
 def _score_table(setting: Setting) -> _ScoreTable:
-    """The setting's four scores; ``four_scores`` rejects non-finite ones."""
-    return _ScoreTable(*four_scores(setting.rule, setting.prior))
+    """The setting's four scores; ``four_scores`` rejects non-finite ones.
+
+    ``InvalidSetting`` too when (n - 1) times the largest |score| passes
+    ``_MAX_SCORE_SUM``, a sum over the peers could overflow, or when a
+    score is non-zero and n - 1 alone passes it.
+    """
+    scores = four_scores(setting.rule, setting.prior)
+    largest = max(map(abs, scores))
+    peers = setting.n - 1
+    # the int-float comparison is exact at any n, and below it float(peers) is finite
+    if largest and (peers > _MAX_SCORE_SUM or largest > _MAX_SCORE_SUM / peers):
+        raise InvalidSetting(f"scores up to {largest:g} in magnitude overflow a utility sum "
+                             f"over n - 1 = {peers} peers")
+    return _ScoreTable(*scores)
 
 
 def reward(setting: Setting, report_i: str, report_j: str) -> float:

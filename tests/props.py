@@ -608,6 +608,87 @@ def check_checker_mechanism_exactness(seed: int = 606, samples: int = 30) -> Non
                 assert abs(a - b) <= 1e-12
 
 
+def is_symmetric_game_by_pairs(game: cl.FiniteBayesianGame, atol: float = 1e-12) -> bool:
+    """``is_symmetric_game`` as a loop: one ``np.allclose`` per pair, stopping at the first miss."""
+    if game.n == 1:
+        return True
+    if len(set(game.type_sets)) != 1 or len(set(game.action_sets)) != 1:
+        return False
+    for j in range(game.n - 1):
+        if not np.allclose(game.prior, np.swapaxes(game.prior, j, j + 1), atol=atol):
+            return False
+        for i in range(game.n):
+            v = game.utilities[i]
+            if i == j:
+                if not np.allclose(v, np.swapaxes(game.utilities[j + 1], 1 + j, 2 + j), atol=atol):
+                    return False
+            elif i != j + 1:
+                if not np.allclose(v, np.swapaxes(v, 1 + j, 2 + j), atol=atol):
+                    return False
+    return True
+
+
+def random_exchangeable_game(rng: np.random.Generator, n: int, types: int,
+                             actions: int) -> cl.FiniteBayesianGame:
+    """A random game that every permutation of the agents leaves unchanged.
+
+    The prior is averaged over all axis permutations.  Agent 0's utility is
+    averaged over the permutations of the other agents' action axes, and
+    agent i's is agent 0's with the action axes of agents 0 and i swapped.
+    """
+    perms = list(itertools.permutations(range(n)))
+    prior = rng.uniform(0.1, 1.0, size=(types,) * n)
+    prior = sum(prior.transpose(p) for p in perms) / len(perms)
+    u0 = rng.uniform(-1.0, 1.0, size=(types,) + (actions,) * n)
+    others = list(itertools.permutations(range(2, n + 1)))
+    u0 = sum(u0.transpose((0, 1) + p) for p in others) / len(others)
+    return cl.FiniteBayesianGame(
+        n=n, type_sets=(tuple(f"t{j}" for j in range(types)),) * n,
+        action_sets=(tuple(f"a{j}" for j in range(actions)),) * n,
+        prior=prior / prior.sum(),
+        utilities=tuple(np.swapaxes(u0, 1, 1 + i).copy() for i in range(n)))
+
+
+def check_symmetric_game_matches_pairs(seed: int = 3737, games: int = 40) -> dict:
+    """``is_symmetric_game`` gives the pair loop's verdict on perturbed exchangeable games.
+
+    Exchangeable games (n 2..4, 1-3 types, 2-3 actions) and peer prediction
+    games (n 2..6), each as drawn and with one entry moved: a utility entry,
+    or a pair of prior entries in opposite directions so the prior still
+    sums to 1.  The move is half of ``atol`` (inside every pair's bound) or
+    twice the largest bound ``atol + 1e-5 * |entry|`` (outside), at two
+    values of ``atol``.  Returns how often each verdict was seen.
+    """
+    rng = np.random.default_rng(seed)
+    seen = {True: 0, False: 0}
+    for g in range(games):
+        if g % 2:
+            setting = cl.make_setting(2 + g % 5, random_rule(rng), prior=random_prior(rng))
+            game = cl.peer_prediction_game(setting)
+        else:
+            game = random_exchangeable_game(rng, 2 + g % 3, int(rng.integers(1, 4)),
+                                            int(rng.integers(2, 4)))
+        for atol in (1e-12, 1e-6):
+            largest = max(float(np.abs(v).max()) for v in (game.prior,) + game.utilities)
+            for move in (0.0, 0.5 * atol, 2.0 * (atol + 1e-5 * largest)):
+                prior, utilities = game.prior.copy(), [v.copy() for v in game.utilities]
+                if g % 3 == 0 and prior.size > 1:
+                    flat = prior.reshape(-1)
+                    a, b = rng.choice(prior.size, size=2, replace=False)
+                    flat[a] += move
+                    flat[b] -= move
+                else:
+                    v = utilities[int(rng.integers(0, game.n))].reshape(-1)
+                    v[int(rng.integers(0, v.size))] += move
+                moved = cl.FiniteBayesianGame(
+                    n=game.n, type_sets=game.type_sets, action_sets=game.action_sets,
+                    prior=prior, utilities=tuple(utilities))
+                verdict = cl.is_symmetric_game(moved, atol=atol)
+                assert verdict == is_symmetric_game_by_pairs(moved, atol=atol), (g, atol, move)
+                seen[verdict] += 1
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # finite-game search: seeded cases for the golden file
 # ---------------------------------------------------------------------------
@@ -676,33 +757,49 @@ def game_search_outcome(case: dict) -> dict:
 # finite-game search: the per-candidate loop as an oracle
 # ---------------------------------------------------------------------------
 
+def einsum_reduced_tensors(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                           coalition: tuple[int, ...]) -> list[np.ndarray]:
+    """Each member's reduced tensor as one full-lattice einsum.
+
+    The build the coalition evaluator used before it folded the outsiders
+    into the prior: prior, outsider strategies and the member's utility in
+    one expression, with a path planned per build (``optimize=True``).
+    """
+    n = game.n
+    t = string.ascii_letters[:n]
+    a = string.ascii_letters[n:2 * n]
+    out = "".join(t[c] + a[c] for c in coalition)
+    tensors = []
+    for i in coalition:
+        operands = [game.prior]
+        subs = [t[:n]]
+        for j in range(n):
+            if j in coalition:
+                continue
+            operands.append(profile.strategies[j])
+            subs.append(t[j] + a[j])
+        operands.append(game.utilities[i])
+        subs.append(t[i] + a)
+        expr = ",".join(subs) + "->" + out
+        tensors.append(np.einsum(expr, *operands, optimize=True))
+    return tensors
+
+
 class CandidateEvaluator:
     """Reduced coalition tensors contracted one candidate at a time.
 
     The coalition evaluator as it was before it contracted candidates in
-    chunks.  Every build plans its own einsum paths (``optimize=True``), so
-    this oracle shares no path and no batching with the code it checks.
+    chunks.  The tensors come from ``build``: by default the package's
+    builder, so a chunked contraction and this loop read the same tensors
+    and agree bit for bit; ``einsum_reduced_tensors`` gives an evaluator
+    that shares no build code with the package.
     """
 
     def __init__(self, game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
-                 coalition: tuple[int, ...]):
-        n = game.n
-        t = string.ascii_letters[:n]
-        a = string.ascii_letters[n:2 * n]
-        out = "".join(t[c] + a[c] for c in coalition)
-        self.tensors = []
-        for i in coalition:
-            operands = [game.prior]
-            subs = [t[:n]]
-            for j in range(n):
-                if j in coalition:
-                    continue
-                operands.append(profile.strategies[j])
-                subs.append(t[j] + a[j])
-            operands.append(game.utilities[i])
-            subs.append(t[i] + a)
-            expr = ",".join(subs) + "->" + out
-            self.tensors.append(np.einsum(expr, *operands, optimize=True))
+                 coalition: tuple[int, ...], build=None):
+        from collusion_lab.checker import _reduced_tensors
+
+        self.tensors = (build or _reduced_tensors)(game, profile, coalition)
         self.marginals = [game.type_marginal(i) for i in coalition]
 
     def ex_ante(self, assignment) -> list[float]:
@@ -756,12 +853,14 @@ def grid_index(strategies, m: np.ndarray):
 
 def find_deviation_by_candidates(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
                                  k: int, concept: str, grid_steps: int = 11,
-                                 budget: int = cl.DEFAULT_BUDGET, tol: float = cl.DEFAULT_TOL):
+                                 budget: int = cl.DEFAULT_BUDGET, tol: float = cl.DEFAULT_TOL,
+                                 build=None):
     """``find_deviation`` as a plain loop: one contraction and one budget check per candidate.
 
     Every member's whole strategy pool is built up front as arrays
     (``member_strategies``), so it shares no grid or pool code with the
-    index arithmetic it checks.
+    index arithmetic it checks.  ``build`` makes the reduced tensors, as in
+    ``CandidateEvaluator``.
     """
     from collusion_lab.checker import _check_profile, _profile_symmetric
     from collusion_lab.thresholds import deviation_succeeds
@@ -778,7 +877,7 @@ def find_deviation_by_candidates(game: cl.FiniteBayesianGame, profile: cl.MixedP
         else:
             coalitions = list(itertools.combinations(range(game.n), size))
         for coalition in coalitions:
-            ev = CandidateEvaluator(game, profile, coalition)
+            ev = CandidateEvaluator(game, profile, coalition, build)
             nodes += len(coalition)  # tensor-build pass, roughly one eval per member
             if concept == cl.EX_ANTE:
                 contract, cost = ev.ex_ante, len(coalition)
@@ -822,11 +921,11 @@ def find_deviation_by_candidates(game: cl.FiniteBayesianGame, profile: cl.MixedP
 
 
 def bne_check_by_tensors(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
-                         tol: float = cl.DEFAULT_TOL) -> tuple[bool, float]:
-    """``bne_check`` on one ``CandidateEvaluator`` per agent."""
+                         tol: float = cl.DEFAULT_TOL, build=None) -> tuple[bool, float]:
+    """``bne_check`` on one ``CandidateEvaluator`` per agent (tensors from ``build``)."""
     worst = -np.inf
     for i in range(game.n):
-        ev = CandidateEvaluator(game, profile, (i,))
+        ev = CandidateEvaluator(game, profile, (i,), build)
         current = np.array(ev.interim((profile.strategies[i],))[0])
         pure = ev.tensors[0] / ev.marginals[0][:, None]
         worst = max(worst, float((pure - current[:, None]).max()))
@@ -860,6 +959,120 @@ def check_chunk_contraction_matches_candidates(seed: int = 3131, games: int = 40
             assert [float(x[b]) for x in ex_ante] == single.ex_ante(assignment), (g, b)
             assert ([tuple(float(v) for v in x[b]) for x in interim]
                     == single.interim(assignment)), (g, b)
+
+
+def random_wide_game(rng: np.random.Generator, n: int) -> cl.FiniteBayesianGame:
+    """Random game with 1-5 types and 2-6 actions per agent, action counts not all equal."""
+    type_counts = [int(rng.integers(1, 6)) for _ in range(n)]
+    action_counts = [int(rng.integers(2, 7)) for _ in range(n)]
+    if len(set(action_counts)) == 1:
+        action_counts[-1] = 2 + (action_counts[-1] - 1) % 5  # a different count in 2..6
+    prior = rng.uniform(0.1, 1.0, size=tuple(type_counts))
+    return cl.FiniteBayesianGame(
+        n=n,
+        type_sets=tuple(tuple(f"t{j}" for j in range(c)) for c in type_counts),
+        action_sets=tuple(tuple(f"a{j}" for j in range(c)) for c in action_counts),
+        prior=prior / prior.sum(),
+        utilities=tuple(rng.uniform(-1.0, 1.0, size=(type_counts[i],) + tuple(action_counts))
+                        for i in range(n)))
+
+
+def reduced_tensor_error(game: cl.FiniteBayesianGame, profile: cl.MixedProfile,
+                         coalition: tuple[int, ...]) -> float:
+    """Largest |fold - einsum| over every member's reduced tensor, relative to its max |entry|.
+
+    The shapes must agree, axes interleaved per member in coalition order.
+    """
+    from collusion_lab.checker import _reduced_tensors
+
+    worst = 0.0
+    for got, want in zip(_reduced_tensors(game, profile, coalition),
+                         einsum_reduced_tensors(game, profile, coalition), strict=True):
+        assert got.shape == want.shape, (coalition, got.shape, want.shape)
+        scale = float(np.abs(want).max())
+        if scale:
+            worst = max(worst, float(np.abs(got - want).max()) / scale)
+        else:
+            assert not got.any(), coalition
+    return worst
+
+
+def check_reduced_tensors_match_einsum(seed: int = 2424, games: int = 24) -> float:
+    """The folded build against the one-expression einsum on random games, every coalition.
+
+    n 2..4, 1-5 types and 2-6 actions per agent, mixed profiles (off every
+    grid, so no product is exact); every coalition in ascending order, and
+    each one reversed.  Returns the largest relative error.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for g in range(games):
+        game = random_wide_game(rng, n=2 + g % 3)
+        profile = random_mixed_profile(rng, game)
+        for size in range(1, game.n + 1):
+            for coalition in itertools.combinations(range(game.n), size):
+                for members in (coalition, coalition[::-1]):
+                    worst = max(worst, reduced_tensor_error(game, profile, members))
+    return worst
+
+
+def check_peer_tensors_match_einsum(seed: int = 2525, max_n: int = 10) -> float:
+    """The folded build against the einsum on peer prediction games, n 2..max_n, every size.
+
+    Per n, utilities scaled per agent (members differ) and one agent on a
+    noisy report; per size, one coalition drawn at random and the leading
+    one, range(size).  Returns the largest relative error.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for n in range(2, max_n + 1):
+        setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
+        game = cl.peer_prediction_game(setting)
+        scales = rng.uniform(0.5, 2.0, size=n)
+        game = cl.FiniteBayesianGame(
+            n=n, type_sets=game.type_sets, action_sets=game.action_sets, prior=game.prior,
+            utilities=tuple(c * v for c, v in zip(scales, game.utilities)))
+        eps = float(rng.uniform(0.1, 0.3))
+        noisy = int(rng.integers(0, n))
+        profile = cl.truthful_profile(game).replace(
+            {noisy: np.array([[1.0 - eps, eps], [eps, 1.0 - eps]])})
+        for size in range(1, n + 1):
+            drawn = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            for coalition in {drawn, tuple(range(size))}:
+                worst = max(worst, reduced_tensor_error(game, profile, coalition))
+    return worst
+
+
+def check_find_deviation_matches_einsum_loop(cases, delta_tol: float = 1e-12) -> dict:
+    """``find_deviation`` against the per-candidate loop on einsum-built tensors.
+
+    The two share no tensor build, so their floats may differ in the last
+    bits: verdict, ``nodes_searched``, coalition and strategies must match
+    with ``==``, deltas within ``delta_tol``.  Also ``bne_check`` against
+    ``bne_check_by_tensors`` on the same tensors: the same verdict and the
+    worst violation within ``delta_tol``.  Returns the count of each kind
+    of outcome.
+    """
+    kinds = {"found": 0, "none": 0, "budget": 0}
+    for i, (game, profile, k, concept, kwargs) in enumerate(cases):
+        fast = search_outcome(cl.find_deviation, game, profile, k, concept, **kwargs)
+        slow = search_outcome(find_deviation_by_candidates, game, profile, k, concept,
+                              build=einsum_reduced_tensors, **kwargs)
+        assert fast[0] == slow[0], (i, fast, slow)
+        if fast[0] == "budget" or fast[1] is None or slow[1] is None:
+            assert fast == slow, (i, fast, slow)
+        else:
+            got, want = dict(fast[1]), dict(slow[1])
+            got_deltas, want_deltas = got.pop("deltas"), want.pop("deltas")
+            assert got == want, (i, got, want)
+            assert np.allclose(got_deltas, want_deltas, rtol=0, atol=delta_tol), (
+                i, got_deltas, want_deltas)
+        holds, worst = cl.bne_check(game, profile)
+        want_holds, want_worst = bne_check_by_tensors(game, profile, build=einsum_reduced_tensors)
+        assert holds == want_holds and abs(worst - want_worst) <= delta_tol, (i, worst, want_worst)
+        kinds["budget" if fast[0] == "budget" else
+              ("none" if fast[1] is None else "found")] += 1
+    return kinds
 
 
 def search_outcome(search, *args, **kwargs):

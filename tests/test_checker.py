@@ -286,6 +286,41 @@ class TestFindDeviation:
     def test_chunk_contraction_matches_candidates(self):
         props.check_chunk_contraction_matches_candidates()
 
+    def test_reduced_tensors_match_einsum(self):
+        # folded build vs one einsum per member: sums in another order, so
+        # compared within 1e-12 of each tensor's largest |entry|
+        assert props.check_reduced_tensors_match_einsum() <= 1e-12
+        assert props.check_peer_tensors_match_einsum() <= 1e-12
+
+    def test_matches_einsum_candidate_loop(self):
+        # the per-candidate loop on einsum-built tensors: same verdicts,
+        # nodes_searched, coalitions and strategies, deltas within 1e-12
+        cases = [props.game_search_case_args(c) for c in props.game_search_cases()]
+        kinds = props.check_find_deviation_matches_einsum_loop(
+            cases + props.peer_prediction_search_cases())
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_searches_plan_no_einsum_path(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def guarded(*operands, **kwargs):
+            assert not kwargs.get("optimize"), "a search planned an einsum path"
+            calls.append(len(operands))
+            return einsum(*operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", guarded)
+        peer = cl.peer_prediction_game(
+            cl.make_setting(5, cl.BrierRule(), prior=cl.make_prior(2 / 3, 0.8)))
+        rng = np.random.default_rng(12)
+        wide = props.random_wide_game(rng, n=3)
+        for game, profile in ((peer, cl.truthful_profile(peer)),
+                              (wide, props.random_mixed_profile(rng, wide))):
+            for concept in ("ex_ante", "bayesian"):
+                cl.find_deviation(game, profile, 3, concept, grid_steps=3, budget=20_000)
+            cl.bne_check(game, profile)
+        assert calls  # the searches went through the wrapper
+
     def test_one_candidate_per_chunk(self, monkeypatch):
         monkeypatch.setattr(checker, "_CHUNK_CELLS", 1)
         cases = [props.game_search_case_args(c) for c in props.game_search_cases()]
@@ -512,6 +547,10 @@ class TestSymmetryDetection:
         rng = np.random.default_rng(43)
         game = props.random_game(rng, n=2)
         assert not cl.is_symmetric_game(game)
+
+    def test_one_comparison_matches_pair_loop(self):
+        seen = props.check_symmetric_game_matches_pairs()
+        assert min(seen.values()) >= 20, seen
 
 
 class TestInterimD:

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from decimal import Decimal
 from pathlib import Path
 
@@ -450,13 +451,19 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
                         rule={"rule": "table", "h": [1e308, 0.0], "l": [-1e308, 0.0]})),
     ("falsify", dict(REFERENCE, k=3, prior={"p_h": 0.4, "p_h_given_h": 0.7},
                      rule={"rule": "table", "h": [1e308, 0.0], "l": [-1e308, 0.0]})),
+    # finite scores, zero spread, but 99 peers times 1e308 overflows a utility sum
+    ("falsify", dict(REFERENCE, k=3, prior={"p_h": 0.4, "p_h_given_h": 0.7},
+                     rule={"rule": "table", "h": [1e308, 0.0], "l": [1e308, 0.0]})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
-    code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", write_config(tmp_path, cfg)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], captured.err
 
 
 OVERLONG = "1" + "0" * 5000  # more digits than Python converts to an int

@@ -8,6 +8,7 @@ import pytest
 
 import collusion_lab as cl
 import props
+from collusion_lab import mechanism
 
 
 SETTING = props.reference_setting()
@@ -410,3 +411,27 @@ class TestPairKernel:
                      lambda: cl.find_setting_deviation(setting, 3, "ex_ante")):
             with pytest.raises(cl.InvalidSetting):
                 call()
+
+    @pytest.mark.parametrize("n", [2, 10, 10 ** 6, 2 ** 62])
+    def test_score_magnitude_bounded_by_peer_count(self, n):
+        # every score c: a utility sums (n - 1) * c, priced up to _MAX_SCORE_SUM
+        limit = mechanism._MAX_SCORE_SUM / (n - 1)
+        for c in (limit * (1 - 1e-9), -limit * (1 - 1e-9)):
+            setting = cl.make_setting(n, cl.TableRule(c, 0.0, c, 0.0), prior=SETTING.prior)
+            assert cl.truthful_ex_ante(setting) == pytest.approx(c, rel=1e-12)
+        for c in (limit * (1 + 1e-9), -limit * (1 + 1e-9)):
+            setting = cl.make_setting(n, cl.TableRule(c, 0.0, c, 0.0), prior=SETTING.prior)
+            with pytest.raises(cl.InvalidSetting):
+                cl.truthful_ex_ante(setting)
+
+    def test_score_magnitude_check_at_any_n(self):
+        # n - 1 past _MAX_SCORE_SUM (and the float range): only zero scores are priced,
+        # and the check compares an int with a float, so it raises no OverflowError
+        for c, ok in ((0.0, True), (1e-300, False), (1.0, False)):
+            setting = cl.make_setting(10 ** 400, cl.TableRule(c, 0.0, c, 0.0),
+                                      prior=SETTING.prior)
+            if ok:
+                assert mechanism._score_table(setting).s_hh == c
+            else:
+                with pytest.raises(cl.InvalidSetting):
+                    mechanism._score_table(setting)
