@@ -68,6 +68,7 @@ from .mechanism import (
     DeviationProfile,
     Setting,
     Strategy,
+    _MAX_SCORE_SUM,
     _ScoreTable,
     _pair_term_ex_ante,
     _pair_term_interim,
@@ -153,8 +154,9 @@ class FiniteBayesianGame:
             if v.shape != (t_shape[i],) + a_shape:
                 raise InvalidGame(
                     f"utility table {i} has shape {v.shape}, expected {(t_shape[i],) + a_shape}")
-            if not np.all(np.isfinite(v)):
-                raise InvalidGame(f"utility table {i} must hold finite numbers")
+            # NaN fails too, as min and max return it; the bound keeps every delta finite
+            if not (-_MAX_SCORE_SUM <= v.min() and v.max() <= _MAX_SCORE_SUM):
+                raise InvalidGame(f"utility table {i} must hold numbers within +-2^1000")
         for i in range(self.n):
             if np.any(self.type_marginal(i) <= 0.0):
                 raise InvalidGame(f"every type of agent {i} must have positive prior probability")

@@ -9,14 +9,16 @@ Subcommands:
     scan             threshold sweep over n or a prior parameter, CSV out
     game-check       best-response / deviation checks on a game JSON
 
-Configuration comes from a JSON file (--config) with selected flag
-overrides; unknown keys are rejected.  Exit codes: 0 success, 1 falsifier
-found nothing at the given resolution/budget, 2 configuration error,
-3 search budget exhausted.  ``falsify`` and ``game-check`` validate their
-search options (k, concept, grid_steps, budget) the same way.  All output
-is deterministic for a fixed config and seed; randomness flows from the
-single seed through fixed-size trial blocks (one spawned stream each).
-``scan`` emits its rows in sweep order.
+Configuration comes from a JSON file (--config).  A command accepts exactly
+the config keys it reads (``_COMMANDS``), and each scalar one (``_FLAGS``)
+is also a flag that overrides the file: ``--grid-steps`` for ``grid_steps``.
+Exit codes: 0 success, 1 falsifier found nothing at the given
+resolution/budget, 2 configuration error, 3 search budget exhausted.
+``falsify`` and ``game-check`` validate their search options (k, concept,
+grid_steps, budget) the same way.  All output is deterministic for a
+fixed config and seed; randomness flows from the single seed through
+fixed-size trial blocks (one spawned stream each).  ``scan`` emits its
+rows in sweep order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import checker, mechanism, prior, scoring, thresholds
@@ -46,17 +48,6 @@ EXIT_BUDGET = 3
 
 SCAN_HEADER = "n,k_E_h,k_E_l,k_E,k_B_h,k_B_l,k_B,n_zero,error"
 
-_SETTING_KEYS = {"n", "rule", "prior", "world_model", "tolerance", "format"}
-_COMMAND_KEYS = {
-    "thresholds": set(),
-    "verify-examples": set(),
-    "falsify": {"k", "concept", "grid_steps", "budget"},
-    "simulate": {"deviators", "trials", "seed"},
-    "scan": {"sweep"},
-    "game-check": {"game", "profile", "k", "concept", "grid_steps", "budget"},
-}
-
-
 def _dump(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
@@ -69,8 +60,7 @@ def _emit(text: str) -> None:
 
 @dataclass
 class RunConfig:
-    command: str
-    raw: dict = field(default_factory=dict)
+    raw: dict
     tolerance: float = scoring.DEFAULT_TOL
     fmt: str = "json"
 
@@ -104,38 +94,42 @@ def _checked_n(raw: dict) -> int:
     return n
 
 
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document at ``path``, or a one-line ``ConfigError`` naming ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {what} {path} at line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer too long for int() to convert
+        raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
     raw: dict = {}
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        except ValueError as exc:  # an integer too long for int() to convert
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        raw = _read_json(path, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
-    allowed = _SETTING_KEYS | _COMMAND_KEYS[command]
-    unknown = set(raw) - allowed
+    allowed = _COMMANDS[command][1]
+    unknown = set(raw).difference(allowed)
     if unknown:
         raise ConfigError(
             f"unknown config keys for {command}: {sorted(unknown)} (allowed: {sorted(allowed)})")
-    cfg = RunConfig(command=command, raw=raw)
+    cfg = RunConfig(raw=raw)
     if "tolerance" in raw:
         tol = raw["tolerance"]
         if not scoring.is_finite_number(tol) or tol <= 0:
             raise ConfigError(f'"tolerance" must be a finite positive number, got {tol!r}')
         cfg.tolerance = float(tol)
     if "format" in raw:
-        if raw["format"] not in ("json", "text", "csv"):
+        if raw["format"] not in _FLAGS["format"]:
             raise ConfigError(f'unknown format {raw["format"]!r}')
         cfg.fmt = raw["format"]
     return cfg
@@ -439,15 +433,7 @@ def cmd_game_check(cfg: RunConfig) -> int:
     if spec is None:
         raise ConfigError('game-check needs a "game" (path or inline object)')
     if isinstance(spec, str):
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read game file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid game JSON at line {exc.lineno}: {exc.msg}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"invalid game JSON: {exc}") from exc
+        spec = _read_json(spec, "game")
     game = checker.FiniteBayesianGame.from_dict(spec)
     profile_spec = cfg.raw.get("profile")
     if profile_spec is None:
@@ -484,13 +470,25 @@ def cmd_game_check(cfg: RunConfig) -> int:
 # entry
 # ---------------------------------------------------------------------------
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
-    "thresholds": cmd_thresholds,
-    "verify-examples": cmd_verify_examples,
-    "falsify": cmd_falsify,
-    "simulate": cmd_simulate,
-    "scan": cmd_scan,
-    "game-check": cmd_game_check,
+_SETTING = ("n", "rule", "prior", "world_model")
+_SEARCH = ("k", "concept", "grid_steps", "budget")
+
+#: Each command and the config keys it reads, the only keys it accepts.
+_COMMANDS: dict[str, tuple[Callable[[RunConfig], int], tuple[str, ...]]] = {
+    "thresholds": (cmd_thresholds, (*_SETTING, "tolerance", "format")),
+    "verify-examples": (cmd_verify_examples, ("tolerance", "format")),
+    "falsify": (cmd_falsify, (*_SETTING, "tolerance", *_SEARCH)),
+    "simulate": (cmd_simulate, (*_SETTING, "deviators", "trials", "seed")),
+    "scan": (cmd_scan, (*_SETTING, "tolerance", "sweep")),
+    "game-check": (cmd_game_check, ("game", "profile", "tolerance", *_SEARCH)),
+}
+
+#: The scalar keys, each with its flag's type or choices: a command has a
+#: ``--key`` flag for each of them that it reads.
+_FLAGS: dict[str, type | list[str]] = {
+    "n": int, "tolerance": float, "format": ["json", "text"],
+    "k": int, "concept": list(thresholds.CONCEPTS), "grid_steps": int, "budget": int,
+    "trials": int, "seed": int,
 }
 
 
@@ -501,20 +499,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="collusion-lab",
         description="Collusion thresholds and deviation falsifiers for peer prediction")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--format", dest="format", choices=["json", "text", "csv"], default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        if name in ("falsify", "game-check"):
-            p.add_argument("--k", type=int, default=None)
-            p.add_argument("--concept", choices=list(thresholds.CONCEPTS), default=None)
-            p.add_argument("--grid-steps", dest="grid_steps", type=int, default=None)
-            p.add_argument("--budget", type=int, default=None)
-        if name == "simulate":
-            p.add_argument("--trials", type=int, default=None)
-            p.add_argument("--seed", type=int, default=None)
+        for key in filter(_FLAGS.__contains__, keys):
+            spec = _FLAGS[key]
+            kind = {"choices": spec} if isinstance(spec, list) else {"type": spec}
+            p.add_argument("--" + key.replace("_", "-"), **kind)
     return parser
 
 
@@ -523,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = load_config(args.config, args.command, overrides)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

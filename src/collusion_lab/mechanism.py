@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -445,7 +445,10 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     Per-role count, mean and sum of squared deviations are merged block by
     block (Chan, Golub & LeVeque 1979), so memory stays bounded: a block
     holds at most 4096 trials and about 2^20 (trial, role) cells.  A role
-    whose every value is equal reports that value with stderr 0.0.
+    whose every value is equal reports that value with stderr 0.0.  The
+    scores are scaled by a power of two so the largest is below 1 in
+    magnitude, and the results scaled back: no square overflows, and the
+    scale changes no bit unless it pushes a value into the subnormal range.
     Deterministic for a fixed seed: each block draws from its own spawned
     random stream, so results do not depend on execution order, and no
     memory grows with ``trials``.
@@ -460,7 +463,9 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     n = setting.n
     if k > n:
         raise InvalidSetting(f"profile has {k} deviators but the setting has n={n}")
-    table = _score_table(setting)
+    scores = astuple(_score_table(setting))
+    e = math.frexp(max(map(abs, scores)))[1]
+    table = _ScoreTable(*(math.ldexp(x, -e) for x in scores))
     wm = setting.world_model
     free = n - k
     beta_l = np.array([s.beta_l for s in profile.deviators])
@@ -503,9 +508,10 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
 
     def _stats(j: int) -> dict:
         if lo[j] == hi[j]:
-            return {"mean": float(lo[j]), "stderr": 0.0, "trials": trials, "seed": seed}
+            return {"mean": math.ldexp(lo[j], e), "stderr": 0.0, "trials": trials, "seed": seed}
         stderr = math.sqrt(m2[j] / (trials - 1) / trials)
-        return {"mean": float(mean[j]), "stderr": stderr, "trials": trials, "seed": seed}
+        return {"mean": math.ldexp(mean[j], e), "stderr": math.ldexp(stderr, e),
+                "trials": trials, "seed": seed}
 
     out = {f"deviator_{idx}": _stats(idx) for idx in range(k)}
     if free:

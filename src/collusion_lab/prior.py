@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidPrior, ZeroLikelihood
-from .scoring import HIGH, LOW, BinaryDist
+from .scoring import HIGH, LOW, BinaryDist, is_finite_number
 
 _EXCHANGEABILITY_TOL = 1e-12
 
@@ -196,7 +196,7 @@ def world_model_for_prior(prior: BinaryPrior) -> WorldModel:
 
 
 def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
-    """Read ``{"prior": {...}}`` or ``{"world_model": {...}}`` config keys."""
+    """Read ``{"prior": {...}}`` or ``{"world_model": {...}}``, whose values are JSON numbers."""
     has_prior = "prior" in config
     has_wm = "world_model" in config
     if has_prior == has_wm:
@@ -207,14 +207,15 @@ def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
     if not isinstance(spec, dict) or set(spec) != fields:
         got = sorted(spec) if isinstance(spec, dict) else type(spec).__name__
         raise InvalidPrior(f"{key} needs exactly the keys {', '.join(sorted(fields))}; got {got}")
-    try:
-        if has_prior:
-            values = float(spec["p_h"]), float(spec["p_h_given_h"])
-        else:
-            values = tuple(map(float, spec["p_state"])), tuple(map(float, spec["p_h_given_state"]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidPrior(f"{key} values must be numbers: {exc}") from exc
     if has_prior:
-        return make_prior(*values), None
-    wm = WorldModel(*values)
+        values = spec["p_h"], spec["p_h_given_h"]
+        if not all(map(is_finite_number, values)):
+            raise InvalidPrior(f"prior values must be finite JSON numbers, got {spec!r}")
+        return make_prior(*map(float, values)), None
+    pairs = spec["p_state"], spec["p_h_given_state"]
+    if not all(isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))
+               for v in pairs):
+        raise InvalidPrior(f"world_model values must be lists of two finite JSON numbers, "
+                           f"got {spec!r}")
+    wm = WorldModel(*(tuple(map(float, v)) for v in pairs))
     return induce_prior(wm), wm

@@ -198,8 +198,10 @@ def rule_from_config(config: dict) -> ScoringRule:
         extra = set(config) - {"rule", "h", "l", "strictly_proper"}
         if extra:
             raise InvalidDist(f"unknown scoring-rule keys {sorted(extra)}")
-        return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"),
-                         bool(config.get("strictly_proper", False)))
+        strict = config.get("strictly_proper", False)
+        if not isinstance(strict, bool):
+            raise InvalidDist(f'table rule "strictly_proper" must be true or false, got {strict!r}')
+        return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"), strict)
     raise InvalidDist(f"unknown scoring rule {kind!r}")
 
 

@@ -44,7 +44,7 @@ forms and the falsifiers decide success the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidSetting, NoFiniteN
@@ -97,21 +97,7 @@ class ThresholdReport:
     ratio_l: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "concept": self.concept,
-            "n": self.n,
-            "k_h": self.k_h,
-            "k_l": self.k_l,
-            "k": self.k,
-            "k_h_infinite": self.k_h_infinite,
-            "k_l_infinite": self.k_l_infinite,
-            "numerator_h": self.numerator_h,
-            "denominator_h": self.denominator_h,
-            "numerator_l": self.numerator_l,
-            "denominator_l": self.denominator_l,
-            "ratio_h": self.ratio_h,
-            "ratio_l": self.ratio_l,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ThresholdReport":

@@ -149,6 +149,21 @@ class TestGameUtilities:
                 prior=np.array([[1.0], [0.0]]),  # type u has zero marginal
                 utilities=(np.zeros((2, 2, 2)), np.zeros((1, 2, 2))))
 
+    def test_utility_magnitude_bounded(self):
+        # |utility| <= 2^1000 keeps every expected utility and delta finite
+        bound = 2.0 ** 1000
+        for c in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf), np.nan, np.inf):
+            with pytest.raises(cl.InvalidGame):
+                constant_game(c=c)
+        v = np.array([[[-bound, -bound], [bound, bound]]])
+        game = cl.FiniteBayesianGame(
+            n=2, type_sets=(("t",),) * 2, action_sets=(("x", "y"),) * 2,
+            prior=np.ones((1, 1)), utilities=(v, np.zeros((1, 2, 2))))
+        truthful_x = pure_profile(game, [[0], [0]])
+        assert cl.bne_check(game, truthful_x) == (False, 2.0 ** 1001)
+        cert = cl.find_deviation(game, truthful_x, 1, "ex_ante", grid_steps=3)
+        assert cert.deltas == (2.0 ** 1001,)
+
 
 class TestFindDeviation:
     def test_truthful_peer_prediction_k1(self):

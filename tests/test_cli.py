@@ -79,6 +79,15 @@ class TestThresholdsCommand:
         assert "line 3" in err
 
 
+def test_invalid_game_json_line_reference(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    game.write_text('{\n  "n": 2,\n  oops\n}')
+    code = cli.main(["game-check", "--config", write_config(tmp_path, {"game": str(game)})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "line 3" in captured.err and "game" in captured.err
+
+
 class TestVerifyExamplesCommand:
     def test_passes_with_single_warn(self, capsys):
         code, out = run(capsys, ["verify-examples"])
@@ -176,6 +185,20 @@ class TestSimulateCommand:
         cfg["prior"] = {"p_h": 0.5, "p_h_given_h": 0.8}
         code, _ = run(capsys, ["simulate", "--config", write_config(tmp_path, cfg)])
         assert code == 2
+
+    def test_huge_scores(self, tmp_path, capsys):
+        # scores of +-1e200 square to inf unless the simulator rescales them
+        rule = {"rule": "table", "h": [1e200, 0.0], "l": [-1e200, 0.0]}
+        cfg = dict(self.WM_CFG, n=6, rule=rule, trials=300, seed=3)
+        code, out = run(capsys, ["simulate", "--config", write_config(tmp_path, cfg)])
+        assert code == 0
+        setting = cl.make_setting(6, cl.rule_from_config(rule), world_model=cl.WorldModel(
+            (0.5, 0.5), (0.9, 0.2)))
+        profile = cl.DeviationProfile((cl.Strategy(0.0, 1.0),))
+        for role, stats in json.loads(out).items():
+            who = cl.TRUTHFUL if role == "truthful" else 0
+            want = cl.ex_ante_utility(setting, profile, who)
+            assert 0.0 < abs(stats["mean"] - want) <= 5.0 * stats["stderr"], (role, stats, want)
 
 
 class TestScanCommand:
@@ -454,6 +477,21 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     # finite scores, zero spread, but 99 peers times 1e308 overflows a utility sum
     ("falsify", dict(REFERENCE, k=3, prior={"p_h": 0.4, "p_h_given_h": 0.7},
                      rule={"rule": "table", "h": [1e308, 0.0], "l": [1e308, 0.0]})),
+    # finite utilities whose difference overflows a delta
+    ("game-check", {"game": dict(GAME, actions=[["x", "y"], ["x", "y"]],
+                                 utilities=[[[[-1.7e308, -1.7e308], [1.7e308, 1.7e308]]],
+                                            [[[0.0, 0.0], [0.0, 0.0]]]]),
+                    "profile": GAME_CFG["profile"], "k": 1, "concept": "ex_ante",
+                    "grid_steps": 3}),
+    # prior and rule values are JSON numbers and bools, not strings
+    ("thresholds", dict(REFERENCE, prior={"p_h": 2.0 / 3.0, "p_h_given_h": "0.8"})),
+    ("simulate", dict(TestSimulateCommand.WM_CFG,
+                      world_model={"p_state": [0.5, 0.5], "p_h_given_state": ["0.9", 0.2]})),
+    ("simulate", dict(TestSimulateCommand.WM_CFG,
+                      world_model={"p_state": "10", "p_h_given_state": [0.9, 0.2]})),
+    ("thresholds", dict(REFERENCE, rule={"rule": "table", "h": [0.0, 2.0], "l": [1.0, -1.0],
+                                         "strictly_proper": "no"})),
+    ("thresholds", dict(REFERENCE, format="csv")),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     with warnings.catch_warnings(record=True) as caught:
@@ -464,6 +502,66 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], captured.err
+
+
+#: The config keys each command reads; scalar ones are also flags.
+READS = {
+    "thresholds": {"n", "rule", "prior", "world_model", "tolerance", "format"},
+    "verify-examples": {"tolerance", "format"},
+    "falsify": {"n", "rule", "prior", "world_model", "tolerance",
+                "k", "concept", "grid_steps", "budget"},
+    "simulate": {"n", "rule", "prior", "world_model", "deviators", "trials", "seed"},
+    "scan": {"n", "rule", "prior", "world_model", "tolerance", "sweep"},
+    "game-check": {"game", "profile", "tolerance", "k", "concept", "grid_steps", "budget"},
+}
+VALID = {
+    "verify-examples": {},
+    "game-check": GAME_CFG,
+    "simulate": TestSimulateCommand.WM_CFG,
+    "falsify": dict(REFERENCE, k=40),
+    "scan": dict(REFERENCE, sweep={"param": "n", "values": [10, 20]}),
+}
+UNREAD = {"n": 100, "rule": REFERENCE["rule"], "prior": REFERENCE["prior"],
+          "world_model": TestSimulateCommand.WM_CFG["world_model"], "tolerance": 1e-9,
+          "format": "json"}
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command in VALID for key in UNREAD if key not in READS[command]])
+def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
+    assert cli.main([command, "--config", write_config(tmp_path, VALID[command])]) in (0, 1)
+    capsys.readouterr()
+    cfg = dict(VALID[command], **{key: UNREAD[key]})
+    code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and f"['{key}']" in captured.err
+
+
+def test_flags_are_the_scalar_keys_each_command_reads(capsys):
+    assert {name: set(keys) for name, (_, keys) in cli._COMMANDS.items()} == READS
+    assert sum(map(len, READS.values())) == 37
+    # each scalar key with a flag value and what the flag parses it to
+    scalar = {"n": ("7", 7), "tolerance": ("0.5", 0.5), "format": ("text", "text"),
+              "k": ("7", 7), "concept": ("bayesian", "bayesian"), "grid_steps": ("7", 7),
+              "budget": ("7", 7), "trials": ("7", 7), "seed": ("7", 7)}
+    assert set(cli._FLAGS) == set(scalar)
+    parser = cli._build_parser()
+    flags = 0
+    for command, keys in READS.items():
+        for key in set().union(*READS.values()):
+            text, want = scalar.get(key, ("7", None))
+            argv = [command, "--" + key.replace("_", "-"), text]
+            if key in keys and key in scalar:
+                assert vars(parser.parse_args(argv))[key] == want
+                flags += 1
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+    capsys.readouterr()
+    assert flags == 21
+    with pytest.raises(SystemExit):
+        parser.parse_args(["thresholds", "--format", "csv"])
 
 
 OVERLONG = "1" + "0" * 5000  # more digits than Python converts to an int

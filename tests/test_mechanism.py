@@ -279,6 +279,28 @@ class TestSimulate:
         assert result["truthful"]["stderr"] == 0.0
         assert payoffs.min() - 1e-12 <= result["truthful"]["mean"] <= payoffs.max() + 1e-12
 
+    def test_huge_scores_do_not_overflow(self):
+        # scores of +-1e200: unscaled, the squared deviations overflow
+        wm = cl.WorldModel((0.5, 0.5), (0.9, 0.2))
+        setting = cl.make_setting(6, cl.TableRule(1e200, 0.0, -1e200, 0.0), world_model=wm)
+        profile = cl.DeviationProfile((cl.Strategy(0.0, 1.0), cl.ALL_H))
+        result = cl.simulate(setting, profile, trials=300, seed=3)
+        self._within(result, setting, profile, ("deviator_0", "deviator_1", "truthful"))
+
+    def test_scores_scaled_by_a_power_of_two(self):
+        # every mean and stderr scales with the scores, to the last bit
+        wm = cl.WorldModel((0.3, 0.7), (0.85, 0.1))
+        profile = cl.DeviationProfile((cl.Strategy(0.3, 0.9), cl.ALL_L, cl.ALL_H))
+        coefficients = (-0.3, 1.7, 0.9, -1.2)
+        for scale in (2.0 ** 40, 2.0 ** -40):
+            runs = [cl.simulate(cl.make_setting(9, cl.TableRule(*(c * f for c in coefficients)),
+                                                world_model=wm), profile, trials=5000, seed=4)
+                    for f in (1.0, scale)]
+            assert runs[0].keys() == runs[1].keys()
+            for role, stats in runs[0].items():
+                assert runs[1][role]["mean"] == stats["mean"] * scale
+                assert runs[1][role]["stderr"] == stats["stderr"] * scale > 0.0
+
     def test_block_edge_merge(self):
         # 4096 trials fill exactly the first block; the 4097th is a block of
         # its own, so the two results differ by one merged value.
