@@ -784,6 +784,10 @@ def _strategy_dists(strategy: Strategy) -> tuple[tuple[float, ...], ...]:
 
 
 def _strategy_from_dists(dists: Sequence[Sequence[float]]) -> Strategy:
+    if not (len(dists) == 2 and all(len(row) == 2 and min(row) >= -_PROB_TOL
+                                    and abs(sum(row) - 1.0) <= _PROB_TOL for row in dists)):
+        raise DimensionMismatch(f"certificate strategy rows {dists} "
+                                "must be two distributions over (l, h)")
     return Strategy(beta_l=float(dists[0][1]), beta_h=float(dists[1][1]))
 
 

@@ -158,10 +158,11 @@ def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int, int]:
 
 def cmd_thresholds(cfg: RunConfig) -> int:
     setting = cfg.setting
-    ex = thresholds.k_ex_ante(setting, tol=cfg.tolerance)
-    ba = thresholds.k_bayesian(setting, tol=cfg.tolerance)
+    table = thresholds.ThresholdTable(setting.prior, setting.rule, cfg.tolerance)
+    ex = table.report(thresholds.EX_ANTE, setting.n)
+    ba = table.report(thresholds.BAYESIAN, setting.n)
     try:
-        nz = thresholds.n_zero(setting.prior, setting.rule, tol=cfg.tolerance)
+        nz = table.n_zero()
     except NoFiniteN:
         nz = None  # thresholds remain defined; the interim floor does not
     if cfg.fmt == "text":
@@ -343,13 +344,13 @@ _MAX_SWEEP_POINTS = 10 ** 7
 def _sweep_values(sweep: dict) -> tuple[str, list]:
     """The swept parameter and its points, in sweep order.
 
-    Either ``values`` verbatim, or ``start + i*step`` for i = 0, 1, ... up
-    to ``stop`` (an index within 1e-9 of the last point counts), rounded to
-    12 decimals (to integers for n).  Every number must be finite.
+    Exactly one form: ``values`` verbatim, or ``start + i*step`` for i = 0,
+    1, ... up to ``stop`` (an index within 1e-9 of the last point counts),
+    rounded to 12 decimals (to integers for n).  Every number must be finite.
     """
-    extra = set(sweep) - {"param", "values", "start", "stop", "step"}
-    if extra:
-        raise ConfigError(f"unknown sweep keys {sorted(extra)}")
+    if set(sweep) - {"param"} not in ({"values"}, {"start", "stop", "step"}):
+        raise ConfigError('sweep needs "param" and either "values" or start/stop/step, '
+                          f'got {sorted(sweep)}')
     param = sweep.get("param")
     if param not in ("n", "p_h", "p_h_given_h"):
         raise ConfigError(f'sweep "param" must be n, p_h, or p_h_given_h, got {param!r}')
@@ -358,10 +359,7 @@ def _sweep_values(sweep: dict) -> tuple[str, list]:
         if not isinstance(values, list) or not all(scoring.is_finite_number(v) for v in values):
             raise ConfigError(f'sweep "values" must be a list of finite numbers, got {values!r}')
         return param, list(values)
-    try:
-        start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
-    except KeyError as exc:
-        raise ConfigError('sweep needs "values" or start/stop/step') from exc
+    start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
     for key, value in (("start", start), ("stop", stop), ("step", step)):
         if not scoring.is_finite_number(value):
             raise ConfigError(f'sweep "{key}" must be a finite number, got {value!r}')
@@ -389,14 +387,16 @@ def cmd_scan(cfg: RunConfig) -> int:
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
-    # Rule and prior parsed once per sweep (prior per row in a prior sweep); the
-    # threshold table and n_zero once per prior, so a row costs one step per side.
+    # Rule and prior parsed once per sweep (prior per row in a prior sweep); one
+    # threshold table per prior, and its n_zero, so a row costs one step per side.
     # Only the last prior's pair is kept, so memory stays flat in the sweep length.
     # A failed part is its error cell, first of n, rule, prior, scores, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
-    of_prior = functools.lru_cache(maxsize=1)(
-        lambda pr: (_outcome(thresholds.ThresholdTable, pr, rule, tol),
-                    _outcome(thresholds.n_zero, pr, rule, tol)))
+
+    @functools.lru_cache(maxsize=1)
+    def of_prior(pr):
+        table = _outcome(thresholds.ThresholdTable, pr, rule, tol)
+        return table, table if isinstance(table, str) else _outcome(table.n_zero)
 
     def row(label, n, parsed) -> str:
         parts = (n, rule, parsed)

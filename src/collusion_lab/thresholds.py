@@ -25,11 +25,11 @@ is exact against arbitrary (asymmetric) coalition strategies, and
 ``liar_threshold`` the corner threshold of the always-lie profile, which
 never undercuts the ex-ante threshold.
 
-Only the factor n - 1 in these formulas depends on n.  ``ThresholdTable``
-holds the rest for one (prior, rule, tol): the four scores, E_l, E_h, d_h,
-d_l and each concept's side ratios, with the one ``four_scores`` call.
-``k_ex_ante``, ``k_bayesian``, ``liar_threshold`` and ``n_zero`` each read
-a table, and ``scan`` builds one per prior and scales it row by row.
+All of these come from one prior's four scores, and only the factor n - 1
+depends on n.  ``ThresholdTable`` holds the rest for one (prior, rule, tol),
+with the one ``four_scores`` call, and gives ``report(concept, n)``,
+``liar(n)`` and ``n_zero()``; ``k_ex_ante``, ``k_bayesian``,
+``liar_threshold`` and ``n_zero`` each read a new table.
 
 ``dichotomy_check`` evaluates a canonical deviation against the letter of
 the equilibrium definitions via exact mechanism utilities.
@@ -128,19 +128,17 @@ def _step(n: int, ratio: float, interim: bool, tol: float) -> int:
 
 
 class ThresholdTable:
-    """Everything the thresholds of one (prior, rule, tol) need but ``n``.
+    """Every threshold of one (prior, rule, tol): k_E, k_B, the liar corner and n_zero.
 
-    ``scores`` are ``four_scores``, the only call of it for these thresholds;
-    ``e_l, e_h, d_h, d_l`` the outsider losses and corner reward surpluses;
-    ``sides`` each concept's (h, l) corners, the per-type surpluses
-    discounted by Pr(l|l) and Pr(h|h).  Only the factor n - 1 depends on n,
-    so a threshold at any n costs one ``_step`` per side.
+    ``scores`` are ``four_scores``, its one call here; ``e_l, e_h, d_h, d_l``
+    the outsider losses and corner reward surpluses; ``sides`` each concept's
+    (h, l) corners, the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
     """
 
-    __slots__ = ("tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")
+    __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")
 
     def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
-        self.tol = tol
+        self.prior, self.tol = prior, tol
         self.scores = s_hh, s_lh, s_hl, s_ll = four_scores(rule, prior)
         p_hh, p_ll = prior.p_hh, prior.p_ll
         self.e_l = e_l = prior.p_hl * (s_hl - s_hh) + p_ll * (s_ll - s_lh)
@@ -160,28 +158,71 @@ class ThresholdTable:
         k_l = n if side_l.ratio is None else _step(n, side_l.ratio, interim, self.tol)
         return k_h, k_l, min(k_h, k_l, n)
 
+    def report(self, concept: str, n: int) -> ThresholdReport:
+        """``concept``'s thresholds at population size n, with the quantities behind them."""
+        side_h, side_l = self.sides[concept]
+        k_h, k_l, k = self.k(concept, n)
+        return ThresholdReport(
+            concept=concept, n=n, k_h=k_h, k_l=k_l, k=k,
+            k_h_infinite=side_h.ratio is None, k_l_infinite=side_l.ratio is None,
+            numerator_h=side_h.num, denominator_h=side_h.den,
+            numerator_l=side_l.num, denominator_l=side_l.den,
+            ratio_h=side_h.ratio, ratio_l=side_l.ratio)
 
-def _report(setting: Setting, concept: str, tol: float) -> ThresholdReport:
-    table = ThresholdTable(setting.prior, setting.rule, tol)
-    side_h, side_l = table.sides[concept]
-    k_h, k_l, k = table.k(concept, setting.n)
-    return ThresholdReport(
-        concept=concept, n=setting.n, k_h=k_h, k_l=k_l, k=k,
-        k_h_infinite=side_h.ratio is None, k_l_infinite=side_l.ratio is None,
-        numerator_h=side_h.num, denominator_h=side_h.den,
-        numerator_l=side_l.num, denominator_l=side_l.den,
-        ratio_h=side_h.ratio, ratio_l=side_l.ratio,
-    )
+    def liar(self, n: int):
+        """The always-lie corner's threshold at n; ``math.inf`` when it never profits.
+
+        Its outsider loss mixes both sides' losses by the marginal, its inside
+        surplus the corner surpluses by how informative each signal is.
+        """
+        prior = self.prior
+        num = prior.p_h * self.e_h + prior.p_l * self.e_l
+        den = (prior.p_h * (prior.p_hh - prior.p_lh) * self.d_l
+               + prior.p_l * (prior.p_ll - prior.p_hl) * self.d_h)
+        return math.inf if den <= self.tol else _step(n, num / den, False, self.tol)
+
+    def n_zero(self) -> int:
+        """Smallest n >= 2 at which the interim threshold covers asymmetric play.
+
+        Six conditions bound quantities that scale as 1/(n-1):
+
+            b_h = 4*spread*(D + PS(l,q_l) - PS(h,q_l)) / ((n-1) * D * E_h)
+            b_l = 4*spread*(D + PS(h,q_h) - PS(l,q_h)) / ((n-1) * D * E_l)
+
+        with D the sum of the two cross-posterior gaps and spread the largest
+        difference among the four scores: each b below 1/4 - tol, and at most
+        its side's outsider loss over (posterior * D) and its corner surplus
+        over D when that is positive, both plus tol.  A side's three share c, so
+        the tightest holds exactly when all do (c/x < b1 <= b2 gives c/x <= b2;
+        c/x <= b2 < b1 gives c/x < b1): one ``_first_n`` solve per side.
+        """
+        s_hh, s_lh, s_hl, s_ll = scores = self.scores
+        prior, tol, e_l, e_h = self.prior, self.tol, self.e_l, self.e_h
+        big_d = (s_hh - s_hl) + (s_ll - s_lh)
+        spread = max(scores) - min(scores)
+        if big_d <= tol or e_h <= tol or e_l <= tol:
+            raise NoFiniteN("a required positive quantity is non-positive; "
+                            "the rule is not strictly proper on this prior")
+        quarter, firsts = 0.25 - tol, []
+        for c, surplus, loss, post in (
+                (4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h), self.d_h, e_h, prior.p_hh),
+                (4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l), self.d_l, e_l, prior.p_ll)):
+            # min(a, b) + tol is min(a + tol, b + tol): float addition is monotone
+            bound = min(loss / (post * big_d), surplus / big_d if surplus > tol else math.inf) + tol
+            firsts.append(_first_n(c, min(quarter, bound), quarter <= bound))
+        if None in firsts:
+            raise NoFiniteN("no finite n satisfies the interim conditions")
+        return max(firsts)
 
 
 def k_ex_ante(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     """Largest coalition size for which truthful reporting survives ex ante."""
-    return _report(setting, EX_ANTE, tol)
+    return ThresholdTable(setting.prior, setting.rule, tol).report(EX_ANTE, setting.n)
 
 
 def k_bayesian(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     """Largest coalition size for which truthful reporting survives per type."""
-    return _report(setting, BAYESIAN, tol)
+    return ThresholdTable(setting.prior, setting.rule, tol).report(BAYESIAN, setting.n)
 
 
 def _first_n(c: float, bound: float, strict: bool) -> int | None:
@@ -212,59 +253,13 @@ def _first_n(c: float, bound: float, strict: bool) -> int | None:
 
 
 def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> int:
-    """Smallest n >= 2 at which the interim threshold covers asymmetric play.
-
-    Six conditions must hold on quantities that scale as 1/(n-1):
-
-        b_h = 4*spread*(D + PS(l,q_l) - PS(h,q_l)) / ((n-1) * D * E_h)
-        b_l = 4*spread*(D + PS(h,q_h) - PS(l,q_h)) / ((n-1) * D * E_l)
-
-    with D the sum of the two cross-posterior gaps and spread the largest
-    difference among the four scores.  Conditions: each b below 1/4, below
-    its side's corner surplus over D when that surplus is positive, and
-    below its side's outsider loss over (posterior * D).  Each is ``c/(n-1) < bound``
-    (``<=`` but for 1/4), true from n = 1 + c/bound on; n_zero is the largest such n.
-    """
-    table = ThresholdTable(prior, rule, tol)
-    s_hh, s_lh, s_hl, s_ll = scores = table.scores
-    e_l, e_h, d_h, d_l = table.e_l, table.e_h, table.d_h, table.d_l
-    big_d = (s_hh - s_hl) + (s_ll - s_lh)
-    spread = max(scores) - min(scores)
-    if big_d <= tol or e_h <= tol or e_l <= tol:
-        raise NoFiniteN(
-            "a required positive quantity is non-positive; the rule is not "
-            "strictly proper on this prior")
-
-    c_h = 4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h)
-    c_l = 4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)
-    firsts = [_first_n(c, bound, strict) for c, bound, strict, applies in (
-        (c_h, 0.25 - tol, True, True), (c_l, 0.25 - tol, True, True),
-        (c_h, d_h / big_d + tol, False, d_h > tol),
-        (c_h, e_h / (prior.p_hh * big_d) + tol, False, True),
-        (c_l, d_l / big_d + tol, False, d_l > tol),
-        (c_l, e_l / (prior.p_ll * big_d) + tol, False, True)) if applies]
-    if None in firsts:
-        raise NoFiniteN("no finite n satisfies the interim conditions")
-    return max(firsts)
+    """Smallest n >= 2 from which k_B covers asymmetric play (``ThresholdTable.n_zero``)."""
+    return ThresholdTable(prior, rule, tol).n_zero()
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
-    """Corner threshold of the always-lie profile; ``math.inf`` when it never profits.
-
-    The outsider loss of a lying coalition mixes both sides' losses by the
-    marginal; its inside surplus mixes the two corner surpluses weighted by
-    how informative each signal is.  Deviating profits only beyond
-
-        k' = floor((n-1) * num / den) + 1,
-
-    which never undercuts the ex-ante threshold.
-    """
-    prior = setting.prior
-    table = ThresholdTable(prior, setting.rule, tol)
-    num = prior.p_h * table.e_h + prior.p_l * table.e_l
-    den = (prior.p_h * (prior.p_hh - prior.p_lh) * table.d_l
-           + prior.p_l * (prior.p_ll - prior.p_hl) * table.d_h)
-    return math.inf if den <= tol else _step(setting.n, num / den, False, tol)
+    """Corner threshold of the always-lie profile (``ThresholdTable.liar``)."""
+    return ThresholdTable(setting.prior, setting.rule, tol).liar(setting.n)
 
 
 @dataclass(frozen=True)

@@ -1561,8 +1561,10 @@ def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120
 
         picks = [pool[int(j)] for j in rng.integers(0, len(pool), size=k)]
         rows = [_strategy_dists(p) for p in picks]
-        # the same strategy written with another l-probability groups with it
-        rows = [((0.25, r[0][1]), r[1]) if j % 3 == 1 else r for j, r in enumerate(rows)]
+        # the same strategy written with another l-row, still a distribution
+        # within the 1e-12 row-sum tolerance, groups with it
+        rows = [((r[0][0] + 1e-13, r[0][1]), r[1]) if j % 3 == 1 else r
+                for j, r in enumerate(rows)]
         profile = cl.DeviationProfile(tuple(picks))
         want = profile_deltas(setting, profile, concept, cl.ex_ante_utility
                               if concept == cl.EX_ANTE else cl.interim_utility)
@@ -1702,3 +1704,93 @@ def check_n_zero_matches_search(seed: int = 4040, cases: int = 2000) -> None:
         assert fast == slow, (prior, rule, tol, fast, slow)
         kinds["none" if fast is None else ("small" if fast < 10 ** 6 else "large")] += 1
     assert min(kinds.values()) >= cases // 50, kinds
+
+
+# ---------------------------------------------------------------------------
+# n_zero: one solve per condition as an oracle
+# ---------------------------------------------------------------------------
+
+def n_zero_by_six_solves(prior: cl.BinaryPrior, rule: cl.ScoringRule,
+                         tol: float = cl.DEFAULT_TOL) -> int:
+    """n_zero as the largest of six ``_first_n`` solves, one per condition.
+
+    The form ``ThresholdTable.n_zero`` had before it solved only each side's
+    tightest condition: each b below 1/4 (strict), below its side's corner
+    surplus over D when that surplus is positive, and below its side's
+    outsider loss over (posterior * D).
+    """
+    from collusion_lab.thresholds import _first_n
+
+    s_hh, s_lh, s_hl, s_ll = scores = cl.four_scores(rule, prior)
+    e_l, e_h, d_h, d_l = _gaps_per_setting(prior, scores)
+    big_d = (s_hh - s_hl) + (s_ll - s_lh)
+    spread = max(scores) - min(scores)
+    if big_d <= tol or e_h <= tol or e_l <= tol:
+        raise cl.NoFiniteN("a required positive quantity is non-positive")
+    c_h = 4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h)
+    c_l = 4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)
+    firsts = [_first_n(c, bound, strict) for c, bound, strict, applies in (
+        (c_h, 0.25 - tol, True, True), (c_l, 0.25 - tol, True, True),
+        (c_h, d_h / big_d + tol, False, d_h > tol),
+        (c_h, e_h / (prior.p_hh * big_d) + tol, False, True),
+        (c_l, d_l / big_d + tol, False, d_l > tol),
+        (c_l, e_l / (prior.p_ll * big_d) + tol, False, True)) if applies]
+    if None in firsts:
+        raise cl.NoFiniteN("no finite n satisfies the interim conditions")
+    return max(firsts)
+
+
+def _quarter_tie_tol(prior: cl.BinaryPrior, rule: cl.ScoringRule) -> float | None:
+    """A tol at which 1/4 - tol equals the h side's smallest other bound, if a float gives one."""
+    s_hh, s_lh, s_hl, s_ll = scores = cl.four_scores(rule, prior)
+    e_l, e_h, d_h, _ = _gaps_per_setting(prior, scores)
+    big_d = (s_hh - s_hl) + (s_ll - s_lh)
+    if big_d <= 0.0 or e_h <= 0.0:
+        return None
+    x = min(e_h / (prior.p_hh * big_d), d_h / big_d if d_h > 0.0 else math.inf)
+    tol = (0.25 - x) / 2.0
+    for _ in range(64):
+        if not 0.0 < tol < 0.125:
+            return None
+        if 0.25 - tol == x + tol:
+            return tol if d_h <= 0.0 or d_h > tol else None
+        tol = math.nextafter(tol, math.inf if 0.25 - tol > x + tol else 0.0)
+    return None
+
+
+def check_n_zero_matches_six_solves(seed: int = 1414, cases: int = 6000) -> dict:
+    """``cl.n_zero`` (two solves) equals the six-solve oracle on every outcome.
+
+    Brier, log rules of bases e, 2, 10 and 0.5 and random table rules; priors
+    from well separated to nearly uninformative; tolerances log-uniform in
+    [1e-9, 0.05], and, where a float gives one, a tol at which 1/4 - tol ties
+    the h side's other bound.  Finite values, NoFiniteN verdicts and ties
+    must all occur; returns the counts.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = {"finite": 0, "none": 0, "tie": 0}
+    for case in range(cases):
+        kind = case % 3
+        if kind == 0:
+            rule = cl.BrierRule()
+        elif kind == 1:
+            rule = cl.LogRule(base=float(rng.choice([math.e, 2.0, 10.0, 0.5])))
+        else:
+            rule = cl.TableRule(*(float(x) for x in rng.uniform(-2.0, 2.0, size=4)))
+        if rng.random() < 0.5:
+            prior = random_prior(rng)
+        else:  # nearly uninformative: Pr(h|h) just above Pr(h)
+            p_h = float(rng.uniform(0.1, 0.9))
+            prior = cl.make_prior(p_h, p_h + float(10 ** rng.uniform(-6, -1)) * (1 - p_h))
+        tols = [float(10 ** rng.uniform(-9, math.log10(0.05)))]
+        tie = _quarter_tie_tol(prior, rule)
+        if tie is not None:
+            tols.append(tie)
+            kinds["tie"] += 1
+        for tol in tols:
+            got = _n_zero_outcome(cl.n_zero, prior, rule, tol)
+            want = _n_zero_outcome(n_zero_by_six_solves, prior, rule, tol)
+            assert got == want, (prior, rule, tol, got, want)
+            kinds["none" if got is None else "finite"] += 1
+    assert min(kinds.values()) >= cases // 100, kinds
+    return kinds

@@ -732,6 +732,46 @@ class TestSettingFalsifier:
     def test_grouped_deltas_match_profile_path(self):
         props.check_grouped_deltas_match_profile_path()
 
+    @pytest.mark.parametrize("concept,threshold", [("ex_ante", cl.k_ex_ante),
+                                                   ("bayesian", cl.k_bayesian)])
+    def test_certificate_rows_must_be_distributions(self, concept, threshold):
+        # a member's rows are read as its strategy only when they are two
+        # distributions over (l, h), within MixedProfile's 1e-12
+        setting = cl.make_setting(50, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+        cert = cl.find_setting_deviation(setting, threshold(setting).k + 1, concept)
+        assert cl.verify_setting_certificate(setting, cert)
+        data = cert.to_dict()
+        assert cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(data))
+        (_, b_l), (_, b_h) = data["strategies"][0]
+        bad_rows = [
+            [[5.0, b_l], [-7.0, b_h]],          # right betas, rows not distributions
+            [[b_l], [1.0 - b_h, b_h]],          # a one-entry row
+            [[1.0 - b_l, b_l]],                 # one row
+            [[1.0 - b_l, b_l], [1.0 - b_h, b_h], [0.5, 0.5]],
+            [[1.0 - b_l, b_l, 0.0], [1.0 - b_h, b_h]],
+            [[1.0 - b_l + 1e-11, b_l], [1.0 - b_h, b_h]],
+            [[math.nan, b_l], [1.0 - b_h, b_h]],
+            [[1.0 - b_l, b_l], [b_h, math.nan]],
+            [[-0.5, 1.5], [1.0 - b_h, b_h]],
+        ]
+        for rows in bad_rows:
+            bad = dict(data, strategies=[rows] * len(data["coalition"]))
+            with pytest.raises(cl.DimensionMismatch):
+                cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(bad))
+        # within the tolerance the rows still read as the strategy
+        close = dict(data, strategies=[[[1.0 - b_l + 1e-13, b_l], [1.0 - b_h, b_h]]]
+                     * len(data["coalition"]))
+        assert cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(close))
+
+    def test_interim_d_certificate_rows_verify(self):
+        wm = cl.WorldModel((0.5, 0.5), (0.2, 0.9))
+        setting = cl.make_setting(100, cl.BrierRule(), world_model=wm)
+        cert = cl.interim_D_deviation(wm, cl.BrierRule(), 100, (cl.HIGH, cl.LOW))
+        assert cert is not None and cl.verify_setting_certificate(setting, cert)
+        bad = dict(cert.to_dict(), strategies=[[[5.0, 1.0], [-7.0, 1.0]]] * 2)
+        with pytest.raises(cl.DimensionMismatch):
+            cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(bad))
+
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
     @pytest.mark.parametrize("concept,threshold", [("ex_ante", cl.k_ex_ante),
                                                    ("bayesian", cl.k_bayesian)])

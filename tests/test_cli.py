@@ -65,6 +65,21 @@ class TestThresholdsCommand:
         assert 1 <= payload["ex_ante"]["k"] <= 2
         assert 1 <= payload["bayesian"]["k"] <= 2
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_scores_the_prior_once(self, tmp_path, capsys, monkeypatch, fmt):
+        # one table gives ex_ante, bayesian and n_zero
+        calls = []
+
+        def counted(rule, pr):
+            calls.append(pr)
+            return scoring.four_scores(rule, pr)
+
+        monkeypatch.setattr(thresholds, "four_scores", counted)
+        cfg = dict(REFERENCE, format=fmt)
+        code, out = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
+        assert code == 0 and "107" in out
+        assert len(calls) == 1
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(REFERENCE, extra=1)
         code, _ = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
@@ -317,7 +332,7 @@ class TestScanCommand:
                     assert line == want, (cfg, line, want)
 
     def test_work_per_row(self, tmp_path, capsys, monkeypatch):
-        # four_scores once for the table and once inside n_zero, per prior:
+        # four_scores once per prior, for the one table that also gives n_zero:
         # never per row
         calls = []
 
@@ -329,14 +344,14 @@ class TestScanCommand:
         cfg = dict(self.BASE, sweep={"param": "n", "start": 10, "stop": 5009, "step": 1})
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         assert code == 0 and out.count("\n") == 5001
-        assert len(calls) <= 2
+        assert len(calls) == 1
         values = [round(0.1 + 0.6 * j / 249, 6) for j in range(250)]
         cfg = dict(self.BASE, sweep={"param": "p_h", "values": values})
         calls.clear()
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         rows = out.split("\n")[1:-1]
         assert code == 0 and len(rows) == 250 and all(row.endswith(",") for row in rows)
-        assert 0 < len(calls) <= 2 * len(values)
+        assert len(calls) == len(values)
 
     def test_golden_output(self, tmp_path, capsys):
         # captured before n_zero became closed form and scan parsed once per
@@ -492,6 +507,10 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("thresholds", dict(REFERENCE, rule={"rule": "table", "h": [0.0, 2.0], "l": [1.0, -1.0],
                                          "strictly_proper": "no"})),
     ("thresholds", dict(REFERENCE, format="csv")),
+    # a sweep takes either values or start/stop/step, never both
+    ("scan", dict(REFERENCE, sweep={"param": "n", "start": 2, "stop": 5, "step": 1,
+                                    "values": [3]})),
+    ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3], "step": 0.1})),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     with warnings.catch_warnings(record=True) as caught:

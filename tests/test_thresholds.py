@@ -120,6 +120,41 @@ class TestNZero:
     def test_matches_search_oracle(self):
         props.check_n_zero_matches_search()
 
+    def test_matches_six_solve_oracle(self):
+        props.check_n_zero_matches_six_solves()
+
+    def test_two_solves(self, monkeypatch):
+        # each side's three conditions share c: one solve per side
+        from collusion_lab import thresholds
+        first_n, calls = thresholds._first_n, []
+
+        def counted(*args):
+            calls.append(args)
+            return first_n(*args)
+
+        monkeypatch.setattr(thresholds, "_first_n", counted)
+        rng = np.random.default_rng(7)
+        for rule in (cl.BrierRule(), cl.LogRule(base=2.0), props.random_table_rule(rng)):
+            for _ in range(20):
+                calls.clear()
+                try:
+                    cl.n_zero(props.random_prior(rng), rule)
+                except cl.NoFiniteN:
+                    pass
+                assert len(calls) <= 2
+
+    def test_quarter_tie_is_strict(self):
+        # at tol 1/16 the h side's 1/4 - tol ties its corner-surplus bound
+        # d_h/D + tol = 1/8 + 1/16, and c_h = 52.5 = 280 * 3/16: the strict 1/4
+        # condition fails at n - 1 = 280, so n_zero is 282, not the 281 that
+        # the non-strict bound alone gives
+        prior = cl.make_prior(0.5, 0.75)
+        rule = cl.TableRule(h_intercept=-1.375, h_slope=1.5, l_intercept=1.375, l_slope=-2.5)
+        assert cl.four_scores(rule, prior) == (-0.25, -0.5, -1.0, 0.75)
+        assert cl.n_zero(prior, rule, 0.0625) == 282
+        assert props.n_zero_by_six_solves(prior, rule, 0.0625) == 282
+        assert props.n_zero_by_search(prior, rule, 0.0625) == 282
+
     def test_condition_solve_at_exact_boundary(self):
         from collusion_lab.thresholds import _first_n
         # n - 1 = c/bound = 12 exactly: 3/12 < 1/4 fails at n = 13, 3/12 <= 1/4 holds
