@@ -64,20 +64,21 @@ from .errors import (
     ZeroLikelihood,
 )
 from .mechanism import (
+    ALL_H,
+    ALL_L,
+    CANONICAL_DEVIATIONS,
     TRUTHFUL_STRATEGY,
     DeviationProfile,
     Setting,
     Strategy,
     _MAX_SCORE_SUM,
-    _ScoreTable,
     _pair_term_ex_ante,
     _pair_term_interim,
-    _score_table,
     make_setting,
     peer_average,
 )
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
-from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule, is_finite_number
+from .scoring import DEFAULT_TOL, HIGH, SIGNALS, ScoreTable, ScoringRule, is_finite_number
 from .thresholds import (
     BAYESIAN,
     CONCEPTS,
@@ -727,9 +728,6 @@ def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
 # Peer prediction bridges
 # ---------------------------------------------------------------------------
 
-_SIGNAL_INDEX = {LOW: 0, HIGH: 1}
-
-
 def peer_prediction_game(setting: Setting) -> FiniteBayesianGame:
     """Encode a peer prediction setting as an explicit finite Bayesian game.
 
@@ -747,7 +745,7 @@ def peer_prediction_game(setting: Setting) -> FiniteBayesianGame:
     for w, vec in zip(wm.p_state, vecs):
         prior = prior + w * reduce(np.multiply.outer, [vec] * n)
 
-    table = _score_table(setting)
+    table = setting.scores
     grids = np.indices((2,) * n)
     high_count = grids.sum(axis=0)
     utilities = []
@@ -761,8 +759,8 @@ def peer_prediction_game(setting: Setting) -> FiniteBayesianGame:
         utilities.append(np.broadcast_to(lattice, (2,) + (2,) * n).copy())
     return FiniteBayesianGame(
         n=n,
-        type_sets=((LOW, HIGH),) * n,
-        action_sets=((LOW, HIGH),) * n,
+        type_sets=(SIGNALS,) * n,
+        action_sets=(SIGNALS,) * n,
         prior=prior,
         utilities=tuple(utilities),
     )
@@ -770,31 +768,26 @@ def peer_prediction_game(setting: Setting) -> FiniteBayesianGame:
 
 def mixed_profile_for(setting: Setting, profile: DeviationProfile) -> MixedProfile:
     """The n-agent mixed profile of a deviation profile (rest truthful)."""
-    mats = []
-    for s in profile.deviators:
-        mats.append(np.array([[1.0 - s.beta_l, s.beta_l], [1.0 - s.beta_h, s.beta_h]]))
-    for _ in range(setting.n - profile.k):
-        mats.append(np.eye(2))
+    mats = [np.array(s.rows) for s in profile.deviators]
+    mats += [np.eye(2) for _ in range(setting.n - profile.k)]
     return MixedProfile(tuple(mats))
 
 
-def _strategy_dists(strategy: Strategy) -> tuple[tuple[float, ...], ...]:
-    return ((1.0 - strategy.beta_l, strategy.beta_l),
-            (1.0 - strategy.beta_h, strategy.beta_h))
-
-
 def _strategy_from_dists(dists: Sequence[Sequence[float]]) -> Strategy:
+    """The strategy of two (l, h) rows; h-probabilities clamped into [0, 1], which
+    a row may miss by the 1e-12 the row check allows."""
     if not (len(dists) == 2 and all(len(row) == 2 and min(row) >= -_PROB_TOL
                                     and abs(sum(row) - 1.0) <= _PROB_TOL for row in dists)):
         raise DimensionMismatch(f"certificate strategy rows {dists} "
                                 "must be two distributions over (l, h)")
-    return Strategy(beta_l=float(dists[0][1]), beta_h=float(dists[1][1]))
+    beta_l, beta_h = (min(max(float(row[1]), 0.0), 1.0) for row in dists)
+    return Strategy(beta_l, beta_h)
 
 
 #: Grid strategies (lanes) priced per chunk by ``find_setting_deviation``.
 _CHUNK_LANES = 2 ** 12
-#: (beta_l, beta_h) of the corner lanes: all-h, all-l, all-lie.
-_CORNER_BETAS = (np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+#: (beta_l, beta_h) rows of the corner lanes, in ``CANONICAL_DEVIATIONS`` order.
+_CORNER_BETAS = np.array([s.betas for s in CANONICAL_DEVIATIONS.values()]).T
 
 
 def _grid_lanes(grid_steps: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
@@ -917,14 +910,14 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
     base = truthful_baseline(setting, concept)
-    prior, table, n = setting.prior, _score_table(setting), setting.n
+    prior, table, n = setting.prior, setting.scores, setting.n
     truthful = TRUTHFUL_STRATEGY.betas
     if concept == EX_ANTE:
         def pair_terms(own, peer):
             return [_pair_term_ex_ante(prior, table, own, peer)]
     else:
         def pair_terms(own, peer):
-            return [_pair_term_interim(prior, table, own, peer, s) for s in (LOW, HIGH)]
+            return [_pair_term_interim(prior, table, own, peer, s) for s in SIGNALS]
     bases = np.array(base, ndmin=1)[:, None]  # one row per delta component
 
     nodes = 0
@@ -946,7 +939,7 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     size, strat = winner
     return DeviationCertificate(
         concept=concept, coalition=tuple(range(size)),
-        strategies=(_strategy_dists(strat),) * size,
+        strategies=(strat.rows,) * size,
         deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
 
 
@@ -980,19 +973,12 @@ def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) ->
                 or len(cert.conditioning_types) != k):
             raise DimensionMismatch(
                 "interim_D verification needs a world model and one type per member")
-        signals = {ix: s for s, ix in _SIGNAL_INDEX.items()}
-        if any(ix not in signals for ix in cert.conditioning_types):
+        if any(ix not in (0, 1) for ix in cert.conditioning_types):
             raise DimensionMismatch(
                 f"conditioning types {list(cert.conditioning_types)} must be 0 (l) or 1 (h)")
-        s_d = tuple(signals[ix] for ix in cert.conditioning_types)
-        table = _score_table(setting)
-        outsider = _outsider_rewards(setting, table, s_d)
-        base = _interim_d_utilities(table, setting.n, outsider,
-                                    [TRUTHFUL_REPORTS[s] for s in s_d])
-        dev = _interim_d_utilities(table, setting.n, outsider,
-                                   [strategy_of[row].report_prob(s)
-                                    for row, s in zip(cert.strategies, s_d)])
-        return [d - b for d, b in zip(dev, base)]
+        s_d = tuple(SIGNALS[ix] for ix in cert.conditioning_types)
+        return _interim_d_deltas(setting, _outsider_rewards(setting, s_d), s_d,
+                                 [strategy_of[row] for row in cert.strategies])
     raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
 
 
@@ -1007,11 +993,7 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate) -> 
     return _certificate_holds(cert, _setting_certificate_deltas(setting, cert), cert.tolerance)
 
 
-TRUTHFUL_REPORTS = {LOW: 0.0, HIGH: 1.0}
-
-
-def _outsider_rewards(setting: Setting, table: _ScoreTable,
-                      s_d: tuple[str, ...]) -> tuple[float, float]:
+def _outsider_rewards(setting: Setting, s_d: tuple[str, ...]) -> tuple[float, float]:
     """Expected reward of reporting h and of reporting l against one truthful
     outsider, given the coalition's signals ``s_d``.
 
@@ -1022,10 +1004,10 @@ def _outsider_rewards(setting: Setting, table: _ScoreTable,
     if not 1 <= d < setting.n:
         raise InvalidSetting("coalition must leave at least one outsider")
     d1 = sum(1 for s in s_d if s == HIGH)
-    return table.against(coalition_posterior(setting.world_model, d1, d - d1).p_h)
+    return setting.scores.against(coalition_posterior(setting.world_model, d1, d - d1).p_h)
 
 
-def _interim_d_utilities(table: _ScoreTable, n: int, outsider: tuple[float, float],
+def _interim_d_utilities(table: ScoreTable, n: int, outsider: tuple[float, float],
                          report_h_probs: Sequence[float]) -> list[float]:
     """Each member's expected utility given the full coalition type vector.
 
@@ -1045,6 +1027,17 @@ def _interim_d_utilities(table: _ScoreTable, n: int, outsider: tuple[float, floa
     return out
 
 
+def _interim_d_deltas(setting: Setting, outsider: tuple[float, float], s_d: tuple[str, ...],
+                      strategies: Sequence[Strategy]) -> list[float]:
+    """Each member's known-type utility change when members play ``strategies``
+    instead of reporting truthfully; ``outsider`` is ``_outsider_rewards``."""
+    def utilities(members):
+        return _interim_d_utilities(setting.scores, setting.n, outsider,
+                                    [m.report_prob(s) for m, s in zip(members, s_d)])
+    base = utilities([TRUTHFUL_STRATEGY] * len(s_d))
+    return [d - b for d, b in zip(utilities(strategies), base)]
+
+
 def interim_D_deviation(wm: WorldModel, rule: ScoringRule, n: int,
                         s_d: tuple[str, ...],
                         tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
@@ -1060,32 +1053,25 @@ def interim_D_deviation(wm: WorldModel, rule: ScoringRule, n: int,
     if not 1 <= d < n:
         raise InvalidSetting("need 1 <= |s_D| < n")
     for s in s_d:
-        if s not in (LOW, HIGH):
+        if s not in SIGNALS:
             raise InvalidSetting(f"unknown signal {s!r}")
     setting = make_setting(n, rule, world_model=wm)
-    table = _score_table(setting)
-    outsider = _outsider_rewards(setting, table, s_d)
+    outsider = _outsider_rewards(setting, s_d)
     u_report_h, u_report_l = outsider
     if u_report_h > u_report_l + tol:
-        target = HIGH
+        strategy = ALL_H
     elif u_report_l > u_report_h + tol:
-        target = LOW
+        strategy = ALL_L
     else:
-        target = HIGH if table.s_hh >= table.s_ll else LOW
-
-    truthful = [TRUTHFUL_REPORTS[s] for s in s_d]
-    coordinated = [TRUTHFUL_REPORTS[target]] * d
-    base = _interim_d_utilities(table, n, outsider, truthful)
-    dev = _interim_d_utilities(table, n, outsider, coordinated)
-    deltas = tuple(x - b for x, b in zip(dev, base))
+        strategy = ALL_H if setting.scores.s_hh >= setting.scores.s_ll else ALL_L
+    deltas = tuple(_interim_d_deltas(setting, outsider, s_d, [strategy] * d))
     if not deviation_succeeds(INTERIM_D, deltas, tol):
         return None
-    strategy = Strategy(1.0, 1.0) if target == HIGH else Strategy(0.0, 0.0)
     return DeviationCertificate(
         concept=INTERIM_D,
         coalition=tuple(range(d)),
-        strategies=(_strategy_dists(strategy),) * d,
+        strategies=(strategy.rows,) * d,
         deltas=deltas,
         tolerance=tol,
-        conditioning_types=tuple(_SIGNAL_INDEX[s] for s in s_d),
+        conditioning_types=tuple(SIGNALS.index(s) for s in s_d),
     )

@@ -16,7 +16,9 @@ truthfully.  Expected utilities are exact closed-form sums over the
 (signal, report) lattice of each (i, peer) pair, grouped by peer role, so
 cost scales with the number of distinct strategies rather than n.
 
-Every utility goes through one kernel.  The pair rewards
+A setting scores its prior once, into ``Setting.scores``.  Every utility of
+a deviation profile goes through one kernel (the known-type utilities of
+``checker.interim_D_deviation`` sum their own terms).  The pair rewards
 ``_pair_term_ex_ante``/``_pair_term_interim`` read report probabilities,
 and ``peer_average`` sums count times pair reward, role by role, divided by
 n - 1.  The kernel has no branches: it takes Python floats, or equal-shape
@@ -27,7 +29,7 @@ takes an agent's strategy and its peers as (count, strategy) groups;
 (``_peer_roles``) and call it, ``thresholds`` passes its groups directly,
 and ``checker.find_setting_deviation`` prices a whole chunk of grid
 strategies in one array call.  Zero terms need no skipping because
-``four_scores`` admits only finite scores: 0 times a finite reward adds
+``Setting.scores`` admits only finite scores: 0 times a finite reward adds
 nothing to a sum.
 
 The module also exposes the one-sided expected-reward forms f/g used in the
@@ -41,9 +43,10 @@ streamed block by block in bounded memory.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -55,7 +58,7 @@ from .errors import (
     MissingWorldModel,
 )
 from .prior import BinaryPrior, WorldModel, induce_prior
-from .scoring import HIGH, LOW, SIGNALS, ScoringRule, four_scores, is_finite_number
+from .scoring import HIGH, LOW, SIGNALS, ScoreTable, ScoringRule, four_scores, is_finite_number
 
 #: Role marker for evaluating a non-deviator's utility.
 TRUTHFUL = "truthful"
@@ -83,6 +86,11 @@ class Strategy:
         """(beta_l, beta_h): the report probabilities the pair-reward kernel reads."""
         return self.beta_l, self.beta_h
 
+    @property
+    def rows(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The (l, h) report distributions on a low and on a high signal."""
+        return (1.0 - self.beta_l, self.beta_l), (1.0 - self.beta_h, self.beta_h)
+
 
 TRUTHFUL_STRATEGY = Strategy(0.0, 1.0)
 ALL_H = Strategy(1.0, 1.0)
@@ -91,6 +99,10 @@ ALL_LIE = Strategy(1.0, 0.0)
 
 #: The corner profiles that bind in the threshold analysis.
 CANONICAL_DEVIATIONS = {"all_h": ALL_H, "all_l": ALL_L, "all_lie": ALL_LIE}
+
+#: Largest (n - 1) * |score| a utility sum may reach: a factor 2^24 below the
+#: float maximum, so sums over the n - 1 peers, and their differences, stay finite.
+_MAX_SCORE_SUM = 2.0 ** 1000
 
 
 @dataclass(frozen=True)
@@ -115,6 +127,23 @@ class Setting:
             if (abs(induced.p_h - self.prior.p_h) > 1e-9
                     or abs(induced.p_hh - self.prior.p_hh) > 1e-9):
                 raise InvalidSetting("world model does not induce the given pairwise prior")
+
+    @functools.cached_property
+    def scores(self) -> ScoreTable:
+        """The ``four_scores`` table every utility reads, made on first use.
+
+        ``InvalidSetting``, at each use, when a score is not finite or when
+        (n - 1) times the largest |score| passes ``_MAX_SCORE_SUM``, so a sum
+        over the peers could overflow.
+        """
+        scores = four_scores(self.rule, self.prior)
+        largest = max(map(abs, scores))
+        peers = self.n - 1
+        # the int-float comparison is exact at any n, and below it float(peers) is finite
+        if largest and (peers > _MAX_SCORE_SUM or largest > _MAX_SCORE_SUM / peers):
+            raise InvalidSetting(f"scores up to {largest:g} in magnitude overflow a utility sum "
+                                 f"over n - 1 = {peers} peers")
+        return scores
 
 
 def make_setting(n: int, rule: ScoringRule, prior: BinaryPrior | None = None,
@@ -185,55 +214,12 @@ def profile_from_dict(data: dict) -> tuple[int, DeviationProfile]:
     return n, DeviationProfile(deviators)
 
 
-@dataclass(frozen=True)
-class _ScoreTable:
-    """The four mechanism scores: s_<peer report><own report>."""
-
-    s_hh: float
-    s_lh: float
-    s_hl: float
-    s_ll: float
-
-    def of(self, report_j: str, report_i: str) -> float:
-        if report_i == HIGH:
-            return self.s_hh if report_j == HIGH else self.s_lh
-        return self.s_hl if report_j == HIGH else self.s_ll
-
-    def against(self, p_h: float) -> tuple[float, float]:
-        """Expected reward of reporting h, and of reporting l, against a peer
-        who reports h with probability ``p_h``."""
-        return (p_h * self.s_hh + (1.0 - p_h) * self.s_lh,
-                p_h * self.s_hl + (1.0 - p_h) * self.s_ll)
-
-
-#: Largest (n - 1) * |score| a utility sum may reach: a factor 2^24 below the
-#: float maximum, so sums over the n - 1 peers, and their differences, stay finite.
-_MAX_SCORE_SUM = 2.0 ** 1000
-
-
-def _score_table(setting: Setting) -> _ScoreTable:
-    """The setting's four scores; ``four_scores`` rejects non-finite ones.
-
-    ``InvalidSetting`` too when (n - 1) times the largest |score| passes
-    ``_MAX_SCORE_SUM``, a sum over the peers could overflow, or when a
-    score is non-zero and n - 1 alone passes it.
-    """
-    scores = four_scores(setting.rule, setting.prior)
-    largest = max(map(abs, scores))
-    peers = setting.n - 1
-    # the int-float comparison is exact at any n, and below it float(peers) is finite
-    if largest and (peers > _MAX_SCORE_SUM or largest > _MAX_SCORE_SUM / peers):
-        raise InvalidSetting(f"scores up to {largest:g} in magnitude overflow a utility sum "
-                             f"over n - 1 = {peers} peers")
-    return _ScoreTable(*scores)
-
-
 def reward(setting: Setting, report_i: str, report_j: str) -> float:
     """Agent i's reward from comparison with peer j, given both reports."""
     return setting.rule.score(report_j, setting.prior.posterior(report_i))
 
 
-def _pair_term_interim(prior: BinaryPrior, table: _ScoreTable, own, peer, s_own: str):
+def _pair_term_interim(prior: BinaryPrior, table: ScoreTable, own, peer, s_own: str):
     """E[reward] against one peer, conditioned on own signal.
 
     ``own`` and ``peer`` are (beta_l, beta_h) report-h probabilities: floats,
@@ -248,7 +234,7 @@ def _pair_term_interim(prior: BinaryPrior, table: _ScoreTable, own, peer, s_own:
     return total
 
 
-def _pair_term_ex_ante(prior: BinaryPrior, table: _ScoreTable, own, peer):
+def _pair_term_ex_ante(prior: BinaryPrior, table: ScoreTable, own, peer):
     """E[reward] against one peer over the full 2x2x2x2 outcome lattice.
 
     ``own`` and ``peer`` as in ``_pair_term_interim``.  Each of the 16 terms
@@ -301,9 +287,10 @@ def _peer_roles(setting: Setting, profile: DeviationProfile,
 def peer_average(n: int, roles: Iterable[tuple]):
     """Average pair reward over the n-1 peers from (count, pair reward) roles.
 
-    The one summation order of every mechanism utility: ``count * reward``
-    added role by role in the given order, the total divided by n - 1.
-    Counts and rewards may be per-lane arrays; a count of 0 adds 0.
+    The one summation order of every utility of a deviation profile (not
+    the known-type ones): ``count * reward`` added role by role in the
+    given order, the total divided by n - 1.  Counts and rewards may be
+    per-lane arrays; a count of 0 adds 0.
     """
     total = 0.0
     for count, term in roles:
@@ -321,7 +308,7 @@ def member_utility(setting: Setting, own: Strategy, peers: Sequence[tuple[int, S
     """
     if any(count < 0 for count, _ in peers) or sum(c for c, _ in peers) != setting.n - 1:
         raise InvalidSetting(f"peer counts must be >= 0 and sum to n-1={setting.n - 1}")
-    table = _score_table(setting)
+    table = setting.scores
     prior = setting.prior
     if s is None:
         terms = ((count, _pair_term_ex_ante(prior, table, own.betas, peer.betas))
@@ -348,15 +335,13 @@ def interim_utility(setting: Setting, profile: DeviationProfile, i: Union[int, s
 
 def truthful_ex_ante(setting: Setting) -> float:
     """Everyone truthful: the common ex-ante expected utility."""
-    table = _score_table(setting)
-    return _pair_term_ex_ante(setting.prior, table, TRUTHFUL_STRATEGY.betas,
+    return _pair_term_ex_ante(setting.prior, setting.scores, TRUTHFUL_STRATEGY.betas,
                               TRUTHFUL_STRATEGY.betas)
 
 
 def truthful_interim(setting: Setting, s: str) -> float:
     """Everyone truthful: expected utility conditioned on own signal ``s``."""
-    table = _score_table(setting)
-    return _pair_term_interim(setting.prior, table, TRUTHFUL_STRATEGY.betas,
+    return _pair_term_interim(setting.prior, setting.scores, TRUTHFUL_STRATEGY.betas,
                               TRUTHFUL_STRATEGY.betas, s)
 
 
@@ -368,7 +353,7 @@ def f_side(side: str, beta_own: float, peer: Strategy, setting: Setting) -> floa
     """
     if not 0.0 <= beta_own <= 1.0:
         raise InvalidStrategy(f"beta_own must lie in [0, 1], got {beta_own!r}")
-    table = _score_table(setting)
+    table = setting.scores
     prior = setting.prior
     p_peer_h = prior.cond(side, HIGH) * peer.beta_h + prior.cond(side, LOW) * peer.beta_l
     high_part, low_part = table.against(p_peer_h)
@@ -386,8 +371,7 @@ def pair_self_reward(setting: Setting, sigma: Strategy) -> float:
     This is the quadratic form whose convexity bounds coalition averages;
     evaluated directly over the outcome lattice.
     """
-    table = _score_table(setting)
-    return _pair_term_ex_ante(setting.prior, table, sigma.betas, sigma.betas)
+    return _pair_term_ex_ante(setting.prior, setting.scores, sigma.betas, sigma.betas)
 
 
 @dataclass(frozen=True)
@@ -409,7 +393,7 @@ def pair_reward_hessian(setting: Setting, tol: float = 1e-9) -> PairRewardHessia
     PSD is decided by checking every principal minor (both diagonal entries
     and the determinant) against ``-tol``.
     """
-    table = _score_table(setting)
+    table = setting.scores
     prior = setting.prior
     c = table.s_hh + table.s_ll - table.s_hl - table.s_lh
     off = prior.p_l * prior.p_hl + prior.p_h * prior.p_lh
@@ -463,9 +447,8 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     n = setting.n
     if k > n:
         raise InvalidSetting(f"profile has {k} deviators but the setting has n={n}")
-    scores = astuple(_score_table(setting))
-    e = math.frexp(max(map(abs, scores)))[1]
-    table = _ScoreTable(*(math.ldexp(x, -e) for x in scores))
+    e = math.frexp(max(map(abs, setting.scores)))[1]
+    table = ScoreTable(*(math.ldexp(x, -e) for x in setting.scores))
     wm = setting.world_model
     free = n - k
     beta_l = np.array([s.beta_l for s in profile.deviators])

@@ -9,16 +9,17 @@ strictly proper when it does so uniquely.  Built-ins:
     log     PS(s, q) = log_b(q(s))          (base b, default e)
 
 Table rules score affinely in q_h per reported outcome, and arbitrary
-callables are accepted for experimentation.  ``gap_report`` collects the
-four scores at a prior's two posteriors together with their pairwise gaps,
-which drive every collusion threshold downstream.
+callables are accepted for experimentation.  ``four_scores`` gives the
+``ScoreTable`` of a prior's two posteriors, which every mechanism utility
+and every collusion threshold downstream reads; ``gap_report`` adds its
+pairwise gaps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import InvalidDist, InvalidSetting, LogOfZero
 
@@ -289,15 +290,35 @@ class GapReport:
     spread: float
 
 
-def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> tuple[float, float, float, float]:
+class ScoreTable(NamedTuple):
+    """The four mechanism scores: s_<peer report><own report>, e.g. s_lh = PS(l, q_h)."""
+
+    s_hh: float
+    s_lh: float
+    s_hl: float
+    s_ll: float
+
+    def of(self, report_j: str, report_i: str) -> float:
+        if report_i == HIGH:
+            return self.s_hh if report_j == HIGH else self.s_lh
+        return self.s_hl if report_j == HIGH else self.s_ll
+
+    def against(self, p_h: float) -> tuple[float, float]:
+        """Expected reward of reporting h, and of reporting l, against a peer
+        who reports h with probability ``p_h``."""
+        return (p_h * self.s_hh + (1.0 - p_h) * self.s_lh,
+                p_h * self.s_hl + (1.0 - p_h) * self.s_ll)
+
+
+def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> ScoreTable:
     """(PS(h,q_h), PS(l,q_h), PS(h,q_l), PS(l,q_l)) for the prior's posteriors.
 
     ``InvalidSetting`` unless every score and their spread (max - min) are finite.
     """
     q_h = prior.posterior(HIGH)
     q_l = prior.posterior(LOW)
-    scores = (rule.score(HIGH, q_h), rule.score(LOW, q_h), rule.score(HIGH, q_l),
-              rule.score(LOW, q_l))
+    scores = ScoreTable(rule.score(HIGH, q_h), rule.score(LOW, q_h), rule.score(HIGH, q_l),
+                        rule.score(LOW, q_l))
     spread = max(scores) - min(scores)  # finite when every score is, or when one is NaN
     if not math.isfinite(spread) or math.isnan(sum(scores)):
         raise InvalidSetting(f"the scoring rule gives a non-finite score or score spread at "
@@ -306,16 +327,6 @@ def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> tuple[float, float, 
 
 
 def gap_report(rule: ScoringRule, prior: "BinaryPrior") -> GapReport:
-    s_hh, s_lh, s_hl, s_ll = four_scores(rule, prior)
-    gap_h = s_hh - s_hl
-    gap_l = s_ll - s_lh
-    scores = (s_hh, s_lh, s_hl, s_ll)
-    return GapReport(
-        score_hh=s_hh,
-        score_lh=s_lh,
-        score_hl=s_hl,
-        score_ll=s_ll,
-        gap_h=gap_h,
-        gap_l=gap_l,
-        spread=max(scores) - min(scores),
-    )
+    table = four_scores(rule, prior)
+    return GapReport(*table, gap_h=table.s_hh - table.s_hl, gap_l=table.s_ll - table.s_lh,
+                     spread=max(table) - min(table))

@@ -1272,12 +1272,10 @@ def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
     component read at one size, ``BudgetExceeded`` at the first node past
     ``budget``.  The smallest winning size, first strategy among ties.
     """
-    from collusion_lab.checker import _strategy_dists
-    from collusion_lab.mechanism import _score_table
     from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
 
     base = truthful_baseline(setting, concept)
-    prior, table, n = setting.prior, _score_table(setting), setting.n
+    prior, table, n = setting.prior, setting.scores, setting.n
     nodes = 0
 
     def spend() -> None:
@@ -1303,7 +1301,7 @@ def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
     size, strat = winner
     return cl.DeviationCertificate(
         concept=concept, coalition=tuple(range(size)),
-        strategies=(_strategy_dists(strat),) * size,
+        strategies=(strat.rows,) * size,
         deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
 
 
@@ -1328,14 +1326,14 @@ def check_pair_kernel_matches_scalar(seed: int = 6262, priors: int = 3) -> int:
     """
     from collusion_lab.checker import _grid_lanes
     from collusion_lab.mechanism import (
-        _pair_term_ex_ante, _pair_term_interim, _score_table, peer_average)
+        _pair_term_ex_ante, _pair_term_interim, peer_average)
 
     rng = np.random.default_rng(seed)
     compared = 0
     for rule in kernel_rules(rng):
         for _ in range(priors):
             setting = cl.make_setting(10, rule, prior=random_prior(rng))
-            prior, table = setting.prior, _score_table(setting)
+            prior, table = setting.prior, setting.scores
             other = random_strategy(rng)
             for grid_steps in range(2, 12):
                 grid = setting_strategy_grid(grid_steps)
@@ -1430,7 +1428,6 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
     Charges one node per utility evaluation and raises BudgetExceeded at the
     first node past ``budget``; returns the first certificate that succeeds.
     """
-    from collusion_lab.checker import _strategy_dists
     from collusion_lab.thresholds import (
         deviation_succeeds, symmetric_deltas, truthful_baseline)
 
@@ -1447,7 +1444,7 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
             if deviation_succeeds(concept, deltas, tol):
                 return cl.DeviationCertificate(
                     concept=concept, coalition=tuple(range(size)),
-                    strategies=(_strategy_dists(strat),) * size,
+                    strategies=(strat.rows,) * size,
                     deltas=deltas, tolerance=tol)
     return None
 
@@ -1494,8 +1491,6 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
     """
     from collections import Counter
 
-    from collusion_lab.mechanism import _score_table
-
     k, n = profile.k, setting.n
     counts = Counter(profile.deviators)
     if i == cl.TRUTHFUL:
@@ -1506,7 +1501,7 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
     roles = [(c, strat) for strat, c in counts.items() if c > 0]
     if truthful_peers > 0:
         roles.append((truthful_peers, cl.TRUTHFUL_STRATEGY))
-    table = _score_table(setting)
+    table = setting.scores
     total = 0.0
     for count, strat in roles:
         if s is None:
@@ -1538,7 +1533,7 @@ def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120
     include k = 1 and k = n; strategy pools include the truthful strategy,
     the corners and two rows that read as one strategy.
     """
-    from collusion_lab.checker import _setting_certificate_deltas, _strategy_dists
+    from collusion_lab.checker import _setting_certificate_deltas
     from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
 
     rng = np.random.default_rng(seed)
@@ -1560,7 +1555,7 @@ def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120
         assert list(got) == want, label
 
         picks = [pool[int(j)] for j in rng.integers(0, len(pool), size=k)]
-        rows = [_strategy_dists(p) for p in picks]
+        rows = [p.rows for p in picks]
         # the same strategy written with another l-row, still a distribution
         # within the 1e-12 row-sum tolerance, groups with it
         rows = [((r[0][0] + 1e-13, r[0][1]), r[1]) if j % 3 == 1 else r

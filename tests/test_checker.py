@@ -772,6 +772,26 @@ class TestSettingFalsifier:
         with pytest.raises(cl.DimensionMismatch):
             cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(bad))
 
+    @pytest.mark.parametrize("concept", ["ex_ante", "bayesian", "interim_D"])
+    def test_rows_just_outside_the_unit_interval_verify(self, concept):
+        # corner rows pushed 1e-13 past 0 and 1 pass the 1e-12 row check, as in
+        # MixedProfile, and read as the corner: the h-probability is clamped
+        if concept == "interim_D":
+            wm = cl.WorldModel((0.5, 0.5), (0.2, 0.9))
+            setting = cl.make_setting(100, cl.BrierRule(), world_model=wm)
+            cert = cl.interim_D_deviation(wm, cl.BrierRule(), 100, (cl.HIGH, cl.LOW))
+        else:
+            setting = cl.make_setting(50, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
+            threshold = cl.k_ex_ante if concept == "ex_ante" else cl.k_bayesian
+            cert = cl.find_setting_deviation(setting, threshold(setting).k + 1, concept)
+        data = cert.to_dict()
+        assert all(b in (0.0, 1.0) for _, b in data["strategies"][0])
+        rows = [[-1e-13, 1.0 + 1e-13] if b == 1.0 else [1.0 + 1e-13, -1e-13]
+                for _, b in data["strategies"][0]]
+        cl.MixedProfile((np.array(rows),))  # a game profile accepts the same rows
+        nudged = dict(data, strategies=[rows] * len(data["coalition"]))
+        assert cl.verify_setting_certificate(setting, cl.DeviationCertificate.from_dict(nudged))
+
     @pytest.mark.parametrize("n", [10 ** 6, 10 ** 7])
     @pytest.mark.parametrize("concept,threshold", [("ex_ante", cl.k_ex_ante),
                                                    ("bayesian", cl.k_bayesian)])

@@ -10,7 +10,7 @@ import pytest
 
 import collusion_lab as cl
 import props
-from collusion_lab import cli, scoring, thresholds
+from collusion_lab import cli, mechanism, scoring, thresholds
 
 
 REFERENCE = {
@@ -163,6 +163,23 @@ class TestFalsifyCommand:
         cert = cl.DeviationCertificate.from_dict(json.loads(out)["certificate"])
         assert len(cert.coalition) == k_star + 1
         assert cl.verify_setting_certificate(setting, cert)
+
+    @pytest.mark.parametrize("concept,k,code", [("ex_ante", 27, 1), ("ex_ante", 40, 0),
+                                                ("bayesian", 44, 1), ("bayesian", 45, 0)])
+    def test_scores_the_prior_once(self, tmp_path, capsys, monkeypatch, concept, k, code):
+        # the search, its certificate's deltas and the re-check all read setting.scores
+        calls = []
+        original = scoring.four_scores
+
+        def counted(rule, pr):
+            calls.append(pr)
+            return original(rule, pr)
+
+        for module in (scoring, mechanism, thresholds):
+            monkeypatch.setattr(module, "four_scores", counted)
+        cfg = dict(REFERENCE, k=k, concept=concept)
+        assert run(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])[0] == code
+        assert len(calls) == 1
 
     def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
         # 10^10 grid strategies: the default budget stops the search after ~10^3 chunks

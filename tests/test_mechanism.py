@@ -446,6 +446,35 @@ class TestPairKernel:
             with pytest.raises(cl.InvalidSetting):
                 cl.truthful_ex_ante(setting)
 
+    @pytest.mark.parametrize("n,rule", [
+        (10, cl.TableRule(1e308, 1e308, 0.0, 0.0)),            # a non-finite score
+        (10 ** 9, cl.TableRule(1e300, 0.0, 1e300, 0.0)),       # a sum over 10^9 peers
+    ])
+    def test_setting_scores_on_first_use(self, n, rule):
+        # make_setting does not score the prior; each utility call raises again
+        setting = cl.make_setting(n, rule, prior=SETTING.prior)
+        for _ in range(2):
+            with pytest.raises(cl.InvalidSetting):
+                cl.ex_ante_utility(setting, PROFILE_40, 0)
+            with pytest.raises(cl.InvalidSetting):
+                setting.scores
+
+    def test_setting_scores_once(self, monkeypatch):
+        calls = []
+
+        def counted(rule, pr):
+            calls.append(pr)
+            return cl.four_scores(rule, pr)
+
+        want = cl.ex_ante_utility(SETTING, PROFILE_40, 0)
+        monkeypatch.setattr(mechanism, "four_scores", counted)
+        setting = cl.make_setting(100, cl.BrierRule(), prior=SETTING.prior)
+        assert calls == []
+        assert cl.ex_ante_utility(setting, PROFILE_40, 0) == want
+        cl.interim_utility(setting, PROFILE_40, cl.TRUTHFUL, cl.LOW)
+        assert setting.scores is setting.scores == cl.four_scores(setting.rule, setting.prior)
+        assert len(calls) == 1
+
     def test_score_magnitude_check_at_any_n(self):
         # n - 1 past _MAX_SCORE_SUM (and the float range): only zero scores are priced,
         # and the check compares an int with a float, so it raises no OverflowError
@@ -453,7 +482,7 @@ class TestPairKernel:
             setting = cl.make_setting(10 ** 400, cl.TableRule(c, 0.0, c, 0.0),
                                       prior=SETTING.prior)
             if ok:
-                assert mechanism._score_table(setting).s_hh == c
+                assert setting.scores.s_hh == c
             else:
                 with pytest.raises(cl.InvalidSetting):
-                    mechanism._score_table(setting)
+                    setting.scores

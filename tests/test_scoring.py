@@ -100,6 +100,19 @@ class TestVerifyProperness:
             cl.verify_properness(cl.BrierRule(), 1)
 
 
+class TestFourScores:
+    def test_table_is_the_plain_tuple(self):
+        table = cl.four_scores(cl.BrierRule(), REFERENCE_PRIOR)
+        assert table == pytest.approx((0.92, -0.28, 0.28, 0.68), abs=1e-12)
+        assert tuple(table) == (table.s_hh, table.s_lh, table.s_hl, table.s_ll)
+        assert table == tuple(table) and hash(table) == hash(tuple(table))
+        s_hh, s_lh, s_hl, s_ll = table
+        assert table.of(cl.HIGH, cl.HIGH) == s_hh and table.of(cl.LOW, cl.HIGH) == s_lh
+        assert table.of(cl.HIGH, cl.LOW) == s_hl and table.of(cl.LOW, cl.LOW) == s_ll
+        assert table.against(1.0) == (s_hh, s_hl) and table.against(0.0) == (s_lh, s_ll)
+        assert table.against(0.25) == (0.25 * s_hh + 0.75 * s_lh, 0.25 * s_hl + 0.75 * s_ll)
+
+
 class TestGapReport:
     def test_reference_gap_h(self):
         rep = cl.gap_report(cl.BrierRule(), REFERENCE_PRIOR)
