@@ -72,8 +72,6 @@ from .mechanism import (
     Setting,
     Strategy,
     _MAX_SCORE_SUM,
-    _pair_term_ex_ante,
-    _pair_term_interim,
     make_setting,
     peer_average,
 )
@@ -889,8 +887,8 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     A member's delta is affine in the coalition size, so each grid strategy's
     smallest successful size is found by bisection: O(grid * log k) work.
     The grid is priced in one array pass, chunk by chunk of at most
-    ``_CHUNK_LANES`` strategies generated from their indices: the mechanism
-    kernel gives every lane's pair rewards in one call and the lanes bisect
+    ``_CHUNK_LANES`` strategies generated from their indices: the setting's
+    pair form gives every lane's pair rewards in one call and the lanes bisect
     in lockstep, with the floats and reads of a one-strategy search.  A
     ``Strategy`` is built only for a chunk's winner.
 
@@ -910,14 +908,13 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
     base = truthful_baseline(setting, concept)
-    prior, table, n = setting.prior, setting.scores, setting.n
+    form, n = setting.pair_form, setting.n
     truthful = TRUTHFUL_STRATEGY.betas
-    if concept == EX_ANTE:
-        def pair_terms(own, peer):
-            return [_pair_term_ex_ante(prior, table, own, peer)]
-    else:
-        def pair_terms(own, peer):
-            return [_pair_term_interim(prior, table, own, peer, s) for s in SIGNALS]
+    signals = (None,) if concept == EX_ANTE else SIGNALS
+
+    def pair_terms(own, peer):
+        return [form.reward(own, peer, s) for s in signals]
+
     bases = np.array(base, ndmin=1)[:, None]  # one row per delta component
 
     nodes = 0

@@ -411,7 +411,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
     if param == "n":
         parsed = _outcome(prior.from_config, raw)
-        rows = [row(n, _outcome(_checked_n, {"n": n}), parsed) for n in map(int, values)]
+        rows = [row(n, _outcome(_checked_n, {"n": n}), parsed) for n in values]
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:

@@ -12,33 +12,27 @@ mechanism; expected utilities match the randomized-peer original).
 A reporting strategy is a pair (beta_l, beta_h): the probability of
 reporting h on a low / high signal.  Truthful reporting is (0, 1).
 A deviation profile fixes strategies for a coalition; everyone else reports
-truthfully.  Expected utilities are exact closed-form sums over the
-(signal, report) lattice of each (i, peer) pair, grouped by peer role, so
-cost scales with the number of distinct strategies rather than n.
+truthfully.  Expected utilities are exact closed forms grouped by peer role,
+so cost scales with the number of distinct strategies rather than n.
 
-A setting scores its prior once, into ``Setting.scores``.  Every utility of
-a deviation profile goes through one kernel (the known-type utilities of
-``checker.interim_D_deviation`` sum their own terms).  The pair rewards
-``_pair_term_ex_ante``/``_pair_term_interim`` read report probabilities,
-and ``peer_average`` sums count times pair reward, role by role, divided by
-n - 1.  The kernel has no branches: it takes Python floats, or equal-shape
-numpy arrays that it prices lane by lane with the same operations in the
-same order, so a lane's float is the scalar float.  ``member_utility``
-takes an agent's strategy and its peers as (count, strategy) groups;
-``ex_ante_utility`` and ``interim_utility`` group a ``DeviationProfile``
-(``_peer_roles``) and call it, ``thresholds`` passes its groups directly,
-and ``checker.find_setting_deviation`` prices a whole chunk of grid
-strategies in one array call.  Zero terms need no skipping because
-``Setting.scores`` admits only finite scores: 0 times a finite reward adds
-nothing to a sum.
+A setting scores its prior once, into ``Setting.scores``, and writes the
+reward against one peer once, as ``Setting.pair_form`` (``PairForm``).
+Every utility of a deviation profile reads it (the known-type utilities of
+``checker.interim_D_deviation`` sum their own terms), and ``peer_average``
+sums count times pair reward, role by role, divided by n - 1.
+``member_utility`` takes an agent's strategy and its peers as (count,
+strategy) groups; ``ex_ante_utility`` and ``interim_utility`` group a
+``DeviationProfile`` (``_peer_roles``) and call it, ``thresholds`` passes
+its groups directly, and ``checker.find_setting_deviation`` prices a whole
+chunk of grid strategies in one array call of the form.
 
-The module also exposes the one-sided expected-reward forms f/g used in the
-interim analysis, the constant Hessian of the self-play pair reward (whose
-positive semidefiniteness drives the ex-ante threshold), and a seeded Monte
-Carlo simulator for cross-checking the closed forms.  The simulator uses the
-same grouping: given the latent state, the truthful agents' reports are one
-binomial count, so a trial costs O(k+1) draws, and per-role statistics are
-streamed block by block in bounded memory.
+The module also exposes the one-sided expected rewards f/g used in the
+interim analysis (rows of the form), the constant Hessian of the self-play
+pair reward (whose positive semidefiniteness drives the ex-ante threshold),
+and a seeded Monte Carlo simulator for cross-checking the closed forms.
+The simulator uses the same grouping: given the latent state, the truthful
+agents' reports are one binomial count, so a trial costs O(k+1) draws, and
+per-role statistics are streamed block by block in bounded memory.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -58,7 +52,7 @@ from .errors import (
     MissingWorldModel,
 )
 from .prior import BinaryPrior, WorldModel, induce_prior
-from .scoring import HIGH, LOW, SIGNALS, ScoreTable, ScoringRule, four_scores, is_finite_number
+from .scoring import HIGH, LOW, ScoreTable, ScoringRule, four_scores, is_finite_number
 
 #: Role marker for evaluating a non-deviator's utility.
 TRUTHFUL = "truthful"
@@ -83,7 +77,7 @@ class Strategy:
 
     @property
     def betas(self) -> tuple[float, float]:
-        """(beta_l, beta_h): the report probabilities the pair-reward kernel reads."""
+        """(beta_l, beta_h): the report probabilities ``PairForm.reward`` reads."""
         return self.beta_l, self.beta_h
 
     @property
@@ -103,6 +97,48 @@ CANONICAL_DEVIATIONS = {"all_h": ALL_H, "all_l": ALL_L, "all_lie": ALL_LIE}
 #: Largest (n - 1) * |score| a utility sum may reach: a factor 2^24 below the
 #: float maximum, so sums over the n - 1 peers, and their differences, stay finite.
 _MAX_SCORE_SUM = 2.0 ** 1000
+
+
+class PairForm(NamedTuple):
+    """One prior's expected reward against one peer, as a bilinear-affine form.
+
+    An agent with signal s reports h with probability x_s, and its peer
+    reports h with probability p_s = Pr(l|s)*y_l + Pr(h|s)*y_h, averaged over
+    the peer's signal.  The agent's expected reward is then
+
+        c + alpha*x_s + (beta + d*x_s)*p_s
+
+    with c = PS(l,q_l), alpha = PS(l,q_h) - c, beta = PS(h,q_l) - c and d
+    the cross-posterior surplus PS(h,q_h) + PS(l,q_l) - PS(h,q_l) - PS(l,q_h).
+    """
+
+    prior: BinaryPrior
+    c: float
+    alpha: float
+    beta: float
+    d: float
+
+    @classmethod
+    def of(cls, prior: BinaryPrior, table: ScoreTable) -> "PairForm":
+        c = table.s_ll
+        return cls(prior, c, table.s_lh - c, table.s_hl - c,
+                   table.s_hh + table.s_ll - table.s_hl - table.s_lh)
+
+    def reward(self, own, peer, s: str | None = None):
+        """Expected reward of playing ``own`` against ``peer``, given own signal ``s``.
+
+        ``own`` and ``peer`` are (beta_l, beta_h) report-h probabilities:
+        floats, or equal-shape arrays priced lane by lane with the same
+        operations in the same order, so a lane's float is the scalar float.
+        ``s`` None gives the ex-ante reward p_l*R_l + p_h*R_h.
+        """
+        prior = self.prior
+        if s is None:
+            return (prior.p_l * self.reward(own, peer, LOW)
+                    + prior.p_h * self.reward(own, peer, HIGH))
+        x = own[1] if s == HIGH else own[0]
+        p = prior.cond(s, LOW) * peer[0] + prior.cond(s, HIGH) * peer[1]
+        return self.c + self.alpha * x + (self.beta + self.d * x) * p
 
 
 @dataclass(frozen=True)
@@ -144,6 +180,11 @@ class Setting:
             raise InvalidSetting(f"scores up to {largest:g} in magnitude overflow a utility sum "
                                  f"over n - 1 = {peers} peers")
         return scores
+
+    @functools.cached_property
+    def pair_form(self) -> PairForm:
+        """The ``PairForm`` of ``scores`` that every utility reads; raises as ``scores``."""
+        return PairForm.of(self.prior, self.scores)
 
 
 def make_setting(n: int, rule: ScoringRule, prior: BinaryPrior | None = None,
@@ -219,42 +260,6 @@ def reward(setting: Setting, report_i: str, report_j: str) -> float:
     return setting.rule.score(report_j, setting.prior.posterior(report_i))
 
 
-def _pair_term_interim(prior: BinaryPrior, table: ScoreTable, own, peer, s_own: str):
-    """E[reward] against one peer, conditioned on own signal.
-
-    ``own`` and ``peer`` are (beta_l, beta_h) report-h probabilities: floats,
-    or equal-shape arrays priced lane by lane.
-    """
-    p_own_h = own[1] if s_own == HIGH else own[0]
-    total = 0.0
-    for s_j, p_peer_h in zip(SIGNALS, peer):
-        w_j = prior.cond(s_own, s_j)
-        high_part, low_part = table.against(p_peer_h)
-        total += w_j * (p_own_h * high_part + (1.0 - p_own_h) * low_part)
-    return total
-
-
-def _pair_term_ex_ante(prior: BinaryPrior, table: ScoreTable, own, peer):
-    """E[reward] against one peer over the full 2x2x2x2 outcome lattice.
-
-    ``own`` and ``peer`` as in ``_pair_term_interim``.  Each of the 16 terms
-    is the product w_i * p_ri * w_j * p_rj * score, formed left to right;
-    the leading factors it shares with other terms are formed once.  A
-    report of probability 0 adds terms of 0, which leave the sum unchanged.
-    """
-    peer_reports = [((HIGH, p_peer_h), (LOW, 1.0 - p_peer_h)) for p_peer_h in peer]
-    total = 0.0
-    for s_i, p_own_h in zip(SIGNALS, own):
-        w_i = prior.marginal(s_i)
-        for r_i, p_ri in ((HIGH, p_own_h), (LOW, 1.0 - p_own_h)):
-            own_weight = w_i * p_ri
-            for s_j, reports_j in zip(SIGNALS, peer_reports):
-                weight = own_weight * prior.cond(s_i, s_j)
-                for r_j, p_rj in reports_j:
-                    total += weight * p_rj * table.of(r_j, r_i)
-    return total
-
-
 def _peer_roles(setting: Setting, profile: DeviationProfile,
                 i: Union[int, str]) -> tuple[Strategy, list[tuple[int, Strategy]]]:
     """Own strategy and the (count, strategy) groups among the n-1 peers.
@@ -308,15 +313,9 @@ def member_utility(setting: Setting, own: Strategy, peers: Sequence[tuple[int, S
     """
     if any(count < 0 for count, _ in peers) or sum(c for c, _ in peers) != setting.n - 1:
         raise InvalidSetting(f"peer counts must be >= 0 and sum to n-1={setting.n - 1}")
-    table = setting.scores
-    prior = setting.prior
-    if s is None:
-        terms = ((count, _pair_term_ex_ante(prior, table, own.betas, peer.betas))
-                 for count, peer in peers)
-    else:
-        terms = ((count, _pair_term_interim(prior, table, own.betas, peer.betas, s))
-                 for count, peer in peers)
-    return peer_average(setting.n, terms)
+    form = setting.pair_form
+    return peer_average(setting.n, ((count, form.reward(own.betas, peer.betas, s))
+                                    for count, peer in peers))
 
 
 def ex_ante_utility(setting: Setting, profile: DeviationProfile, i: Union[int, str]) -> float:
@@ -335,14 +334,12 @@ def interim_utility(setting: Setting, profile: DeviationProfile, i: Union[int, s
 
 def truthful_ex_ante(setting: Setting) -> float:
     """Everyone truthful: the common ex-ante expected utility."""
-    return _pair_term_ex_ante(setting.prior, setting.scores, TRUTHFUL_STRATEGY.betas,
-                              TRUTHFUL_STRATEGY.betas)
+    return setting.pair_form.reward(TRUTHFUL_STRATEGY.betas, TRUTHFUL_STRATEGY.betas)
 
 
 def truthful_interim(setting: Setting, s: str) -> float:
     """Everyone truthful: expected utility conditioned on own signal ``s``."""
-    return _pair_term_interim(setting.prior, setting.scores, TRUTHFUL_STRATEGY.betas,
-                              TRUTHFUL_STRATEGY.betas, s)
+    return setting.pair_form.reward(TRUTHFUL_STRATEGY.betas, TRUTHFUL_STRATEGY.betas, s)
 
 
 def f_side(side: str, beta_own: float, peer: Strategy, setting: Setting) -> float:
@@ -353,25 +350,20 @@ def f_side(side: str, beta_own: float, peer: Strategy, setting: Setting) -> floa
     """
     if not 0.0 <= beta_own <= 1.0:
         raise InvalidStrategy(f"beta_own must lie in [0, 1], got {beta_own!r}")
-    table = setting.scores
-    prior = setting.prior
-    p_peer_h = prior.cond(side, HIGH) * peer.beta_h + prior.cond(side, LOW) * peer.beta_l
-    high_part, low_part = table.against(p_peer_h)
-    return beta_own * high_part + (1.0 - beta_own) * low_part
+    return setting.pair_form.reward((beta_own, beta_own), peer.betas, side)
 
 
 def g_side(side: str, sigma: Strategy, setting: Setting) -> float:
     """Diagonal of f: both agents play ``sigma`` and share the signal side."""
-    return f_side(side, sigma.report_prob(side), sigma, setting)
+    return setting.pair_form.reward(sigma.betas, sigma.betas, side)
 
 
 def pair_self_reward(setting: Setting, sigma: Strategy) -> float:
     """Expected reward between two agents both playing ``sigma`` (ex ante).
 
-    This is the quadratic form whose convexity bounds coalition averages;
-    evaluated directly over the outcome lattice.
+    This is the quadratic form whose convexity bounds coalition averages.
     """
-    return _pair_term_ex_ante(setting.prior, setting.scores, sigma.betas, sigma.betas)
+    return setting.pair_form.reward(sigma.betas, sigma.betas)
 
 
 @dataclass(frozen=True)
@@ -388,20 +380,19 @@ class PairRewardHessian:
 def pair_reward_hessian(setting: Setting, tol: float = 1e-9) -> PairRewardHessian:
     """Closed-form Hessian of ``pair_self_reward`` and its PSD verdict.
 
-    The Hessian factors as c * H0 with c the cross-posterior score surplus
-    PS(h,q_h)+PS(l,q_l)-PS(h,q_l)-PS(l,q_h) and H0 built from the prior alone.
-    PSD is decided by checking every principal minor (both diagonal entries
-    and the determinant) against ``-tol``.
+    The Hessian factors as d * (J + J^T), with d the pair form's
+    cross-posterior surplus and J the prior's joint signal matrix
+    [[p_l*Pr(l|l), p_l*Pr(h|l)], [p_h*Pr(l|h), p_h*Pr(h|h)]].  PSD is decided
+    by checking every principal minor (both diagonal entries and the
+    determinant) against ``-tol``.
     """
-    table = setting.scores
     prior = setting.prior
-    c = table.s_hh + table.s_ll - table.s_hl - table.s_lh
     off = prior.p_l * prior.p_hl + prior.p_h * prior.p_lh
     base = np.array([
         [2.0 * prior.p_l * prior.p_ll, off],
         [off, 2.0 * prior.p_h * prior.p_hh],
     ])
-    matrix = c * base
+    matrix = setting.pair_form.d * base
     minors = (matrix[0, 0], matrix[1, 1], float(np.linalg.det(matrix)))
     psd = all(m >= -tol for m in minors)
     return PairRewardHessian(matrix=matrix, psd=psd)

@@ -298,11 +298,6 @@ class ScoreTable(NamedTuple):
     s_hl: float
     s_ll: float
 
-    def of(self, report_j: str, report_i: str) -> float:
-        if report_i == HIGH:
-            return self.s_hh if report_j == HIGH else self.s_lh
-        return self.s_hl if report_j == HIGH else self.s_ll
-
     def against(self, p_h: float) -> tuple[float, float]:
         """Expected reward of reporting h, and of reporting l, against a peer
         who reports h with probability ``p_h``."""

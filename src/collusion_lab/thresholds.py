@@ -133,6 +133,11 @@ class ThresholdTable:
     ``scores`` are ``four_scores``, its one call here; ``e_l, e_h, d_h, d_l``
     the outsider losses and corner reward surpluses; ``sides`` each concept's
     (h, l) corners, the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
+    The four are partial derivatives of ``mechanism.PairForm`` at the
+    corners (e_l = -(alpha + d*Pr(h|l)), e_h = alpha + d*Pr(h|h), d_h =
+    beta + d, d_l = -beta), summed here in their own order, which keeps
+    ``n_zero``'s value at ill-conditioned priors, until an exact core
+    replaces both.
     """
 
     __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")

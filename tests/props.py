@@ -1179,6 +1179,8 @@ def pair_term_interim_scalar(prior: cl.BinaryPrior, table, own: cl.Strategy,
 def pair_term_ex_ante_scalar(prior: cl.BinaryPrior, table, own: cl.Strategy,
                              peer: cl.Strategy) -> float:
     """E[reward] against one peer over the 2x2x2x2 lattice, skipping reports of probability 0."""
+    score = {(cl.HIGH, cl.HIGH): table.s_hh, (cl.LOW, cl.HIGH): table.s_lh,
+             (cl.HIGH, cl.LOW): table.s_hl, (cl.LOW, cl.LOW): table.s_ll}  # (peer, own) report
     total = 0.0
     for s_i in SIGNALS:
         w_i = prior.marginal(s_i)
@@ -1190,7 +1192,7 @@ def pair_term_ex_ante_scalar(prior: cl.BinaryPrior, table, own: cl.Strategy,
                 w_j = prior.cond(s_i, s_j)
                 p_peer_h = peer.report_prob(s_j)
                 for r_j, p_rj in ((cl.HIGH, p_peer_h), (cl.LOW, 1.0 - p_peer_h)):
-                    total += w_i * p_ri * w_j * p_rj * table.of(r_j, r_i)
+                    total += w_i * p_ri * w_j * p_rj * score[r_j, r_i]
     return total
 
 
@@ -1312,28 +1314,38 @@ def kernel_rules(rng: np.random.Generator, tables: int = 4) -> list[cl.ScoringRu
 
 
 def check_pair_kernel_matches_scalar(seed: int = 6262, priors: int = 3) -> int:
-    """The array kernel gives the scalar floats at every grid point, compared with ==.
+    """The pair form prices array lanes as scalar calls, and matches the lattice.
 
     For each rule of ``kernel_rules`` and grid_steps 2..11, the grid lanes
-    are the ``Strategy`` grid, and each lane's pair reward (ex ante and per
-    signal) against itself, the truthful strategy and one random strategy
-    equals ``pair_term_*_scalar``, and so does the ex-ante reward of every
+    are the ``Strategy`` grid, and each lane's ``PairForm.reward`` (ex ante
+    and per signal) against itself, the truthful strategy and one random
+    strategy equals, with ==, the scalar call on that lane's strategies, and
+    lies within 1e-14 * max|score| of ``pair_term_*_scalar``, the 16-term
+    lattice summed in its own order; so does the ex-ante reward of every
     (own, peer) pair of grid strategies, lanes broadcast against lanes, for
-    grids up to 5 x 5; ``peer_average`` on per-lane count arrays
-    (zero counts among them, n up to 2^62) equals ``peer_average_scalar``.
-    Scalar calls of the kernel return Python floats.  Returns the number
-    of values compared.
+    grids up to 5 x 5.  ``peer_average`` on per-lane count arrays (zero
+    counts among them, n up to 2^62) equals ``peer_average_scalar``.
+    Scalar calls of the form for (other, ALL_LIE) and (ALL_H, truthful),
+    ex ante and per signal, return Python floats within the same distance
+    of the lattice.  Returns the number of values compared.
     """
     from collusion_lab.checker import _grid_lanes
-    from collusion_lab.mechanism import (
-        _pair_term_ex_ante, _pair_term_interim, peer_average)
+    from collusion_lab.mechanism import peer_average
 
     rng = np.random.default_rng(seed)
     compared = 0
     for rule in kernel_rules(rng):
         for _ in range(priors):
             setting = cl.make_setting(10, rule, prior=random_prior(rng))
-            prior, table = setting.prior, setting.scores
+            prior, table, form = setting.prior, setting.scores, setting.pair_form
+            close = 1e-14 * max(map(abs, table))
+
+            def check(got, pairs, s, *where):
+                assert got == [form.reward(a.betas, b.betas, s) for a, b in pairs], where
+                lattice = [pair_term_ex_ante_scalar(prior, table, a, b) if s is None
+                           else pair_term_interim_scalar(prior, table, a, b, s) for a, b in pairs]
+                assert max(abs(x - y) for x, y in zip(got, lattice)) <= close, where
+
             other = random_strategy(rng)
             for grid_steps in range(2, 12):
                 grid = setting_strategy_grid(grid_steps)
@@ -1342,25 +1354,21 @@ def check_pair_kernel_matches_scalar(seed: int = 6262, priors: int = 3) -> int:
                 for peer in (None, cl.TRUTHFUL_STRATEGY, other):
                     peer_lanes = lanes if peer is None else peer.betas
                     pairs = [(s, s if peer is None else peer) for s in grid]
-                    got = _pair_term_ex_ante(prior, table, lanes, peer_lanes)
-                    want = [pair_term_ex_ante_scalar(prior, table, a, b) for a, b in pairs]
-                    assert got.tolist() == want, (rule, prior, grid_steps, peer)
-                    for sig in SIGNALS:
-                        got = _pair_term_interim(prior, table, lanes, peer_lanes, sig)
-                        want = [pair_term_interim_scalar(prior, table, a, b, sig) for a, b in pairs]
-                        assert got.tolist() == want, (rule, prior, grid_steps, peer, sig)
+                    for sig in (None,) + SIGNALS:
+                        check(form.reward(lanes, peer_lanes, sig).tolist(), pairs, sig,
+                              rule, prior, grid_steps, peer, sig)
                     compared += 3 * len(grid)
                 if grid_steps <= 5:  # every (own, peer) pair of grid strategies in one call
                     rows = tuple(b[:, None] for b in lanes)
                     cols = tuple(b[None, :] for b in lanes)
-                    got = _pair_term_ex_ante(prior, table, rows, cols)
-                    want = [[pair_term_ex_ante_scalar(prior, table, a, b) for b in grid]
-                            for a in grid]
-                    assert got.tolist() == want, (rule, prior, grid_steps)
+                    check(form.reward(rows, cols).ravel().tolist(),
+                          [(a, b) for a in grid for b in grid], None, rule, prior, grid_steps)
                     compared += len(grid) ** 2
             for a, b in ((other, cl.ALL_LIE), (cl.ALL_H, cl.TRUTHFUL_STRATEGY)):
-                value = _pair_term_ex_ante(prior, table, a.betas, b.betas)
-                assert type(value) is float and value == pair_term_ex_ante_scalar(prior, table, a, b)
+                for sig in (None,) + SIGNALS:
+                    value = form.reward(a.betas, b.betas, sig)
+                    assert type(value) is float, (a, b, sig)
+                    check([value], [(a, b)], sig, rule, prior, a, b, sig)
             n = int(rng.choice([2, 3, 1000, 10 ** 6, 2 ** 62]))
             sizes = rng.integers(1, min(n, 2 ** 40), size=64, endpoint=True)
             sizes[:3] = (1, n, min(2, n))
@@ -1487,7 +1495,8 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
 
     Peers grouped with a ``Counter`` over the deviators (first-appearance
     order, own group less one), zero counts dropped, truthful peers last,
-    then ``total += count * pair term`` and one division by n - 1.
+    then ``total += count * setting.pair_form.reward(...)`` and one division
+    by n - 1: the summation order, checked against ``member_utility`` with ==.
     """
     from collections import Counter
 
@@ -1501,13 +1510,9 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
     roles = [(c, strat) for strat, c in counts.items() if c > 0]
     if truthful_peers > 0:
         roles.append((truthful_peers, cl.TRUTHFUL_STRATEGY))
-    table = setting.scores
     total = 0.0
     for count, strat in roles:
-        if s is None:
-            total += count * pair_term_ex_ante_scalar(setting.prior, table, own, strat)
-        else:
-            total += count * pair_term_interim_scalar(setting.prior, table, own, strat, s)
+        total += count * setting.pair_form.reward(own.betas, strat.betas, s)
     return total / (n - 1)
 
 

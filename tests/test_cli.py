@@ -167,19 +167,25 @@ class TestFalsifyCommand:
     @pytest.mark.parametrize("concept,k,code", [("ex_ante", 27, 1), ("ex_ante", 40, 0),
                                                 ("bayesian", 44, 1), ("bayesian", 45, 0)])
     def test_scores_the_prior_once(self, tmp_path, capsys, monkeypatch, concept, k, code):
-        # the search, its certificate's deltas and the re-check all read setting.scores
-        calls = []
-        original = scoring.four_scores
+        # the search, its certificate's deltas and the re-check all read setting.scores,
+        # and setting.pair_form, built once from it
+        calls, forms = [], []
+        original, original_form = scoring.four_scores, mechanism.PairForm.of
 
         def counted(rule, pr):
             calls.append(pr)
             return original(rule, pr)
 
+        def counted_form(pr, table):
+            forms.append(pr)
+            return original_form(pr, table)
+
         for module in (scoring, mechanism, thresholds):
             monkeypatch.setattr(module, "four_scores", counted)
+        monkeypatch.setattr(mechanism.PairForm, "of", counted_form)
         cfg = dict(REFERENCE, k=k, concept=concept)
         assert run(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])[0] == code
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(forms) == 1
 
     def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
         # 10^10 grid strategies: the default budget stops the search after ~10^3 chunks
@@ -252,6 +258,15 @@ class TestScanCommand:
             n = int(cells[0])
             assert int(cells[3]) == math.floor(4.0 / 15.0 * (n - 1)) + 1
             assert cells[-1] == ""
+
+    def test_n_values_must_be_integers(self, tmp_path, capsys):
+        # a non-integer n in "values" is its row's error cell, as in a config; never truncated
+        cfg = dict(self.BASE, sweep={"param": "n", "values": [2.7, 10.0, 1e300, 10]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        assert code == 0
+        assert out.split("\n")[1:] == [
+            f'{v},,,,,,,,ConfigError: "n" must be an integer >= 2; got {v}'
+            for v in (2.7, 10.0, 1e300)] + ["10,3,8,3,4,9,4,107,", ""]
 
     def test_empty_range(self, tmp_path, capsys):
         cfg = dict(self.BASE, sweep={"param": "n", "start": 50, "stop": 40, "step": 10})
@@ -372,7 +387,8 @@ class TestScanCommand:
 
     def test_golden_output(self, tmp_path, capsys):
         # captured before n_zero became closed form and scan parsed once per
-        # sweep: valid rows, n < 2, invalid priors, bad rules, NoFiniteN
+        # sweep: valid rows, n < 2, invalid priors, bad rules, NoFiniteN; the
+        # n-sweep's 2.7 row was regenerated when n values stopped being truncated
         golden = json.loads((Path(__file__).parent / "data" / "scan_golden.json").read_text())
         for case in golden:
             code, out = run(capsys, ["scan", "--config", write_config(tmp_path, case["config"])])

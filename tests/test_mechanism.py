@@ -417,7 +417,8 @@ class TestProfilesAndStrategies:
 
 class TestPairKernel:
     def test_arrays_match_scalar_terms(self):
-        # every grid lane, Brier, log bases e/2/0.5 and table rules, compared with ==
+        # every grid lane, Brier, log bases e/2/0.5 and table rules: lanes == scalar
+        # calls of the pair form, and both within 1e-14 of the score scale of the lattice
         assert props.check_pair_kernel_matches_scalar() > 100_000
 
     @pytest.mark.parametrize("rule", [
@@ -451,13 +452,18 @@ class TestPairKernel:
         (10 ** 9, cl.TableRule(1e300, 0.0, 1e300, 0.0)),       # a sum over 10^9 peers
     ])
     def test_setting_scores_on_first_use(self, n, rule):
-        # make_setting does not score the prior; each utility call raises again
+        # make_setting does not score the prior; each utility call, from the first,
+        # raises again with the message of setting.scores, and so does the pair form
         setting = cl.make_setting(n, rule, prior=SETTING.prior)
+        profile, messages = cl.DeviationProfile((cl.ALL_H,) * 4), set()
         for _ in range(2):
-            with pytest.raises(cl.InvalidSetting):
-                cl.ex_ante_utility(setting, PROFILE_40, 0)
-            with pytest.raises(cl.InvalidSetting):
-                setting.scores
+            for call in (lambda: cl.truthful_interim(setting, cl.LOW),
+                         lambda: cl.ex_ante_utility(setting, profile, 0),
+                         lambda: setting.pair_form, lambda: setting.scores):
+                with pytest.raises(cl.InvalidSetting) as raised:
+                    call()
+                messages.add(str(raised.value))
+        assert len(messages) == 1
 
     def test_setting_scores_once(self, monkeypatch):
         calls = []
@@ -473,6 +479,7 @@ class TestPairKernel:
         assert cl.ex_ante_utility(setting, PROFILE_40, 0) == want
         cl.interim_utility(setting, PROFILE_40, cl.TRUTHFUL, cl.LOW)
         assert setting.scores is setting.scores == cl.four_scores(setting.rule, setting.prior)
+        assert setting.pair_form is setting.pair_form
         assert len(calls) == 1
 
     def test_score_magnitude_check_at_any_n(self):

@@ -107,8 +107,6 @@ class TestFourScores:
         assert tuple(table) == (table.s_hh, table.s_lh, table.s_hl, table.s_ll)
         assert table == tuple(table) and hash(table) == hash(tuple(table))
         s_hh, s_lh, s_hl, s_ll = table
-        assert table.of(cl.HIGH, cl.HIGH) == s_hh and table.of(cl.LOW, cl.HIGH) == s_lh
-        assert table.of(cl.HIGH, cl.LOW) == s_hl and table.of(cl.LOW, cl.LOW) == s_ll
         assert table.against(1.0) == (s_hh, s_hl) and table.against(0.0) == (s_lh, s_ll)
         assert table.against(0.25) == (0.25 * s_hh + 0.75 * s_lh, 0.25 * s_hl + 0.75 * s_ll)
 

@@ -5,6 +5,8 @@ import pytest
 
 import collusion_lab as cl
 import props
+from collusion_lab.mechanism import PairForm
+from collusion_lab.thresholds import ThresholdTable
 
 
 SETTING = props.reference_setting()
@@ -60,6 +62,27 @@ class TestBayesianThreshold:
 class TestThresholdTable:
     def test_matches_per_setting_oracle(self):
         props.check_thresholds_match_per_setting()
+
+    def test_corners_are_the_pair_forms_derivatives(self):
+        # the table sums its corner quantities in its own order; each is a slope of the form
+        rng = np.random.default_rng(1616)
+        for rule in props.kernel_rules(rng):
+            for _ in range(5):
+                pr = props.random_prior(rng)
+                table = ThresholdTable(pr, rule)
+                form = PairForm.of(pr, table.scores)
+                close = 1e-12 * max(map(abs, table.scores))
+                for got, want in ((table.e_l, -(form.alpha + form.d * pr.p_hl)),
+                                  (table.e_h, form.alpha + form.d * pr.p_hh),
+                                  (table.d_h, form.beta + form.d),
+                                  (table.d_l, -form.beta)):
+                    assert abs(got - want) <= close, (rule, pr, got, want)
+                joint = np.array([[pr.p_l * pr.p_ll, pr.p_l * pr.p_hl],
+                                  [pr.p_h * pr.p_lh, pr.p_h * pr.p_hh]])
+                setting = cl.make_setting(10, rule, prior=pr)
+                assert setting.pair_form == form
+                hessian = cl.pair_reward_hessian(setting).matrix
+                assert np.array_equal(hessian, form.d * (joint + joint.T)), (rule, pr)
 
 
 class TestNZero:
