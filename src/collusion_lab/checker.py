@@ -73,7 +73,6 @@ from .mechanism import (
     Strategy,
     _MAX_SCORE_SUM,
     make_setting,
-    peer_average,
 )
 from .prior import WorldModel, coalition_posterior, world_model_for_prior
 from .scoring import DEFAULT_TOL, HIGH, SIGNALS, ScoreTable, ScoringRule, is_finite_number
@@ -85,7 +84,9 @@ from .thresholds import (
     deviation_succeeds,
     member_delta,
     symmetric_deltas,
+    symmetric_succeeds,
     truthful_baseline,
+    winning_sizes,
 )
 
 _PROB_TOL = 1e-12
@@ -424,8 +425,8 @@ def _check_coalition(cert: DeviationCertificate, n: int) -> None:
             f"certificate coalition {list(members)} must list distinct agents in [0, {n})")
 
 
-def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: float) -> bool:
-    """Stored deltas match the recomputed ones and the recomputed ones succeed.
+def _deltas_match(cert: DeviationCertificate, recomputed: Sequence) -> bool:
+    """The stored deltas are the recomputed ones.
 
     The match requires one delta per member, the same per-type tuple length,
     and agreement within 1e-9, so a tampered or truncated certificate fails.
@@ -440,7 +441,7 @@ def _certificate_holds(cert: DeviationCertificate, recomputed: Sequence, tol: fl
         # written so that a NaN fails
         if len(stored) != len(fresh) or not all(abs(s - f) <= 1e-9 for s, f in zip(stored, fresh)):
             return False
-    return deviation_succeeds(cert.concept, recomputed, tol)
+    return True
 
 
 # Cells (candidates x reduced-tensor entries) one chunk contraction holds at
@@ -665,8 +666,9 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
     """Recompute every delta from scratch and re-check the concept's conditions.
 
     Also requires the recomputed deltas to match the certificate's stored
-    deltas (see ``_certificate_holds``), so a tampered certificate fails.
-    The conditions use the certificate's own ``tolerance``.
+    deltas (see ``_deltas_match``), so a tampered certificate fails.  The
+    conditions are ``deviation_succeeds`` under the certificate's own
+    ``tolerance``.
     """
     _check_profile(game, profile)
     _check_coalition(cert, game.n)
@@ -700,7 +702,8 @@ def verify_certificate(game: FiniteBayesianGame, profile: MixedProfile,
         recomputed = [delta(agent, s_d) for agent in cert.coalition]
     else:
         raise DimensionMismatch(f"unknown certificate concept {cert.concept!r}")
-    return _certificate_holds(cert, recomputed, cert.tolerance)
+    return (_deltas_match(cert, recomputed)
+            and deviation_succeeds(cert.concept, recomputed, cert.tolerance))
 
 
 def bne_check(game: FiniteBayesianGame, profile: MixedProfile,
@@ -807,71 +810,6 @@ def _grid_lanes(grid_steps: int, start: int, stop: int) -> tuple[np.ndarray, np.
     return beta_l, beta_h
 
 
-def _half_lines(holds, k: int, shape: tuple, dtype) -> tuple[np.ndarray, ...]:
-    """Per lane, the sizes in [1, k] where a condition monotone in the size holds.
-
-    ``holds(sizes)`` tests every lane at its own size.  The condition is a
-    comparison of a delta affine in the size, so it holds on a half-line:
-    every lane reads it at 1 and k, and the lanes where the two differ
-    bisect in lockstep for the switch, each reading the sizes a one-lane
-    bisection would.  Returns (found, first, last, reads): whether it holds
-    anywhere, the first and last such size, and each lane's reads (2 plus
-    one per bisection step).
-    """
-    lo = np.ones(shape, dtype)
-    hi = np.full(shape, k, dtype)
-    at_1, at_k = holds(lo), holds(hi)
-    reads = np.full(shape, 2, np.int64)
-    hi = np.where(at_1 != at_k, hi, lo)  # only these bisect: holds(lo) == at_1 != holds(hi)
-    while True:
-        gap = hi - lo
-        bisecting = gap > 1
-        if not bisecting.any():
-            break
-        mid = lo + gap // 2
-        reads += bisecting
-        move_lo = holds(mid) == at_1
-        lo = np.where(bisecting & move_lo, mid, lo)
-        hi = np.where(bisecting & ~move_lo, mid, hi)
-    return at_1 | at_k, np.where(at_1, 1, hi), np.where(at_k, k, lo), reads
-
-
-def _smallest_winning_sizes(n: int, k: int, p_member: np.ndarray, p_truthful: np.ndarray,
-                            base: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per lane, the smallest size in [1, k] at which a coalition sharing its strategy succeeds.
-
-    ``p_member``, ``p_truthful`` (components x lanes) hold the pair reward
-    against a fellow member and against a truthful peer, ``base`` the
-    truthful baseline, per delta component (one ex ante, one per signal per
-    type).  A member's utility at size s is ``mechanism.peer_average`` over
-    s-1 fellow members and n-s truthful peers.  Success is
-    ``deviation_succeeds``: every component >= -tol and some component >
-    tol, each a half-line in s.
-
-    Returns (sizes, evaluations): k + 1 where no size wins, and the
-    evaluations (one per component read at one size) the sequential search
-    makes.  It searches each component's >= -tol half-line, stopping at the
-    first that is empty, then, if none was, each component's > tol
-    half-line.  Every half-line is searched here; only those reads count.
-    """
-    dtype = np.int64 if n <= np.iinfo(np.int64).max else object
-    # d > tol exactly when d >= the next float above tol: one comparison for both tests
-    bounds = np.array([-tol, np.nextafter(tol, np.inf)])[:, None, None]
-
-    def holds(sizes: np.ndarray) -> np.ndarray:  # sizes: (weak, strict) x components x lanes
-        delta = peer_average(n, ((sizes - 1, p_member), (n - sizes, p_truthful))) - base
-        return delta >= bounds
-
-    found, first, last, reads = _half_lines(holds, k, (2,) + p_member.shape, dtype)
-    alive = np.logical_and.accumulate(found[0], axis=0)  # weak half-lines 0..c all found
-    live = alive[-1]
-    evals = (reads[0, 0] + (reads[0, 1:] * alive[:-1]).sum(axis=0)
-             + live * reads[1].sum(axis=0))
-    start = np.maximum(first[0].max(axis=0), first[1])
-    wins = live & found[1] & (start <= np.minimum(last[0].min(axis=0), last[1]))
-    return np.where(wins, start, k + 1).min(axis=0), evals
-
-
 def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: int = 11,
                            budget: int = DEFAULT_BUDGET,
                            tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
@@ -879,27 +817,15 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
 
     Searches coalition sizes 1..k with all members sharing one grid strategy
     (agents are exchangeable and the binding deviations are symmetric corner
-    profiles); utilities come from the exact closed forms, so any n is fine.
-    Returns the smallest successful size, first grid strategy in grid order
-    among those that succeed at it.  Same certificate/verdict semantics as
-    ``find_deviation``.
+    profiles), at any n.  Returns the smallest successful size, first grid
+    strategy in grid order among those that succeed at it.  Each strategy's
+    smallest winning size is ``thresholds.winning_sizes``, in closed form,
+    over chunks of at most ``_CHUNK_LANES`` strategies generated from their
+    indices, so memory stays bounded at any ``grid_steps``.
 
-    A member's delta is affine in the coalition size, so each grid strategy's
-    smallest successful size is found by bisection: O(grid * log k) work.
-    The grid is priced in one array pass, chunk by chunk of at most
-    ``_CHUNK_LANES`` strategies generated from their indices: the setting's
-    pair form gives every lane's pair rewards in one call and the lanes bisect
-    in lockstep, with the floats and reads of a one-strategy search.  A
-    ``Strategy`` is built only for a chunk's winner.
-
-    ``budget`` counts the evaluations a strategy-by-strategy search makes,
-    one per delta component (one ex ante, two per type) read at one size;
-    as in ``find_deviation``, a search that needs more raises
-    ``BudgetExceeded`` with ``nodes_searched`` budget + 1, the count at the
-    first evaluation past it.  The count is checked after every chunk, so
-    the work done stays within one chunk of the budget at any
-    ``grid_steps``.  A search that finishes makes at most
-    grid * components * 2 * (2 + ceil(log2 k)) evaluations.
+    ``budget`` counts grid strategies.  Every search prices all
+    grid_steps^2 - 1 of them, so the budget is compared once, before any is
+    priced: past it, ``BudgetExceeded`` with ``nodes_searched`` budget + 1.
     """
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
@@ -907,27 +833,13 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
         raise InvalidSetting(f"grid_steps must be >= 2, got {grid_steps}")
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
-    base = truthful_baseline(setting, concept)
-    form, n = setting.pair_form, setting.n
-    truthful = TRUTHFUL_STRATEGY.betas
-    signals = (None,) if concept == EX_ANTE else SIGNALS
-
-    def pair_terms(own, peer):
-        return [form.reward(own, peer, s) for s in signals]
-
-    bases = np.array(base, ndmin=1)[:, None]  # one row per delta component
-
-    nodes = 0
-    winner = None  # (size, strategy)
     lanes = grid_steps ** 2 - 1
+    if lanes > budget:
+        raise BudgetExceeded(budget + 1)
+    winner = None  # (size, strategy)
     for start in range(0, lanes, _CHUNK_LANES):
         own = _grid_lanes(grid_steps, start, min(start + _CHUNK_LANES, lanes))
-        sizes, evals = _smallest_winning_sizes(
-            n, k, np.array(pair_terms(own, own)), np.array(pair_terms(own, truthful)),
-            bases, tol)
-        nodes += int(evals.sum())
-        if nodes > budget:
-            raise BudgetExceeded(budget + 1)
+        sizes = winning_sizes(setting, concept, own, 1, k, tol)
         best = int(np.argmin(sizes))
         if sizes[best] <= k and (winner is None or sizes[best] < winner[0]):
             winner = (int(sizes[best]), Strategy(float(own[0][best]), float(own[1][best])))
@@ -937,7 +849,9 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     return DeviationCertificate(
         concept=concept, coalition=tuple(range(size)),
         strategies=(strat.rows,) * size,
-        deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
+        deltas=symmetric_deltas(setting, strat, size, concept,
+                                truthful_baseline(setting, concept)),
+        tolerance=tol)
 
 
 def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) -> list:
@@ -983,11 +897,20 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate) -> 
     """Re-verify a mechanism-scale certificate from the closed forms.
 
     Deltas are recomputed once per distinct strategy
-    (``_setting_certificate_deltas``), then compared member by member with
-    the stored ones, under the certificate's own ``tolerance``.
+    (``_setting_certificate_deltas``) and must match the stored ones member
+    by member.  Success, under the certificate's own ``tolerance``, is
+    ``thresholds.winning_sizes`` at the certificate's size when every member
+    has the same row (ex ante or per type), the search's own rule, and
+    ``deviation_succeeds`` on the recomputed deltas otherwise.
     """
     _check_coalition(cert, setting.n)
-    return _certificate_holds(cert, _setting_certificate_deltas(setting, cert), cert.tolerance)
+    recomputed, rows = _setting_certificate_deltas(setting, cert), set(cert.strategies)
+    if not _deltas_match(cert, recomputed):
+        return False
+    if cert.concept in CONCEPTS and len(rows) == 1:
+        return symmetric_succeeds(setting, _strategy_from_dists(*rows), len(cert.coalition),
+                                  cert.concept, cert.tolerance)
+    return deviation_succeeds(cert.concept, recomputed, cert.tolerance)
 
 
 def _outsider_rewards(setting: Setting, s_d: tuple[str, ...]) -> tuple[float, float]:

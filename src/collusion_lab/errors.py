@@ -54,12 +54,14 @@ class BudgetExceeded(CollusionLabError, RuntimeError):
     """The deviation search exhausted its node budget before finishing.
 
     Attributes:
-        nodes_searched: utility evaluations performed before giving up.
+        nodes_searched: the count at the first node past the budget; nodes
+            are utility evaluations in ``find_deviation`` and grid
+            strategies in ``find_setting_deviation``.
     """
 
     def __init__(self, nodes_searched: int, message: str | None = None):
         self.nodes_searched = nodes_searched
-        super().__init__(message or f"search budget exhausted after {nodes_searched} utility evaluations")
+        super().__init__(message or f"search budget exhausted at node {nodes_searched}")
 
 
 class NoFiniteN(CollusionLabError, ArithmeticError):

@@ -23,7 +23,7 @@ sums count times pair reward, role by role, divided by n - 1.
 ``member_utility`` takes an agent's strategy and its peers as (count,
 strategy) groups; ``ex_ante_utility`` and ``interim_utility`` group a
 ``DeviationProfile`` (``_peer_roles``) and call it, ``thresholds`` passes
-its groups directly, and ``checker.find_setting_deviation`` prices a whole
+its groups directly, and ``thresholds.winning_sizes`` prices a whole
 chunk of grid strategies in one array call of the form.
 
 The module also exposes the one-sided expected rewards f/g used in the
@@ -110,6 +110,9 @@ class PairForm(NamedTuple):
 
     with c = PS(l,q_l), alpha = PS(l,q_h) - c, beta = PS(h,q_l) - c and d
     the cross-posterior surplus PS(h,q_h) + PS(l,q_l) - PS(h,q_l) - PS(l,q_h).
+    Its corner slopes, the thresholds' quantities, are summed from the scores:
+    the lone deviators' losses e_l = -(alpha + d*Pr(h|l)), e_h = alpha +
+    d*Pr(h|h) and the corner surpluses d_h = beta + d, d_l = -beta.
     """
 
     prior: BinaryPrior
@@ -117,12 +120,18 @@ class PairForm(NamedTuple):
     alpha: float
     beta: float
     d: float
+    e_l: float
+    e_h: float
+    d_h: float
+    d_l: float
 
     @classmethod
     def of(cls, prior: BinaryPrior, table: ScoreTable) -> "PairForm":
-        c = table.s_ll
-        return cls(prior, c, table.s_lh - c, table.s_hl - c,
-                   table.s_hh + table.s_ll - table.s_hl - table.s_lh)
+        s_hh, s_lh, s_hl, s_ll = table
+        return cls(prior, s_ll, s_lh - s_ll, s_hl - s_ll, s_hh + s_ll - s_hl - s_lh,
+                   prior.p_hl * (s_hl - s_hh) + prior.p_ll * (s_ll - s_lh),
+                   prior.p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll),
+                   s_hh - s_lh, s_ll - s_hl)
 
     def reward(self, own, peer, s: str | None = None):
         """Expected reward of playing ``own`` against ``peer``, given own signal ``s``.
@@ -139,6 +148,20 @@ class PairForm(NamedTuple):
         x = own[1] if s == HIGH else own[0]
         p = prior.cond(s, LOW) * peer[0] + prior.cond(s, HIGH) * peer[1]
         return self.c + self.alpha * x + (self.beta + self.d * x) * p
+
+    def gaps(self, own, s: str | None = None):
+        """(A, B) given own signal ``s`` (None: ex ante): ``own``'s reward against itself
+        minus that against a truthful peer, and the latter minus the truthful reward, each
+        one product of corner slopes, not a difference of rewards, so a small gap keeps its
+        digits: A = (x*d_h - (1-x)*d_l)*(p - Pr(h|s)), B = -e_l*x or -e_h*(1-x)."""
+        prior = self.prior
+        if s is None:
+            (a_l, b_l), (a_h, b_h) = self.gaps(own, LOW), self.gaps(own, HIGH)
+            return prior.p_l * a_l + prior.p_h * a_h, prior.p_l * b_l + prior.p_h * b_h
+        x, truthful_p = own[1] if s == HIGH else own[0], prior.cond(s, HIGH)
+        p = prior.cond(s, LOW) * own[0] + truthful_p * own[1]
+        loss = self.e_h * (1.0 - x) if s == HIGH else self.e_l * x
+        return (x * self.d_h - (1.0 - x) * self.d_l) * (p - truthful_p), -loss
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,19 @@ with the one ``four_scores`` call, and gives ``report(concept, n)``,
 ``liar(n)`` and ``n_zero()``; ``k_ex_ante``, ``k_bayesian``,
 ``liar_threshold`` and ``n_zero`` each read a new table.
 
-``dichotomy_check`` evaluates a canonical deviation against the letter of
-the equilibrium definitions via exact mechanism utilities.
+``dichotomy_check`` tests a canonical deviation at one coalition size.
 
-This module also holds the verdict vocabulary that ``checker`` imports:
-the concept names, ``deviation_succeeds`` (the definitions' success test),
-``truthful_baseline``/``member_delta`` (one deviator's utility change) and
-``symmetric_deltas`` (a coalition sharing one strategy), so the closed
-forms and the falsifiers decide success the same way.
+One success rule decides coalitions sharing one strategy (``winning_sizes``).
+A member's delta at size s is ((s-1)*A + (n-1)*B) / (n-1) per component
+(one ex ante, one per signal per type), A and B from ``PairForm.gaps``.
+The tolerance sits where ``ThresholdTable`` puts it: |A| <= tol counts as
+0, as a corner's denominator does; B, like a corner's numerator, stays
+exact; and the root (n-1)*(-B/A) is snapped before its floor or ceiling.
+Success: (s-1)*A + (n-1)*B >= 0 in every component and > 0 in some.
+``deviation_succeeds`` (every delta >= -tol, some > tol) decides the rest:
+explicit games, coalitions mixing strategies and known-type (interim_D)
+coalitions.  With the concept names, ``truthful_baseline``/``member_delta``
+and ``symmetric_deltas``, these are the verdict vocabulary ``checker`` imports.
 """
 
 from __future__ import annotations
@@ -47,10 +52,13 @@ import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InvalidSetting, NoFiniteN
 from .mechanism import (
     CANONICAL_DEVIATIONS,
     TRUTHFUL_STRATEGY,
+    PairForm,
     Setting,
     Strategy,
     member_utility,
@@ -58,7 +66,7 @@ from .mechanism import (
     truthful_interim,
 )
 from .prior import BinaryPrior
-from .scoring import DEFAULT_TOL, HIGH, LOW, ScoringRule, four_scores
+from .scoring import DEFAULT_TOL, HIGH, LOW, SIGNALS, ScoringRule, four_scores
 
 EX_ANTE = "ex_ante"
 BAYESIAN = "bayesian"
@@ -133,25 +141,19 @@ class ThresholdTable:
     ``scores`` are ``four_scores``, its one call here; ``e_l, e_h, d_h, d_l``
     the outsider losses and corner reward surpluses; ``sides`` each concept's
     (h, l) corners, the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
-    The four are partial derivatives of ``mechanism.PairForm`` at the
-    corners (e_l = -(alpha + d*Pr(h|l)), e_h = alpha + d*Pr(h|h), d_h =
-    beta + d, d_l = -beta), summed here in their own order, which keeps
-    ``n_zero``'s value at ill-conditioned priors, until an exact core
-    replaces both.
+    The four are ``mechanism.PairForm``'s corner slopes, the same floats
+    ``winning_sizes`` reads.
     """
 
     __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")
 
     def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
         self.prior, self.tol = prior, tol
-        self.scores = s_hh, s_lh, s_hl, s_ll = four_scores(rule, prior)
-        p_hh, p_ll = prior.p_hh, prior.p_ll
-        self.e_l = e_l = prior.p_hl * (s_hl - s_hh) + p_ll * (s_ll - s_lh)
-        self.e_h = e_h = p_hh * (s_hh - s_hl) + prior.p_lh * (s_lh - s_ll)
-        self.d_h = d_h = s_hh - s_lh
-        self.d_l = d_l = s_ll - s_hl
+        self.scores = four_scores(rule, prior)
+        form = PairForm.of(prior, self.scores)
+        self.e_l, self.e_h, self.d_h, self.d_l = e_l, e_h, d_h, d_l = form[-4:]
         # per type, each corner's inside surplus is discounted (module docstring)
-        b_h, b_l = p_ll * d_h, p_hh * d_l
+        b_h, b_l = prior.p_ll * d_h, prior.p_hh * d_l
         self.sides = {EX_ANTE: (_side(e_l, d_h, tol), _side(e_h, d_l, tol)),
                       BAYESIAN: (_side(e_l, b_h, tol), _side(e_h, b_l, tol))}
 
@@ -272,8 +274,8 @@ class DichotomyVerdict:
     """Outcome of testing one canonical deviation against one concept.
 
     ``deltas`` holds per-member utility changes: floats for the ex-ante
-    concept, (low, high) per-type pairs for the interim concept.  Success
-    means every delta is at least -tol and at least one exceeds +tol.
+    concept, (low, high) per-type pairs for the interim concept.
+    ``succeeded`` is the module's success rule at size k (``winning_sizes``).
     """
 
     concept: str
@@ -301,10 +303,11 @@ class DichotomyVerdict:
 
 
 def deviation_succeeds(concept: str, deltas: Sequence, tol: float) -> bool:
-    """The definitions' success test for one coalition's per-member deltas.
+    """The definitions' success test on one coalition's per-member deltas, each within ``tol``.
 
     Ex ante and per type: no member (type) loses, someone strictly gains;
     per-type deltas are tuples.  interim_D: every member strictly gains.
+    For coalitions sharing one strategy ``winning_sizes`` decides instead.
     """
     if concept == INTERIM_D:
         return all(d > tol for d in deltas)
@@ -354,6 +357,46 @@ def symmetric_deltas(setting: Setting, strategy: Strategy, k: int, concept: str,
     return (member_delta(setting, strategy, peers, concept, base),) * k
 
 
+def winning_sizes(setting: Setting, concept: str, own, lo: int, hi: int,
+                  tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per lane, the smallest size in [lo, hi] at which a coalition sharing its strategy succeeds.
+
+    ``own`` holds the lanes' (beta_l, beta_h) arrays; hi + 1 where no size in
+    [lo, hi] succeeds.  In t = s - 1, each component's weak and strict
+    conditions hold on intervals that end at the floor or ceiling of the
+    snapped root, clipped to [-1, cap] (cap a power of two above hi, which
+    changes no answer); the ends are int64, or Python ints from cap 2^63 on.
+    """
+    signals = (None,) if concept == EX_ANTE else SIGNALS
+    a, b = (np.array(x) for x in zip(*(setting.pair_form.gaps(own, s) for s in signals)))
+    a = np.where(abs(a) <= tol, 0.0, a)  # as ThresholdTable's den <= tol; B stays exact
+    cap = math.ldexp(1.0, min(int(hi).bit_length(), 1023))
+    up, down = a > 0.0, a < 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = float(setting.n - 1) * (-b / a)
+        root = np.where(abs(root - np.round(root)) <= tol, np.round(root), root)  # _snap
+    root = np.clip(np.where(up | down, root, 0.0), -1.0, cap)
+    dtype = np.int64 if cap <= 2.0 ** 62 else object
+    floor, ceil = (np.frompyfunc(int, 1, 1)(x) if dtype is object else x.astype(dtype)
+                   for x in (np.floor(root), np.ceil(root)))
+    beyond = np.array(int(cap), dtype)
+    # a > 0: t >= root (weak), t > root (strict); a < 0: t <= root, t < root; a == 0: b's sign
+    weak_lo = np.where(up, ceil, np.where(down | (b >= 0.0), 0, beyond))
+    weak_hi = np.where(down, floor, np.where(up | (b >= 0.0), beyond, -1))
+    strict_lo = np.where(up, floor + 1, np.where(down | (b > 0.0), 0, beyond))
+    strict_hi = np.where(down, ceil - 1, np.where(up | (b > 0.0), beyond, -1))
+    start = np.maximum(np.maximum(weak_lo.max(axis=0), lo - 1), strict_lo)
+    wins = start <= np.minimum(np.minimum(weak_hi.min(axis=0), hi - 1), strict_hi)
+    return np.minimum(np.where(wins, start, beyond).min(axis=0), hi) + 1
+
+
+def symmetric_succeeds(setting: Setting, strategy: Strategy, k: int, concept: str,
+                       tol: float = DEFAULT_TOL) -> bool:
+    """Whether a size-k coalition whose members all play ``strategy`` succeeds (``winning_sizes``)."""
+    own = tuple(np.array([beta]) for beta in strategy.betas)
+    return bool(winning_sizes(setting, concept, own, k, k, tol)[0] == k)
+
+
 def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
                     tol: float = DEFAULT_TOL) -> DichotomyVerdict:
     """Test whether k coalition members playing a named corner profile succeed."""
@@ -364,8 +407,8 @@ def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
         raise InvalidSetting(f"unknown concept {concept!r}, expected one of {CONCEPTS}")
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
-    deltas = symmetric_deltas(setting, CANONICAL_DEVIATIONS[deviation], k, concept,
-                              truthful_baseline(setting, concept))
+    strategy = CANONICAL_DEVIATIONS[deviation]
+    deltas = symmetric_deltas(setting, strategy, k, concept, truthful_baseline(setting, concept))
     return DichotomyVerdict(
         concept=concept, k=k, deviation_tested=deviation,
-        succeeded=deviation_succeeds(concept, deltas, tol), deltas=deltas)
+        succeeded=symmetric_succeeds(setting, strategy, k, concept, tol), deltas=deltas)

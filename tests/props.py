@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -62,6 +63,28 @@ def random_rule(rng: np.random.Generator) -> cl.ScoringRule:
 def random_table_rule(rng: np.random.Generator) -> cl.TableRule:
     """An affine table rule with intercepts and slopes in [-2, 2] (not necessarily proper)."""
     return cl.TableRule(*(float(x) for x in rng.uniform(-2.0, 2.0, size=4)))
+
+
+def tiny_loss_table_rule(rng: np.random.Generator, prior: cl.BinaryPrior,
+                         tol: float = cl.DEFAULT_TOL) -> cl.TableRule:
+    """A table rule whose single deviator at one corner loses a drawn amount in (0, tol].
+
+    That loss is ``ThresholdTable``'s e_l = (q_l - q_h) * (Pr(h|l)*h_slope +
+    Pr(l|l)*l_slope) or e_h = (q_h - q_l) * (Pr(h|h)*h_slope + Pr(l|h)*l_slope),
+    q_s = Pr(h|s): one slope is drawn and the other solves for the loss, and the
+    intercepts put that corner's surplus (d_h or d_l) log-uniform in [1e-4, 1].
+    The other corner's loss has the drawn slope's sign, positive here.
+    """
+    q_h, q_l = prior.p_hh, prior.p_hl
+    loss = float(rng.uniform(0.05, 1.0)) * tol
+    surplus = float(10.0 ** rng.uniform(-4.0, 0.0))
+    free = float(rng.uniform(0.5, 2.0))
+    intercept = float(rng.uniform(-1.0, 1.0))
+    if rng.random() < 0.5:  # e_l = loss, d_h = surplus
+        l_slope = (loss / (q_l - q_h) - prior.p_hl * free) / prior.p_ll
+        return cl.TableRule(intercept, free, intercept + (free - l_slope) * q_h - surplus, l_slope)
+    h_slope = (loss / (q_h - q_l) + prior.p_lh * free) / prior.p_hh  # e_h = loss, d_l = surplus
+    return cl.TableRule(intercept - (h_slope + free) * q_l - surplus, h_slope, intercept, -free)
 
 
 def random_strategy(rng: np.random.Generator) -> cl.Strategy:
@@ -1236,56 +1259,49 @@ def sizes_where(holds, k: int) -> tuple[int, int] | None:
     return (1, lo) if at_1 else (hi, k)
 
 
-def smallest_winning_size(n: int, k: int, terms, tol: float, spend) -> int | None:
-    """One strategy's smallest winning size from its (member, truthful, base) terms.
+def smallest_winning_size(k: int, components) -> int | None:
+    """The smallest size in [1, k] where every weak test holds and some strict test does.
 
-    Every >= -tol half-line, stopping at the first empty one, then every
-    > tol half-line; ``spend()`` once per component read at one size.
+    ``components`` holds one (weak, strict) pair of tests on the size per
+    delta component, each holding on a half-line: every weak half-line,
+    stopping at the first empty one, then every strict half-line.
     """
-    def sizes(term, test):
-        p_member, p_truthful, base = term
-
-        def holds(s: int) -> bool:
-            spend()
-            return test(peer_average_scalar(n, ((s - 1, p_member), (n - s, p_truthful))) - base)
-        return sizes_where(holds, k)
-
     first, last = 1, k
-    for term in terms:
-        span = sizes(term, lambda d: d >= -tol)
+    for weak, _ in components:
+        span = sizes_where(weak, k)
         if span is None:
             return None
         first, last = max(first, span[0]), min(last, span[1])
     best = None
-    for term in terms:
-        span = sizes(term, lambda d: d > tol)
+    for _, strict in components:
+        span = sizes_where(strict, k)
         if span is not None and max(first, span[0]) <= min(last, span[1]):
             size = max(first, span[0])
             best = size if best is None else min(best, size)
     return best
 
 
+def delta_tests(n: int, term, tol: float) -> tuple:
+    """A component's (delta >= -tol, delta > tol) tests on the size, from (member, truthful, base)."""
+    p_member, p_truthful, base = term
+
+    def delta(s: int) -> float:
+        return peer_average_scalar(n, ((s - 1, p_member), (n - s, p_truthful))) - base
+    return (lambda s: delta(s) >= -tol), (lambda s: delta(s) > tol)
+
+
 def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
-                                   grid_steps: int = 11, budget: int = cl.DEFAULT_BUDGET,
-                                   tol: float = cl.DEFAULT_TOL):
+                                   grid_steps: int = 11, tol: float = cl.DEFAULT_TOL):
     """The setting falsifier one ``Strategy`` at a time, in grid order.
 
-    Per strategy the scalar pair terms and a scalar bisection; one node per
-    component read at one size, ``BudgetExceeded`` at the first node past
-    ``budget``.  The smallest winning size, first strategy among ties.
+    Per strategy the scalar pair terms and a scalar bisection on the deltas
+    (``deviation_succeeds``'s +-tol).  The smallest winning size, first
+    strategy among ties.
     """
     from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
 
     base = truthful_baseline(setting, concept)
     prior, table, n = setting.prior, setting.scores, setting.n
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise cl.BudgetExceeded(nodes)
-
     winner = None  # (size, strategy)
     for strat in setting_strategy_grid(grid_steps):
         if concept == cl.EX_ANTE:
@@ -1295,7 +1311,7 @@ def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
             terms = [(pair_term_interim_scalar(prior, table, strat, strat, s),
                       pair_term_interim_scalar(prior, table, strat, cl.TRUTHFUL_STRATEGY, s), b)
                      for s, b in zip(SIGNALS, base)]
-        size = smallest_winning_size(n, k, terms, tol, spend)
+        size = smallest_winning_size(k, [delta_tests(n, term, tol) for term in terms])
         if size is not None and (winner is None or size < winner[0]):
             winner = (size, strat)
     if winner is None:
@@ -1400,54 +1416,53 @@ def setting_search_case(rng: np.random.Generator) -> tuple:
     return setting, k, concept, grid_steps, budget
 
 
-def check_setting_falsifier_matches_bisection(seed: int = 9090, cases: int = 10_000) -> dict:
-    """The chunked array search returns what the one-strategy bisection returns.
+def search_matches_oracle(oracle, setting: cl.Setting, k: int, concept: str, grid_steps: int,
+                          budget: int, label=None) -> str:
+    """``find_setting_deviation`` under ``budget`` against ``oracle`` (no budget).
 
-    On seeded searches (``setting_search_case``): an equal certificate (the
-    frozen dataclass compares every field, as its ``to_dict()`` would), the
-    same None, or the same ``nodes_searched``.  Returns how many ended each
-    way.
+    The search stops, with ``nodes_searched`` budget + 1, exactly when the
+    grid_steps^2 - 1 lanes exceed the budget; otherwise it returns what the
+    oracle returns: an equal certificate (the dict compares every field,
+    deltas as floats) or the same None.  Returns "budget", "none" or "found".
     """
-    def outcome(search, *args, **kwargs):
-        try:
-            return "found", search(*args, **kwargs)
-        except cl.BudgetExceeded as exc:
-            return "budget", exc.nodes_searched
+    fast = search_outcome(cl.find_setting_deviation, setting, k, concept,
+                          grid_steps=grid_steps, budget=budget)
+    label = label or (setting, k, concept, grid_steps, budget)
+    if grid_steps ** 2 - 1 > budget:
+        assert fast == ("budget", budget + 1), label
+        return "budget"
+    assert fast == search_outcome(oracle, setting, k, concept, grid_steps=grid_steps), label
+    return "none" if fast[1] is None else "found"
 
+
+def check_setting_falsifier_matches_bisection(seed: int = 9090, cases: int = 10_000) -> dict:
+    """The closed-form search returns what the one-strategy bisection returns.
+
+    On seeded searches (``setting_search_case``), by ``search_matches_oracle``.
+    Returns how many ended each way.
+    """
     rng = np.random.default_rng(seed)
     kinds = {"found": 0, "none": 0, "budget": 0}
     for case in range(cases):
         setting, k, concept, grid_steps, budget = setting_search_case(rng)
-        args = (setting, k, concept)
-        kwargs = {"grid_steps": grid_steps, "budget": budget}
-        fast = outcome(cl.find_setting_deviation, *args, **kwargs)
-        slow = outcome(setting_falsifier_by_bisection, *args, **kwargs)
-        assert fast == slow, (case, setting, k, concept, grid_steps, budget)
-        kinds["budget" if fast[0] == "budget" else
-              ("none" if fast[1] is None else "found")] += 1
+        kinds[search_matches_oracle(setting_falsifier_by_bisection, setting, k, concept,
+                                    grid_steps, budget, label=case)] += 1
     return kinds
 
 
 def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
-                              grid_steps: int = 11, budget: int = cl.DEFAULT_BUDGET,
-                              tol: float = cl.DEFAULT_TOL):
+                              grid_steps: int = 11, tol: float = cl.DEFAULT_TOL):
     """The setting falsifier as a plain loop: every grid strategy at size 1, then 2, ...
 
-    Charges one node per utility evaluation and raises BudgetExceeded at the
-    first node past ``budget``; returns the first certificate that succeeds.
+    Returns the first certificate that succeeds (``deviation_succeeds``).
     """
     from collusion_lab.thresholds import (
         deviation_succeeds, symmetric_deltas, truthful_baseline)
 
     strategies = setting_strategy_grid(grid_steps)
     base = truthful_baseline(setting, concept)
-    evals = 1 if concept == cl.EX_ANTE else 2
-    nodes = 0
     for size in range(1, k + 1):
         for strat in strategies:
-            nodes += evals
-            if nodes > budget:
-                raise cl.BudgetExceeded(nodes)
             deltas = symmetric_deltas(setting, strat, size, concept, base)
             if deviation_succeeds(concept, deltas, tol):
                 return cl.DeviationCertificate(
@@ -1457,15 +1472,9 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
     return None
 
 
-def setting_falsifier_eval_bound(k: int, concept: str, grid_steps: int) -> int:
-    """Evaluations a finishing setting search may make: grid * components * 2 * (2 + ceil(log2 k)).
-
-    Per grid strategy and delta component, two half-line searches (>= -tol,
-    > tol), each reading sizes 1 and k and bisecting between them.
-    """
-    grid = grid_steps ** 2 - 1  # every (beta_l, beta_h) grid point but truthful
-    components = 1 if concept == cl.EX_ANTE else 2
-    return grid * components * 2 * (2 + math.ceil(math.log2(k)))
+def setting_falsifier_eval_bound(grid_steps: int) -> int:
+    """The budget a finishing setting search needs: its grid_steps^2 - 1 strategies."""
+    return grid_steps ** 2 - 1  # every (beta_l, beta_h) grid point but truthful
 
 
 def setting_falsifier_budget_needed(setting: cl.Setting, k: int, concept: str,
@@ -1478,7 +1487,7 @@ def setting_falsifier_budget_needed(setting: cl.Setting, k: int, concept: str,
         return search_outcome(cl.find_setting_deviation, setting, k, concept,
                               grid_steps=grid_steps, budget=budget)[0] == "found"
 
-    lo, hi = 0, setting_falsifier_eval_bound(k, concept, grid_steps)
+    lo, hi = 0, setting_falsifier_eval_bound(grid_steps)
     assert finishes(hi), (setting, k, concept, grid_steps, hi)
     while hi - lo > 1:  # finishes(hi), not finishes(lo)
         mid = (lo + hi) // 2
@@ -1579,12 +1588,9 @@ def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> N
     """The closed-form setting falsifier returns exactly what the size loop returns.
 
     For n <= 200, both concepts, several grid resolutions and budgets from
-    tiny to the default: whenever the search finishes, the same certificate
-    (size, strategy, deltas as floats) or the same None as the loop; when it
-    stops, ``nodes_searched`` is budget + 1.  The budget counts the
-    evaluations the search makes, not the loop's, so for every fourth case
-    B* (``setting_falsifier_budget_needed``) must stay within
-    ``setting_falsifier_eval_bound`` and the search at B* - 1 must stop with
+    tiny to the default, by ``search_matches_oracle``.  For every fourth
+    case B* (``setting_falsifier_budget_needed``) must be the lane count
+    ``setting_falsifier_eval_bound``, and the search at B* - 1 must stop with
     ``nodes_searched == B*``.
     """
     rng = np.random.default_rng(seed)
@@ -1598,23 +1604,138 @@ def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> N
         # k around the concept's threshold, where the first success sits
         k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
         k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
-        args = (setting, k, concept)
         label = (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
-        fast = search_outcome(cl.find_setting_deviation, *args, grid_steps=grid_steps,
-                              budget=budget)
-        slow = search_outcome(setting_falsifier_by_size, *args, grid_steps=grid_steps)
-        if fast[0] == "budget":
-            assert fast == ("budget", budget + 1), label
-        else:
-            assert fast == slow, label
+        kinds[search_matches_oracle(setting_falsifier_by_size, setting, k, concept, grid_steps,
+                                    budget, label)] += 1
         if case % 4 == 0:
             needed = setting_falsifier_budget_needed(setting, k, concept, grid_steps)
-            assert needed > budget if fast[0] == "budget" else needed <= budget, label
-            assert search_outcome(cl.find_setting_deviation, *args, grid_steps=grid_steps,
-                                  budget=needed - 1) == ("budget", needed), label
-        kind = "budget" if fast[0] == "budget" else ("none" if fast[1] is None else "found")
-        kinds[kind] += 1
+            assert needed == setting_falsifier_eval_bound(grid_steps), label
+            assert search_outcome(cl.find_setting_deviation, setting, k, concept,
+                                  grid_steps=grid_steps, budget=needed - 1) == ("budget", needed), label
     assert min(kinds.values()) >= cases // 20, kinds
+
+
+def exact_pair_rewards(setting: cl.Setting):
+    """``PairForm.reward`` in ``Fraction``s, exact for the floats of the prior and rule.
+
+    Brier and table rules only: their scores are rational in the posterior.
+    """
+    prior, rule = setting.prior, setting.rule
+    p_h, p_hh, p_hl = (Fraction(x) for x in (prior.p_h, prior.p_hh, prior.p_hl))
+
+    def score(outcome: str, q_h: Fraction) -> Fraction:
+        if isinstance(rule, cl.BrierRule):
+            return 2 * (q_h if outcome == cl.HIGH else 1 - q_h) - (q_h ** 2 + (1 - q_h) ** 2)
+        assert isinstance(rule, cl.TableRule), rule
+        if outcome == cl.HIGH:
+            return Fraction(rule.h_intercept) + Fraction(rule.h_slope) * q_h
+        return Fraction(rule.l_intercept) + Fraction(rule.l_slope) * q_h
+
+    s_hh, s_lh, s_hl, s_ll = score(cl.HIGH, p_hh), score(cl.LOW, p_hh), score(cl.HIGH, p_hl), \
+        score(cl.LOW, p_hl)
+    c, alpha, beta, d = s_ll, s_lh - s_ll, s_hl - s_ll, s_hh + s_ll - s_hl - s_lh
+
+    def reward(own, peer, s: str | None) -> Fraction:
+        if s is None:
+            return (1 - p_h) * reward(own, peer, cl.LOW) + p_h * reward(own, peer, cl.HIGH)
+        x = own[1] if s == cl.HIGH else own[0]
+        q = p_hh if s == cl.HIGH else p_hl  # Pr(h | s)
+        p = (1 - q) * peer[0] + q * peer[1]
+        return c + alpha * x + (beta + d * x) * p
+    return reward
+
+
+def exact_gaps(reward, concept: str, betas) -> list[tuple[Fraction, Fraction]]:
+    """Each delta component's exact (A, B) for a coalition sharing ``betas``.
+
+    ``reward`` is ``exact_pair_rewards``; the betas are read as ``Fraction``s.
+    """
+    own, truthful = tuple(map(Fraction, betas)), (Fraction(0), Fraction(1))
+    gaps = []
+    for s in (None,) if concept == cl.EX_ANTE else SIGNALS:
+        outside = reward(own, truthful, s)
+        gaps.append((reward(own, own, s) - outside, outside - reward(truthful, truthful, s)))
+    return gaps
+
+
+def exact_winning_size(gaps, n: int, k: int, tol: float = cl.DEFAULT_TOL) -> int | None:
+    """The smallest winning size in [1, k] from ``exact_gaps``, exactly.
+
+    At each size the bisection reads, the exact sign of (s-1)*A + (n-1)*B:
+    >= 0 weak, > 0 strict, in integers, with A read as 0 where |A| <= tol.
+    """
+    components = []
+    for a, b in gaps:
+        a = Fraction(0) if abs(a) <= tol else a
+        # the sign of (s-1)*a + (n-1)*b, both denominators positive
+        x, y = a.numerator * b.denominator, (n - 1) * b.numerator * a.denominator
+        components.append(((lambda t, x=x, y=y: (t - 1) * x + y >= 0),
+                           (lambda t, x=x, y=y: (t - 1) * x + y > 0)))
+    return smallest_winning_size(k, components)
+
+
+def check_rule_matches_exact_oracle(seed: int = 1717, settings: int = 18) -> int:
+    """``winning_sizes`` gives each grid strategy's exact smallest winning size.
+
+    Brier, table and tiny-loss table rules (``tiny_loss_table_rule``) at
+    seeded priors, both concepts, grid_steps 3, 5 and 11, n = 10^1..10^11,
+    every size in [1, n]: each lane's size (n + 1 for none) equals
+    ``exact_winning_size``.  Returns the lanes compared.
+    """
+    from collusion_lab.checker import _grid_lanes
+    from collusion_lab.thresholds import winning_sizes
+
+    rng = np.random.default_rng(seed)
+    compared = 0
+    for case in range(settings):
+        prior = random_prior(rng)
+        rule = (cl.BrierRule, lambda: random_table_rule(rng),
+                lambda: tiny_loss_table_rule(rng, prior))[case % 3]()
+        reward = exact_pair_rewards(cl.make_setting(10, rule, prior=prior))
+        for concept, grid_steps in itertools.product(cl.CONCEPTS, (3, 5, 11)):
+            lanes = _grid_lanes(grid_steps, 0, grid_steps ** 2 - 1)
+            gaps = [exact_gaps(reward, concept, betas) for betas in zip(*lanes)]
+            for e in range(1, 12):
+                setting = cl.make_setting(10 ** e, rule, prior=prior)
+                n = setting.n
+                got = winning_sizes(setting, concept, lanes, 1, n).tolist()
+                want = [exact_winning_size(g, n, n) for g in gaps]
+                assert got == [n + 1 if w is None else w for w in want], (rule, prior, concept, n)
+                compared += len(got)
+    return compared
+
+
+def check_rule_ladder(seed: int = 3131, priors: int = 440, grid_steps: int = 11) -> dict:
+    """The rule agrees with ``ThresholdTable`` at every n = 10^1..10^11.
+
+    Brier, log, table and tiny-loss table rules (``tiny_loss_table_rule``)
+    at seeded priors, both concepts: over the grid, no strategy wins at a
+    size <= ``ThresholdTable``'s k, and when k < n the smallest winning size
+    within k + 1 is k + 1, sizes only, no certificate built.  Settings where
+    a single deviator already wins (table rules that are not proper) are
+    skipped.  Returns how many (setting, n) were checked and skipped.
+    """
+    from collusion_lab.checker import _grid_lanes
+    from collusion_lab.thresholds import ThresholdTable, winning_sizes
+
+    rng = np.random.default_rng(seed)
+    lanes = _grid_lanes(grid_steps, 0, grid_steps ** 2 - 1)
+    seen = {"checked": 0, "skipped": 0}
+    for case in range(priors):
+        prior = random_prior(rng)
+        rule = (cl.BrierRule, cl.LogRule, lambda: random_table_rule(rng),
+                lambda: tiny_loss_table_rule(rng, prior))[case % 4]()
+        table = ThresholdTable(prior, rule)
+        for concept, e in itertools.product(cl.CONCEPTS, range(1, 12)):
+            setting = cl.make_setting(10 ** e, rule, prior=prior)
+            n, k = setting.n, table.k(concept, setting.n)[2]
+            smallest = int(winning_sizes(setting, concept, lanes, 1, min(k + 1, n)).min())
+            if smallest == 1:
+                seen["skipped"] += 1
+                continue
+            assert smallest == (k + 1 if k < n else n + 1), (rule, prior, concept, n, k, smallest)
+            seen["checked"] += 1
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -684,38 +684,62 @@ class TestSettingFalsifier:
         with pytest.raises(cl.BudgetExceeded):
             cl.find_setting_deviation(self.SETTING, 40, "ex_ante", budget=3)
 
+    def test_verifier_judges_one_strategy_by_the_rule(self):
+        # a 70,329-member all-h certificate whose low type loses 1.37e-10: the deltas
+        # pass the +-tol test, but the rule (and k_B = 70,329) says it fails
+        from collusion_lab.thresholds import (
+            deviation_succeeds, member_delta, symmetric_deltas, truthful_baseline)
+        setting = cl.make_setting(10 ** 5, cl.LogRule(),
+                                  prior=cl.make_prior(0.6788097570305401, 0.879370535781421))
+        base = truthful_baseline(setting, "bayesian")
+        for k, holds in ((70_329, False), (70_330, True)):
+            deltas = symmetric_deltas(setting, cl.ALL_H, k, "bayesian", base)
+            assert deviation_succeeds("bayesian", deltas, cl.DEFAULT_TOL)
+            cert = cl.DeviationCertificate("bayesian", tuple(range(k)), (cl.ALL_H.rows,) * k,
+                                           deltas, cl.DEFAULT_TOL)
+            assert cl.verify_setting_certificate(setting, cert) is holds
+            # two members on another strategy: the deltas' test decides, as for any mix
+            mixed_rows = (cl.ALL_H.rows,) * (k - 2) + (cl.ALL_L.rows,) * 2
+            peers = [(k - 3, cl.ALL_H), (2, cl.ALL_L), (setting.n - k, cl.TRUTHFUL_STRATEGY)]
+            mixed = cl.DeviationCertificate(
+                "bayesian", tuple(range(k)), mixed_rows,
+                (member_delta(setting, cl.ALL_H, peers, "bayesian", base),) * (k - 2)
+                + (member_delta(setting, cl.ALL_L,
+                                   [(k - 2, cl.ALL_H), (1, cl.ALL_L), peers[2]],
+                                   "bayesian", base),) * 2, cl.DEFAULT_TOL)
+            assert cl.verify_setting_certificate(setting, mixed) is deviation_succeeds(
+                "bayesian", mixed.deltas, cl.DEFAULT_TOL)
+
     def test_matches_size_loop_oracle(self):
         props.check_setting_falsifier_matches_loop()
 
     def test_matches_bisection_oracle(self):
-        # the strategy-by-strategy scalar search: certificate, None or nodes_searched
+        # the strategy-by-strategy scalar search: the same certificate or None
         kinds = props.check_setting_falsifier_matches_bisection()
         assert min(kinds.values()) >= 1000, kinds
 
     def test_small_chunks_match_bisection_oracle(self, monkeypatch):
-        # many chunks per grid: ties across chunk boundaries and the running budget
+        # many chunks per grid: ties across chunk boundaries
         monkeypatch.setattr(checker, "_CHUNK_LANES", 5)
         kinds = props.check_setting_falsifier_matches_bisection(seed=9191, cases=600)
         assert min(kinds.values()) >= 60, kinds
 
     def test_beyond_int64_matches_bisection_oracle(self):
-        # sizes beyond int64 are Python ints in object arrays, as in the scalar search
+        # n beyond int64, as in the scalar search
         rng = np.random.default_rng(6464)
         for case in range(40):
             n = 2 ** 63 + int(rng.integers(0, 2 ** 62)) * int(rng.integers(1, 20))
             # table rules that are not proper give small thresholds, so some searches win
             rule = (props.random_rule, props.random_table_rule)[case % 4 // 2](rng)
             setting = cl.make_setting(n, rule, prior=props.random_prior(rng))
-            args = (setting, int(rng.integers(1, 1000)), ("ex_ante", "bayesian")[case % 2])
-            kwargs = {"grid_steps": int(rng.choice([3, 5])),
-                      "budget": int(10 ** rng.uniform(1, 4))}
-            assert (props.search_outcome(cl.find_setting_deviation, *args, **kwargs)
-                    == props.search_outcome(props.setting_falsifier_by_bisection, *args,
-                                            **kwargs)), (case, args, kwargs)
+            k, concept = int(rng.integers(1, 1000)), ("ex_ante", "bayesian")[case % 2]
+            props.search_matches_oracle(props.setting_falsifier_by_bisection, setting, k, concept,
+                                        grid_steps=int(rng.choice([3, 5])),
+                                        budget=int(10 ** rng.uniform(1, 4)), label=case)
 
     @pytest.mark.parametrize("concept", ["ex_ante", "bayesian"])
     def test_budget_bounds_the_work(self, concept):
-        # 10^8 grid strategies; the search stops after its first chunk
+        # 10^8 grid strategies past a budget of 10: the search stops before pricing any
         tracemalloc.start()
         try:
             start = time.process_time()
@@ -796,7 +820,7 @@ class TestSettingFalsifier:
     @pytest.mark.parametrize("concept,threshold", [("ex_ante", cl.k_ex_ante),
                                                    ("bayesian", cl.k_bayesian)])
     def test_boundary_at_large_n(self, n, concept, threshold):
-        # the default budget covers the O(grid * log k) evaluations at any n
+        # the default budget covers the grid's 120 strategies at any n
         setting = cl.make_setting(n, cl.BrierRule(), prior=cl.make_prior(0.4, 0.6))
         k_star = threshold(setting).k
         assert cl.find_setting_deviation(setting, k_star, concept) is None

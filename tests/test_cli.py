@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -188,13 +191,68 @@ class TestFalsifyCommand:
         assert len(calls) == 1 and len(forms) == 1
 
     def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
-        # 10^10 grid strategies: the default budget stops the search after ~10^3 chunks
+        # 10^10 grid strategies: the default budget stops the search before it prices any
         cfg = dict(REFERENCE, k=40, concept="bayesian", grid_steps=10 ** 5)
         code = cli.main(["falsify", "--config", write_config(tmp_path, cfg)])
         captured = capsys.readouterr()
         assert code == 3 and captured.err == ""
         assert json.loads(captured.out) == {"found": False, "budget_exceeded": True,
                                             "nodes_searched": cl.DEFAULT_BUDGET + 1}
+
+    def test_huge_grid_exits_3(self, tmp_path, capsys):
+        # 10^40 grid strategies: the budget is compared before any is generated
+        path = write_config(tmp_path, dict(REFERENCE, k=40))
+        code = cli.main(["falsify", "--config", path, "--grid-steps", str(10 ** 20)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == ""
+        assert json.loads(captured.out) == {"found": False, "budget_exceeded": True,
+                                            "nodes_searched": cl.DEFAULT_BUDGET + 1}
+
+    @pytest.mark.parametrize("cfg,concept,k_star", [
+        # Brier at n = 10^4: the 39-member all-h delta is +8.28e-10, below the tolerance
+        ({"n": 10_000, "rule": {"rule": "brier"},
+          "prior": {"p_h": 0.6698029550226662, "p_h_given_h": 0.6820869874111526}},
+         "ex_ante", 38),
+        # log at n = 10^5: at 70,329 members the low type loses 1.37e-10
+        ({"n": 100_000, "rule": {"rule": "log"},
+          "prior": {"p_h": 0.6788097570305401, "p_h_given_h": 0.879370535781421}},
+         "bayesian", 70_329),
+        # table rule at n = 10^7: a lone low type reporting h loses 5e-10, within the
+        # tolerance, beside an all-h surplus of 1e-3, so the loss still sets k
+        ({"n": 10_000_000,
+          "rule": {"rule": "table", "h": [0.0, 1.0], "l": [2.5204386995495636, -2.146351511167996]},
+          "prior": {"p_h": 0.7745026313708422, "p_h_given_h": 0.8013849344549392}},
+         "ex_ante", 5)])
+    def test_near_ties_follow_thresholds(self, tmp_path, capsys, cfg, concept, k_star):
+        code, out = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
+        assert code == 0 and json.loads(out)[concept]["k"] == k_star
+        path = write_config(tmp_path, dict(cfg, concept=concept))
+        code, out = run(capsys, ["falsify", "--config", path, "--k", str(k_star)])
+        assert code == 1 and json.loads(out)["found"] is False
+        code, out = run(capsys, ["falsify", "--config", path, "--k", str(k_star + 1)])
+        assert code == 0
+        cert = cl.DeviationCertificate.from_dict(json.loads(out)["certificate"])
+        assert len(cert.coalition) == k_star + 1 and cert.strategies[0] == cl.ALL_H.rows
+        setting = cl.make_setting(cfg["n"], cl.rule_from_config(cfg["rule"]), prior=cl.make_prior(
+            cfg["prior"]["p_h"], cfg["prior"]["p_h_given_h"]))
+        assert cl.verify_setting_certificate(setting, cert)
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    # a reader that stops after 100 bytes of a ~400 KB certificate, as `| head -c 100`
+    path = write_config(tmp_path, dict(REFERENCE, n=10_000, k=10_000))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])] + os.environ.get("PYTHONPATH", "").split(
+            os.pathsep)))
+    proc = subprocess.Popen([sys.executable, "-m", "collusion_lab.cli", "falsify",
+                             "--config", path], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.wait(timeout=60)
+    assert head.startswith(b"{") and "Traceback" not in err and err == "", err
+    assert proc.returncode == 1
 
 
 class TestSimulateCommand:

@@ -64,7 +64,8 @@ class TestThresholdTable:
         props.check_thresholds_match_per_setting()
 
     def test_corners_are_the_pair_forms_derivatives(self):
-        # the table sums its corner quantities in its own order; each is a slope of the form
+        # the table reads the form's corner slopes, summed from the scores; each is a slope
+        # of the form's coefficients
         rng = np.random.default_rng(1616)
         for rule in props.kernel_rules(rng):
             for _ in range(5):
@@ -72,6 +73,7 @@ class TestThresholdTable:
                 table = ThresholdTable(pr, rule)
                 form = PairForm.of(pr, table.scores)
                 close = 1e-12 * max(map(abs, table.scores))
+                assert (table.e_l, table.e_h, table.d_h, table.d_l) == form[-4:]
                 for got, want in ((table.e_l, -(form.alpha + form.d * pr.p_hl)),
                                   (table.e_h, form.alpha + form.d * pr.p_hh),
                                   (table.d_h, form.beta + form.d),
@@ -273,3 +275,90 @@ class TestDichotomyCheck:
         verdict = cl.dichotomy_check(SETTING, 45, "all_h", "bayesian")
         again = cl.DichotomyVerdict.from_dict(verdict.to_dict())
         assert again == verdict
+
+
+# n = 10^4, Brier: the 39-member all-h delta is +8.28e-10, a strict gain below the tolerance
+NEAR_TIE_EX_ANTE = cl.make_setting(10 ** 4, cl.BrierRule(),
+                                   prior=cl.make_prior(0.6698029550226662, 0.6820869874111526))
+# n = 10^5, log: at 70,329 members the low type loses 1.37e-10, a loss within the tolerance
+NEAR_TIE_BAYESIAN = cl.make_setting(10 ** 5, cl.LogRule(),
+                                    prior=cl.make_prior(0.6788097570305401, 0.879370535781421))
+
+# PS(h, q) = q and PS(l, q) ~ 0.643 - 0.429 q at the prior (0.6, 0.8): a low type that
+# reports h alone loses e_l = 3.7e-10, within the tolerance; its corner surplus d_h is 0.5
+TINY_LOSS_RULE = cl.TableRule(0.0, 1.0, 0.642857143702857, -0.42857142962857114)
+
+
+class TestSuccessRule:
+    def test_agrees_with_threshold_table_at_every_n(self):
+        seen = props.check_rule_ladder()
+        assert seen["checked"] >= 4000, seen
+
+    def test_matches_exact_oracle(self):
+        assert props.check_rule_matches_exact_oracle() >= 30_000
+
+    def test_near_ties_follow_the_thresholds(self):
+        # the tolerance applies to the n-free gaps and the root, as in ThresholdTable
+        assert cl.k_ex_ante(NEAR_TIE_EX_ANTE).k == 38
+        assert not cl.dichotomy_check(NEAR_TIE_EX_ANTE, 38, "all_h", "ex_ante").succeeded
+        verdict = cl.dichotomy_check(NEAR_TIE_EX_ANTE, 39, "all_h", "ex_ante")
+        assert verdict.succeeded and 0 < verdict.deltas[0] < 1e-9
+        assert cl.k_bayesian(NEAR_TIE_BAYESIAN).k == 70_329
+        verdict = cl.dichotomy_check(NEAR_TIE_BAYESIAN, 70_329, "all_h", "bayesian")
+        assert not verdict.succeeded and -1e-9 < verdict.deltas[0][0] < 0
+        assert cl.dichotomy_check(NEAR_TIE_BAYESIAN, 70_330, "all_h", "bayesian").succeeded
+
+    @pytest.mark.parametrize("concept", ["ex_ante", "bayesian"])
+    def test_a_loss_within_the_tolerance_still_counts(self, concept):
+        # a single h-reporting low type loses 3.7e-10 < tol, and the lane (0.3, 1)
+        # has a low-type A within tol: B stays exact, as ThresholdTable's numerator
+        setting = cl.make_setting(10 ** 10, TINY_LOSS_RULE, prior=cl.make_prior(0.6, 0.8))
+        table = ThresholdTable(setting.prior, setting.rule)
+        assert 0 < table.e_l < 1e-9
+        k = table.k(concept, setting.n)[2]
+        assert k == {"ex_ante": 8, "bayesian": 11}[concept]
+        assert cl.find_setting_deviation(setting, k, concept) is None
+        cert = cl.find_setting_deviation(setting, k + 1, concept)
+        assert len(cert.coalition) == k + 1 and cert.strategies[0] == cl.ALL_H.rows
+        assert cl.verify_setting_certificate(setting, cert)
+
+    def test_gaps_are_reward_differences(self):
+        from collusion_lab.checker import _grid_lanes
+        rng = np.random.default_rng(2727)
+        lanes = _grid_lanes(11, 0, 120)
+        truthful = cl.TRUTHFUL_STRATEGY.betas
+        for rule in props.kernel_rules(rng):
+            form = cl.make_setting(10, rule, prior=props.random_prior(rng)).pair_form
+            close = 1e-12 * max(abs(form.c), abs(form.alpha), abs(form.beta), abs(form.d))
+            for s in (None,) + cl.SIGNALS:
+                a, b = form.gaps(lanes, s)
+                outside = form.reward(lanes, truthful, s)
+                assert np.all(abs(a - (form.reward(lanes, lanes, s) - outside)) <= close), rule
+                assert np.all(abs(b - (outside - form.reward(truthful, truthful, s))) <= close)
+                assert [form.gaps((x, y), s) for x, y in zip(*lanes)] == list(zip(a, b))
+                if s is not None:  # a lane reporting truthfully on s loses nothing there
+                    same = lanes[s == cl.HIGH] == truthful[s == cl.HIGH]
+                    assert np.all(b[same] == 0.0)
+
+    @pytest.mark.parametrize("concept", ["ex_ante", "bayesian"])
+    def test_sizes_past_int64(self, concept):
+        # from hi 2^62 on the interval ends are Python ints; below it the sizes
+        # are those of the int64 ends, and each is the first size that succeeds
+        from collusion_lab.checker import _grid_lanes
+        from collusion_lab.thresholds import symmetric_succeeds, winning_sizes
+        rng = np.random.default_rng(6262)
+        lanes = _grid_lanes(5, 0, 24)
+        for _ in range(6):
+            n = 2 ** 64 + int(rng.integers(0, 2 ** 62))
+            setting = cl.make_setting(n, props.random_rule(rng), prior=props.random_prior(rng))
+            big = winning_sizes(setting, concept, lanes, 1, n)
+            small = winning_sizes(setting, concept, lanes, 1, 2 ** 62 - 1)
+            assert big.dtype == object and small.dtype == np.int64
+            assert any(size <= n for size in big)
+            for lane, (b, s) in enumerate(zip(big.tolist(), small.tolist())):
+                assert b == s if s < 2 ** 62 else b >= 2 ** 62, (lane, b, s)
+                if b <= n:
+                    strategy = cl.Strategy(float(lanes[0][lane]), float(lanes[1][lane]))
+                    assert symmetric_succeeds(setting, strategy, b, concept)
+                    assert b == 1 or winning_sizes(
+                        setting, concept, tuple(x[lane:lane + 1] for x in lanes), 1, b - 1)[0] == b
