@@ -346,13 +346,23 @@ def _profile_symmetric(profile: MixedProfile, atol: float = 1e-12) -> bool:
                for m in profile.strategies[1:])
 
 
+#: Most rows a per-type grid may have: ``find_deviation`` builds it whole before
+#: charging the budget, so this bounds that build.
+_MAX_GRID_ROWS = 2 ** 20
+
+
 def _dist_grid(n_actions: int, grid_steps: int) -> np.ndarray:
     """Pure action distributions first, then the other simplex grid points ascending, as rows.
 
     Stars and bars: the bar placements list the counts, summing to grid_steps - 1, ascending.
+    A grid of more than ``_MAX_GRID_ROWS`` rows raises InvalidSetting before any is built.
     """
     denom = grid_steps - 1
     slots = denom + n_actions - 1
+    rows = math.comb(slots, n_actions - 1)
+    if rows > _MAX_GRID_ROWS:
+        raise InvalidSetting(f"grid_steps {grid_steps} over {n_actions} actions gives {rows} "
+                             f"grid points per type, more than {_MAX_GRID_ROWS}")
     bars = np.array(list(itertools.combinations(range(slots), n_actions - 1)), dtype=np.int64)
     edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
     counts = np.diff(edges, axis=1) - 1

@@ -18,19 +18,22 @@ resolution/budget, 2 configuration error, 3 search budget exhausted.
 grid_steps, budget) the same way.  All output is deterministic for a
 fixed config and seed; randomness flows from the single seed through
 fixed-size trial blocks (one spawned stream each).  ``scan`` emits its
-rows in sweep order.
+rows in sweep order, one chunk of points at a time.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from . import checker, mechanism, prior, scoring, thresholds
 from .errors import (
@@ -382,46 +385,72 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
 
 
+#: Sweep points whose thresholds ``scan`` prices in one array step per side.
+_CHUNK_ROWS = 2 ** 10
+
+
+def _scan_lines(points, tol: float) -> list[str]:
+    """The CSV rows of one chunk of ``(label, n, known)`` points, in order.
+
+    ``known`` is a prior's n_zero and (h, l) side ratios per concept; n or
+    ``known`` is instead the error cell of a point that failed.  The valid
+    points' thresholds take one array step per side (``threshold_columns``).
+    """
+    lines, good = [], []
+    for label, n, known in points:
+        error = n if isinstance(n, str) else known if isinstance(known, str) else None
+        lines.append(None if error is None else f"{label},,,,,,,,{error}")
+        if error is None:
+            good.append((n, *known))
+    if good:
+        ns, nzs, *ratios = zip(*good)
+        ns, columns = np.array(ns, dtype=np.int64), []
+        for concept, pairs in zip(thresholds.CONCEPTS, ratios):
+            columns += thresholds.threshold_columns(concept, ns, *np.array(pairs).T, tol)
+        rows = iter(f"{n},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz},"
+                    for n, e_h, e_l, e, b_h, b_l, b, nz
+                    in zip(ns.tolist(), *(column.tolist() for column in columns), nzs))
+        lines = [next(rows) if line is None else line for line in lines]
+    return lines
+
+
 def cmd_scan(cfg: RunConfig) -> int:
     sweep = cfg.raw.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
-    # Rule and prior parsed once per sweep (prior per row in a prior sweep); one
-    # threshold table per prior, and its n_zero, so a row costs one step per side.
-    # Only the last prior's pair is kept, so memory stays flat in the sweep length.
-    # A failed part is its error cell, first of n, rule, prior, scores, n_zero.
+    # The rule is parsed once per sweep, the prior once per sweep or point; each
+    # prior is scored once, into one threshold table that also gives its n_zero,
+    # and only its n_zero and four side ratios are kept, for its chunk.  A failed
+    # part is its point's error cell, first of n, rule, prior, scores, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
 
-    @functools.lru_cache(maxsize=1)
-    def of_prior(pr):
-        table = _outcome(thresholds.ThresholdTable, pr, rule, tol)
-        return table, table if isinstance(table, str) else _outcome(table.n_zero)
-
-    def row(label, n, parsed) -> str:
-        parts = (n, rule, parsed)
-        if str not in map(type, parts):
-            parts = table, nz = of_prior(parsed[0])
-        for part in parts:
+    def known(parsed):
+        """A parsed prior's n_zero and side ratios per concept, or an error cell."""
+        for part in (rule, parsed):
             if isinstance(part, str):
-                return f"{label},,,,,,,,{part}"
-        ex_h, ex_l, ex = table.k(thresholds.EX_ANTE, n)
-        ba_h, ba_l, ba = table.k(thresholds.BAYESIAN, n)
-        return f"{n},{ex_h},{ex_l},{ex},{ba_h},{ba_l},{ba},{nz},"
+                return part
+        table = _outcome(thresholds.ThresholdTable, parsed[0], rule, tol)
+        if isinstance(table, str):
+            return table
+        nz = _outcome(table.n_zero)
+        return nz if isinstance(nz, str) else (nz, *map(table.ratios, thresholds.CONCEPTS))
 
     if param == "n":
-        parsed = _outcome(prior.from_config, raw)
-        rows = [row(n, _outcome(_checked_n, {"n": n}), parsed) for n in values]
+        prior_known = known(_outcome(prior.from_config, raw))
+        points = ((v, _outcome(_checked_n, {"n": v}), prior_known) for v in values)
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:
             raise ConfigError('prior-parameter sweeps need a base "prior" config')
-        n = _outcome(_checked_n, raw)
-        rows = [row(raw.get("n", ""), n,
-                    _outcome(prior.from_config, {**raw, "prior": {**base, param: v}}))
-                for v in values]
-    _emit("\n".join([SCAN_HEADER] + rows))
+        n, label = _outcome(_checked_n, raw), raw.get("n", "")
+        points = ((label, n, n if isinstance(n, str) else
+                   known(_outcome(prior.from_config, {**raw, "prior": {**base, param: v}})))
+                  for v in values)
+    _emit(SCAN_HEADER)
+    while chunk := list(itertools.islice(points, _CHUNK_ROWS)):
+        _emit("\n".join(_scan_lines(chunk, tol)))
     return EXIT_OK
 
 

@@ -29,7 +29,9 @@ All of these come from one prior's four scores, and only the factor n - 1
 depends on n.  ``ThresholdTable`` holds the rest for one (prior, rule, tol),
 with the one ``four_scores`` call, and gives ``report(concept, n)``,
 ``liar(n)`` and ``n_zero()``; ``k_ex_ante``, ``k_bayesian``,
-``liar_threshold`` and ``n_zero`` each read a new table.
+``liar_threshold`` and ``n_zero`` each read a new table.  Every threshold
+is one array step (``_steps``: snap, then floor or ceiling), so
+``threshold_columns`` prices a whole column of n, or of priors' ratios, at once.
 
 ``dichotomy_check`` tests a canonical deviation at one coalition size.
 
@@ -74,10 +76,10 @@ INTERIM_D = "interim_D"
 CONCEPTS = (EX_ANTE, BAYESIAN)  # the concepts the falsifiers search; INTERIM_D is checked only
 
 
-def _snap(x: float, tol: float) -> float:
-    """Pull values within ``tol`` of an integer onto it before floor/ceil."""
-    nearest = round(x)
-    return float(nearest) if abs(x - nearest) <= tol else x
+def _snap(x: np.ndarray, tol: float) -> np.ndarray:
+    """Pull values within ``tol`` of an integer onto it before floor/ceil, elementwise."""
+    nearest = np.round(x)
+    return np.where(abs(x - nearest) <= tol, nearest, x)
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,36 @@ def _side(num: float, den: float, tol: float) -> _Side:
     return _Side(num, den, None if den <= tol else num / den)
 
 
-def _step(n: int, ratio: float, interim: bool, tol: float) -> int:
-    """A side's per-n half: the smallest coalition size at which its corner profits.
+def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
+    """Integral floats as int64, or as Python ints (dtype object) when ``wide``."""
+    return np.frompyfunc(int, 1, 1)(whole) if wide else whole.astype(np.int64)
 
-    ``floor((n-1) * ratio) + 1`` ex ante, ``ceil((n-1) * ratio)`` per type
-    (a zero delta for one type beside a strict gain for the other already
-    succeeds), never below 1.
+
+def _steps(n, ratio, interim: bool, tol: float) -> np.ndarray:
+    """Each side's per-n half: the smallest coalition size at which its corner profits.
+
+    ``floor(x) + 1`` ex ante, ``ceil(x)`` per type (a zero delta for one type
+    beside a strict gain for the other already succeeds), never below 1, with
+    x the snapped ``(n-1) * ratio``; n where the ratio is NaN (an infinite
+    side).  n (int64) broadcasts against ratio (float), at least 1-d.  The
+    sizes are int64, or Python ints (dtype object) once some |x| reaches 2^62.
     """
-    scaled = _snap((n - 1) * ratio, tol)
-    return max(1, math.ceil(scaled) if interim else math.floor(scaled) + 1)
+    n = np.asarray(n, dtype=np.int64)
+    infinite = np.isnan(ratio)
+    x = np.atleast_1d(_snap((n - 1) * np.where(infinite, 0.0, ratio), tol))
+    whole = _ints(np.ceil(x) if interim else np.floor(x), not (abs(x) < 2.0 ** 62).all())
+    return np.where(infinite, n, np.maximum(whole if interim else whole + 1, 1))
+
+
+def threshold_columns(concept: str, n, ratio_h, ratio_l, tol: float) -> tuple:
+    """``concept``'s (k_h, k_l, k) arrays from its side ratios (NaN: infinite) at n.
+
+    n and the ratios broadcast (``_steps``), so one call prices a column of
+    population sizes against one prior's ratios, or of priors at one n.
+    """
+    interim = concept == BAYESIAN
+    k_h, k_l = (_steps(n, ratio, interim, tol) for ratio in (ratio_h, ratio_l))
+    return k_h, k_l, np.minimum(np.minimum(k_h, k_l), n)
 
 
 class ThresholdTable:
@@ -157,13 +180,19 @@ class ThresholdTable:
         self.sides = {EX_ANTE: (_side(e_l, d_h, tol), _side(e_h, d_l, tol)),
                       BAYESIAN: (_side(e_l, b_h, tol), _side(e_h, b_l, tol))}
 
-    def k(self, concept: str, n: int) -> tuple[int, int, int]:
-        """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n."""
-        interim = concept == BAYESIAN
-        side_h, side_l = self.sides[concept]
-        k_h = n if side_h.ratio is None else _step(n, side_h.ratio, interim, self.tol)
-        k_l = n if side_l.ratio is None else _step(n, side_l.ratio, interim, self.tol)
-        return k_h, k_l, min(k_h, k_l, n)
+    def ratios(self, concept: str) -> tuple[float, float]:
+        """``concept``'s (h, l) side ratios, NaN for an infinite side."""
+        return tuple(math.nan if side.ratio is None else side.ratio
+                     for side in self.sides[concept])
+
+    def k(self, concept: str, n):
+        """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n.
+
+        n is an int, giving ints, or an int64 array, giving arrays
+        (``threshold_columns``).
+        """
+        ks = threshold_columns(concept, n, *self.ratios(concept), self.tol)
+        return tuple(k.item() for k in ks) if np.ndim(n) == 0 else ks
 
     def report(self, concept: str, n: int) -> ThresholdReport:
         """``concept``'s thresholds at population size n, with the quantities behind them."""
@@ -186,7 +215,7 @@ class ThresholdTable:
         num = prior.p_h * self.e_h + prior.p_l * self.e_l
         den = (prior.p_h * (prior.p_hh - prior.p_lh) * self.d_l
                + prior.p_l * (prior.p_ll - prior.p_hl) * self.d_h)
-        return math.inf if den <= self.tol else _step(n, num / den, False, self.tol)
+        return math.inf if den <= self.tol else _steps(n, num / den, False, self.tol).item()
 
     def n_zero(self) -> int:
         """Smallest n >= 2 at which the interim threshold covers asymmetric play.
@@ -373,13 +402,10 @@ def winning_sizes(setting: Setting, concept: str, own, lo: int, hi: int,
     cap = math.ldexp(1.0, min(int(hi).bit_length(), 1023))
     up, down = a > 0.0, a < 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = float(setting.n - 1) * (-b / a)
-        root = np.where(abs(root - np.round(root)) <= tol, np.round(root), root)  # _snap
+        root = _snap(float(setting.n - 1) * (-b / a), tol)
     root = np.clip(np.where(up | down, root, 0.0), -1.0, cap)
-    dtype = np.int64 if cap <= 2.0 ** 62 else object
-    floor, ceil = (np.frompyfunc(int, 1, 1)(x) if dtype is object else x.astype(dtype)
-                   for x in (np.floor(root), np.ceil(root)))
-    beyond = np.array(int(cap), dtype)
+    floor, ceil = (_ints(x, cap > 2.0 ** 62) for x in (np.floor(root), np.ceil(root)))
+    beyond = np.array(int(cap), floor.dtype)
     # a > 0: t >= root (weak), t > root (strict); a < 0: t <= root, t < root; a == 0: b's sign
     weak_lo = np.where(up, ceil, np.where(down | (b >= 0.0), 0, beyond))
     weak_hi = np.where(down, floor, np.where(up | (b >= 0.0), beyond, -1))

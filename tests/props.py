@@ -360,11 +360,20 @@ def check_threshold_ordering(seed: int = 2718, samples: int = 1000) -> None:
 # ---------------------------------------------------------------------------
 # Scores, gaps and sides rebuilt from scratch for every setting, as the
 # thresholds were computed before ``ThresholdTable``; float operations in
-# the same order, so results must match exactly.
+# the same order, so results must match exactly.  Snap and step are the
+# scalar forms the array ``thresholds._steps`` replaced: Python floats, and
+# Python ints from floor and ceiling at any magnitude.
 
-def _snap_per_setting(x: float, tol: float) -> float:
+def snap_scalar(x: float, tol: float) -> float:
+    """Pull a value within ``tol`` of an integer onto it before floor/ceil."""
     nearest = round(x)
     return float(nearest) if abs(x - nearest) <= tol else x
+
+
+def step_scalar(n: int, ratio: float, interim: bool, tol: float) -> int:
+    """A side's size at n: max(1, floor(x) + 1) ex ante, max(1, ceil(x)) per type."""
+    scaled = snap_scalar((n - 1) * ratio, tol)
+    return max(1, math.ceil(scaled) if interim else math.floor(scaled) + 1)
 
 
 def _gaps_per_setting(prior: cl.BinaryPrior, scores: tuple) -> tuple:
@@ -378,9 +387,7 @@ def _side_per_setting(n: int, num: float, den: float, interim: bool, tol: float)
     if den <= tol:
         return None
     ratio = num / den
-    scaled = _snap_per_setting((n - 1) * ratio, tol)
-    k = int(math.ceil(scaled)) if interim else int(math.floor(scaled)) + 1
-    return max(1, k), ratio
+    return step_scalar(n, ratio, interim, tol), ratio
 
 
 def report_per_setting(setting: cl.Setting, concept: str,
@@ -463,6 +470,54 @@ def check_thresholds_match_per_setting(seed: int = 5151, priors: int = 12,
                     assert liar == liar_threshold_per_setting(setting, tol), (rule, prior, n)
                     seen["finite_liar" if liar < math.inf else "infinite_liar"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def check_steps_match_scalar(seed: int = 6161, priors: int = 10, tables: int = 6) -> dict:
+    """Array ``_steps`` and ``ThresholdTable.k`` equal ``step_scalar`` at every n.
+
+    Brier, log, an infinite-side table rule and ``tables`` random table rules
+    on ``priors`` seeded priors, at tol 1e-9 and 1e-3, each table's ratios
+    against the ``log_spaced_n`` column in one call and each n alone; then
+    seeded negative ratios (every size 1) and ratios up to 2^40, which push
+    (n-1)*ratio past 2^62 (Python ints).  Returns how often each case came up.
+    """
+    from collusion_lab.thresholds import ThresholdTable, _steps
+
+    rng = np.random.default_rng(seed)
+    rules = ([cl.BrierRule(), cl.LogRule(),
+              cl.TableRule(h_intercept=0.0, h_slope=0.0, l_intercept=1.0, l_slope=0.0)]
+             + [random_table_rule(rng) for _ in range(tables)])
+    ns = log_spaced_n()
+    column = np.array(ns, dtype=np.int64)
+    seen = {"infinite_side": 0, "int64": 0, "negative": 0, "python_ints": 0, "snapped": 0}
+    for tol in (1e-9, 1e-3):
+        for rule in rules:
+            for _ in range(priors):
+                table = ThresholdTable(random_prior(rng), rule, tol)
+                for concept in cl.CONCEPTS:
+                    ratios = table.ratios(concept)
+                    want = [[n if math.isnan(r) else step_scalar(n, r, concept == cl.BAYESIAN, tol)
+                             for n in ns] for r in ratios]
+                    want.append([min(h, l, n) for h, l, n in zip(*want, ns)])
+                    ks = table.k(concept, column)
+                    assert [k.tolist() for k in ks] == want, (rule, table.prior, tol, concept)
+                    seen["int64"] += int(ks[0].dtype == np.int64)
+                    assert [list(table.k(concept, n)) for n in ns] == [list(x) for x in zip(*want)]
+                    seen["infinite_side"] += any(map(math.isnan, ratios))
+        for scale in (1e-6, 1.0, 2.0 ** 40):
+            ratios = np.concatenate([-rng.uniform(0.0, scale, 8), rng.uniform(0.0, scale, 24),
+                                     np.round(rng.uniform(0.0, 50.0, 8)) / 7.0])
+            for interim in (False, True):
+                got = _steps(column[:, None], ratios[None, :], interim, tol)
+                for n, row in zip(ns, got.tolist()):
+                    assert row == [step_scalar(n, r, interim, tol) for r in ratios], (n, tol)
+                seen["python_ints"] += int(got.dtype == object)
+                assert (got[:, :8] == 1).all()  # a negative ratio: one deviator already wins
+                seen["negative"] += 1
+                x = (column[:, None] - 1) * ratios[None, :]
+                seen["snapped"] += int(((abs(x - np.round(x)) <= tol) & (x != np.round(x))).sum())
+    assert min(seen.values()) > 0, seen
+    return seen
 
 
 # ---------------------------------------------------------------------------

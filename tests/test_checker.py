@@ -263,6 +263,22 @@ class TestFindDeviation:
                 tracemalloc.stop()
             assert peak < 16 * 2 ** 20, (grid_steps, peak)
 
+    def test_grid_size_is_bounded_before_any_row(self, monkeypatch):
+        # the grid is built before the budget is charged, so its row count is checked first
+        with pytest.raises(cl.InvalidSetting, match="more than 1048576"):
+            checker._dist_grid(2, 10 ** 20)
+        with pytest.raises(cl.InvalidSetting, match="1353400 grid points"):
+            checker._dist_grid(4, 200)
+        monkeypatch.setattr(checker, "_MAX_GRID_ROWS", 66)
+        assert len(checker._dist_grid(3, 11)) == 66  # C(12, 2)
+        with pytest.raises(cl.InvalidSetting):
+            checker._dist_grid(3, 12)
+        monkeypatch.setattr(checker, "_MAX_GRID_ROWS", 11)  # two actions: grid_steps rows
+        game = cl.peer_prediction_game(cl.make_setting(3, cl.BrierRule(),
+                                                       prior=cl.make_prior(0.4, 0.6)))
+        with pytest.raises(cl.InvalidSetting):
+            cl.find_deviation(game, cl.truthful_profile(game), 2, "ex_ante", grid_steps=12)
+
     def test_dist_grid_matches_quadratic_construction(self):
         for actions in range(1, 6):
             for grid_steps in range(2, 13):

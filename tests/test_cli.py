@@ -380,6 +380,79 @@ class TestScanCommand:
         assert code == 0 and out.count("\n") == 10_001
         assert peak < 2.5 * 2 ** 20, peak
 
+    def test_n_sweep_memory_is_flat(self, tmp_path, monkeypatch):
+        # rows are priced and written a chunk at a time: ~4.3 MB at 10^5 rows, ~3.6 MB
+        # of it the sweep's points, where building every row first peaked at ~22 MB
+        class Sink:  # keeps a line count and the last few bytes, not the output
+            lines, tail = 0, ""
+
+            def write(self, text):
+                self.lines += text.count("\n")
+                self.tail = (self.tail + text)[-100:]
+
+            def flush(self):
+                pass
+
+        cfg = dict(self.BASE, sweep={"param": "n", "start": 2, "stop": 100_001, "step": 1})
+        path = write_config(tmp_path, cfg)
+        sink = Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli.main(["scan", "--config", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.lines == 100_001
+        assert sink.tail.split("\n")[-2] == props.scan_row_per_setting(100_001, cl.BrierRule(),
+                                                       cl.make_prior(2.0 / 3.0, 0.8))
+        assert peak < 6 * 2 ** 20, peak
+
+    def test_chunk_edges(self, tmp_path, capsys):
+        # error points on and across chunk edges keep their cells and places, and
+        # every row equals the per-row oracle
+        edge = cli._CHUNK_ROWS
+        spots = [0, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge, 2 * edge + 5]
+        size = 2 * edge + 6
+        rule, pr = cl.BrierRule(), cl.make_prior(0.4, 0.7)
+        bad_n = [1, 2 ** 62 + 1, 2.5]
+        values = [bad_n[spots.index(j) % 3] if j in spots else 2 + (j * 7919) % 10 ** 6
+                  for j in range(size)]
+        n_cells = {1: 'ConfigError: "n" must be an integer >= 2; got 1',
+                   2 ** 62 + 1: 'ConfigError: "n" must be at most 2^62; got a 63-bit integer',
+                   2.5: 'ConfigError: "n" must be an integer >= 2; got 2.5'}
+        cfg = {"rule": {"rule": "brier"}, "prior": {"p_h": 0.4, "p_h_given_h": 0.7},
+               "sweep": {"param": "n", "values": values}}
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and lines[0] == cli.SCAN_HEADER and lines[-1] == ""
+        assert len(lines) == size + 2
+        nz = props.n_zero_by_search(pr, rule)
+        for line, v in zip(lines[1:], values):
+            if v in n_cells:
+                assert line == f"{v},,,,,,,,{n_cells[v]}", line
+            else:
+                setting = cl.make_setting(v, rule, prior=pr)
+                ex = props.report_per_setting(setting, cl.EX_ANTE)
+                ba = props.report_per_setting(setting, cl.BAYESIAN)
+                assert line == f"{v},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+        # a prior sweep: invalid priors on and across the edges
+        p_hhs = [0.5 if j in spots else round(0.7 + 0.29 * j / size, 9) for j in range(size)]
+        cfg = {"n": 5000, "rule": {"rule": "log"}, "prior": {"p_h": 2.0 / 3.0, "p_h_given_h": 0.8},
+               "sweep": {"param": "p_h_given_h", "values": p_hhs}}
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == size + 2 and lines[-1] == ""
+        for line, p_hh in zip(lines[1:], p_hhs):
+            try:
+                prior_j = cl.make_prior(2.0 / 3.0, p_hh)
+            except cl.CollusionLabError as exc:
+                cell = f"{type(exc).__name__}: {exc}".replace(",", ";")
+                assert line == f"5000,,,,,,,,{cell}", line
+                continue
+            want = props.scan_row_per_setting(5000, cl.LogRule(), prior_j)
+            assert want is not None and line == want, (p_hh, line, want)
+
     ORACLE_RULES =[{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
                     {"rule": "table", "h": [0.0, 0.0], "l": [1.0, 0.0]},
                     {"rule": "table", "h": [-0.3, 1.7], "l": [0.9, -1.2]}]
@@ -602,6 +675,7 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
     ("scan", dict(REFERENCE, sweep={"param": "n", "start": 2, "stop": 5, "step": 1,
                                     "values": [3]})),
     ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3], "step": 0.1})),
+    ("game-check", dict(GAME_CFG, grid_steps=10 ** 20)),  # more grid points than 2^20
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     with warnings.catch_warnings(record=True) as caught:

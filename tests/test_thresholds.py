@@ -63,6 +63,10 @@ class TestThresholdTable:
     def test_matches_per_setting_oracle(self):
         props.check_thresholds_match_per_setting()
 
+    def test_array_steps_match_scalar_oracle(self):
+        # int64 columns, Python ints past 2^62, infinite sides and negative ratios
+        props.check_steps_match_scalar()
+
     def test_corners_are_the_pair_forms_derivatives(self):
         # the table reads the form's corner slopes, summed from the scores; each is a slope
         # of the form's coefficients
