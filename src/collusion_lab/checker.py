@@ -46,8 +46,10 @@ strategy come from ``thresholds``, the same code its dichotomy checks use.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import operator
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -108,7 +110,12 @@ def _index(value) -> int:
 
 
 def _number_array(value) -> np.ndarray:
-    """A nested list of JSON numbers as a float array (see ``_number``)."""
+    """A nested list of JSON numbers as a float array (see ``_number``).
+
+    A finite float array, as ``game_from_text`` decodes, is taken as it is.
+    """
+    if isinstance(value, np.ndarray) and value.dtype == float and np.isfinite(value).all():
+        return value
     cells = np.asarray(value, dtype=object)
     if set(map(type, cells.flat)) <= {int, float}:  # the usual case, checked in bulk
         try:
@@ -193,6 +200,101 @@ class FiniteBayesianGame:
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGame(f"malformed game field: {exc}") from exc
         return FiniteBayesianGame(**fields)
+
+
+#: A JSON string literal, matched from its opening quote.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.DOTALL)
+#: A key's colon and the opening bracket of its array value.
+_ARRAY_VALUE = re.compile(r"[ \t\n\r]*:[ \t\n\r]*\[")
+#: ``str.translate`` tables: one drops the number characters and JSON
+#: whitespace, leaving a literal's skeleton; one blanks its brackets.
+_NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789+-.eE \t\n\r"))
+_BLANK_BRACKETS = str.maketrans("[]", "  ")
+#: The number token that stands in for a table in the rest of the text, and
+#: what parsing that token gives.
+_TABLE_TOKEN = "1E-999999"
+_TABLE = object()
+
+
+def _skeleton(shape: Sequence[int]) -> str:
+    """The brackets and commas of a nested list of ``shape``: ``[[,],[,]]`` for (2, 2)."""
+    skeleton = ""
+    for size in reversed(shape):
+        skeleton = "[" + ",".join([skeleton] * size) + "]"
+    return skeleton
+
+
+def _flat_numbers(literal: str, skeleton: str) -> Optional[np.ndarray]:
+    """The numbers of an array literal with this skeleton, in order, or None.
+
+    Blanking the brackets leaves one comma-separated list, which one
+    ``json.loads`` reads with the scanner and grammar of a nested parse.
+    """
+    if literal.translate(_NUMBER_CHARS) != skeleton:
+        return None
+    try:
+        numbers = np.array(json.loads("[" + literal.translate(_BLANK_BRACKETS) + "]"), float)
+    except (ValueError, OverflowError):  # not JSON numbers, or an int beyond the float range
+        return None
+    return numbers if np.isfinite(numbers).all() else None
+
+
+def game_from_text(text: str) -> Optional[FiniteBayesianGame]:
+    """The game a JSON text holds, its ``prior`` and ``utilities`` read as flat number lists.
+
+    The two tables are the bulk of a game file.  Each top-level table must
+    be an array literal with the skeleton that the ``types``/``actions``
+    shape implies; its numbers then take one flat ``json.loads``, the same
+    floats a nested parse gives.  The rest of the text, each table replaced
+    by a placeholder, is parsed as JSON, and ``from_dict`` checks the game as
+    it checks any other.  None when the text is not in that form (a parse or
+    skeleton mismatch, a non-finite number, a repeated or nested table key):
+    the caller then parses it as general JSON, whose acceptance and messages
+    this reader never changes.
+    """
+    spans, pos = {}, 0
+    while (start := text.find('"', pos)) >= 0:
+        quoted = _JSON_STRING.match(text, start)
+        if quoted is None:
+            return None
+        pos = quoted.end()
+        key = quoted.group()[1:-1]
+        if key in ("prior", "utilities") and (value := _ARRAY_VALUE.match(text, pos)):
+            if key in spans:
+                return None
+            opening = value.end() - 1
+            bound = text.find('"', opening)
+            # a literal that holds no string ends at the last bracket before the next one
+            spans[key] = (opening, text.rfind("]", opening, bound if bound >= 0 else len(text)) + 1)
+    if len(spans) != 2 or any(stop <= start for start, stop in spans.values()):
+        return None
+    (a0, a1), (b0, b1) = sorted(spans.values())
+    rest = text[:a0] + _TABLE_TOKEN + text[a1:b0] + _TABLE_TOKEN + text[b1:]
+    if rest.count(_TABLE_TOKEN) != 2:
+        return None
+    try:
+        data = json.loads(rest, parse_float=lambda s: _TABLE if s == _TABLE_TOKEN else float(s))
+        if data["prior"] is not _TABLE or data["utilities"] is not _TABLE:
+            return None
+        t_shape = [len(tuple(ts)) for ts in data["types"]]
+        a_shape = [len(tuple(a)) for a in data["actions"]]
+    except (ValueError, RecursionError, TypeError, KeyError):
+        return None
+    if not all(t_shape + a_shape):
+        return None
+    shapes = [tuple(t_shape)] + [(t, *a_shape) for t in t_shape]
+    sizes = [math.prod(shape) for shape in shapes]
+    (p0, p1), (u0, u1) = spans["prior"], spans["utilities"]
+    if 2 * sizes[0] > p1 - p0 or 2 * sum(sizes[1:]) > u1 - u0:  # too short for the shape
+        return None
+    prior = _flat_numbers(text[p0:p1], _skeleton(shapes[0]))
+    tables = _flat_numbers(text[u0:u1], "[" + ",".join(map(_skeleton, shapes[1:])) + "]")
+    if prior is None or tables is None:
+        return None
+    parts = np.split(tables, list(itertools.accumulate(sizes[1:-1])))
+    utilities = [part.reshape(shape) for part, shape in zip(parts, shapes[1:])]
+    return FiniteBayesianGame.from_dict(
+        {**data, "prior": prior.reshape(shapes[0]), "utilities": utilities})
 
 
 @dataclass(frozen=True)

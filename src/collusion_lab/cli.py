@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -98,13 +98,21 @@ def _checked_n(raw: dict) -> int:
     return n
 
 
-def _read_json(path: str, what: str) -> Any:
-    """The JSON document at ``path``, or a one-line ``ConfigError`` naming ``what``."""
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text at ``path``, or a one-line ``ConfigError`` naming ``what``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8
+        raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
+
+
+def _parse_json(text: str, path: str, what: str) -> Any:
+    """The JSON document ``text`` read from ``path``, or a one-line ``ConfigError``."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {what} {path} at line {exc.lineno}, "
                           f"column {exc.colno}: {exc.msg}") from exc
@@ -115,7 +123,7 @@ def _read_json(path: str, what: str) -> Any:
 def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
     raw: dict = {}
     if path is not None:
-        raw = _read_json(path, "config")
+        raw = _parse_json(_read_text(path, "config"), path, "config")
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
     for key, value in overrides.items():
@@ -345,12 +353,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 _MAX_SWEEP_POINTS = 10 ** 7
 
 
-def _sweep_values(sweep: dict) -> tuple[str, list]:
+def _sweep_values(sweep: dict) -> tuple[str, Iterable]:
     """The swept parameter and its points, in sweep order.
 
     Exactly one form: ``values`` verbatim, or ``start + i*step`` for i = 0,
     1, ... up to ``stop`` (an index within 1e-9 of the last point counts),
-    rounded to 12 decimals (to integers for n).  Every number must be finite.
+    rounded to 12 decimals (to integers for n) and made one at a time as
+    they are read.  Every number must be finite, and the point count is
+    checked before any point is made.
     """
     if set(sweep) - {"param"} not in ({"values"}, {"start", "stop", "step"}):
         raise ConfigError('sweep needs "param" and either "values" or start/stop/step, '
@@ -362,7 +372,7 @@ def _sweep_values(sweep: dict) -> tuple[str, list]:
         values = sweep["values"]
         if not isinstance(values, list) or not all(scoring.is_finite_number(v) for v in values):
             raise ConfigError(f'sweep "values" must be a list of finite numbers, got {values!r}')
-        return param, list(values)
+        return param, values
     start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
     for key, value in (("start", start), ("stop", stop), ("step", step)):
         if not scoring.is_finite_number(value):
@@ -374,7 +384,7 @@ def _sweep_values(sweep: dict) -> tuple[str, list]:
         raise ConfigError(f"sweep has more than {_MAX_SWEEP_POINTS} points")
     count = math.floor(span + 1e-9) + 1 if span > -1 else 0
     points = (start + i * step for i in range(count))
-    return param, [int(round(x)) if param == "n" else round(x, 12) for x in points]
+    return param, (int(round(x)) if param == "n" else round(x, 12) for x in points)
 
 
 def _outcome(fn, *args):
@@ -462,9 +472,14 @@ def cmd_game_check(cfg: RunConfig) -> int:
     spec = cfg.raw.get("game")
     if spec is None:
         raise ConfigError('game-check needs a "game" (path or inline object)')
-    if isinstance(spec, str):
-        spec = _read_json(spec, "game")
-    game = checker.FiniteBayesianGame.from_dict(spec)
+    if isinstance(spec, str):  # a file: its tables read flat, else as general JSON
+        text = _read_text(spec, "game")
+        game = checker.game_from_text(text)
+        if game is None:
+            game = checker.FiniteBayesianGame.from_dict(_parse_json(text, spec, "game"))
+        del text  # the checks below run without the file's text
+    else:
+        game = checker.FiniteBayesianGame.from_dict(spec)
     profile_spec = cfg.raw.get("profile")
     if profile_spec is None:
         profile = checker.truthful_profile(game)

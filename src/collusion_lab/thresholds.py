@@ -122,8 +122,14 @@ class _Side(NamedTuple):
     ratio: float | None
 
 
-def _side(num: float, den: float, tol: float) -> _Side:
-    return _Side(num, den, None if den <= tol else num / den)
+def _side(num: float, den: float, tol: float, name: str) -> _Side:
+    """The ``name`` corner's side; ``InvalidSetting`` when its ratio overflows the float range."""
+    if den <= tol:
+        return _Side(num, den, None)
+    ratio = num / den
+    if not math.isfinite(ratio):
+        raise InvalidSetting(f"the {name} side's ratio {num!r} / {den!r} overflows the float range")
+    return _Side(num, den, ratio)
 
 
 def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
@@ -138,12 +144,21 @@ def _steps(n, ratio, interim: bool, tol: float) -> np.ndarray:
     beside a strict gain for the other already succeeds), never below 1, with
     x the snapped ``(n-1) * ratio``; n where the ratio is NaN (an infinite
     side).  n (int64) broadcasts against ratio (float), at least 1-d.  The
-    sizes are int64, or Python ints (dtype object) once some |x| reaches 2^62.
+    sizes are int64, or Python ints (dtype object) once some |x| reaches 2^62;
+    where ``(n-1) * ratio`` passes the float range, x is the exact product.
     """
     n = np.asarray(n, dtype=np.int64)
     infinite = np.isnan(ratio)
-    x = np.atleast_1d(_snap((n - 1) * np.where(infinite, 0.0, ratio), tol))
-    whole = _ints(np.ceil(x) if interim else np.floor(x), not (abs(x) < 2.0 ** 62).all())
+    ratio = np.where(infinite, 0.0, ratio)
+    with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is inf
+        x = np.atleast_1d(_snap((n - 1) * ratio, tol))
+    whole = np.ceil(x) if interim else np.floor(x)
+    if (abs(x) < 2.0 ** 62).all():
+        whole = _ints(whole, False)
+    else:  # where x is inf, |ratio| is past 2^53, so a whole number
+        finite = np.isfinite(x)
+        exact = np.frompyfunc(lambda m, r: (int(m) - 1) * int(r), 2, 1)(n, ratio)
+        whole = np.where(finite, _ints(np.where(finite, whole, 0.0), True), exact)
     return np.where(infinite, n, np.maximum(whole if interim else whole + 1, 1))
 
 
@@ -177,8 +192,10 @@ class ThresholdTable:
         self.e_l, self.e_h, self.d_h, self.d_l = e_l, e_h, d_h, d_l = form[-4:]
         # per type, each corner's inside surplus is discounted (module docstring)
         b_h, b_l = prior.p_ll * d_h, prior.p_hh * d_l
-        self.sides = {EX_ANTE: (_side(e_l, d_h, tol), _side(e_h, d_l, tol)),
-                      BAYESIAN: (_side(e_l, b_h, tol), _side(e_h, b_l, tol))}
+        self.sides = {EX_ANTE: (_side(e_l, d_h, tol, "ex_ante h"),
+                                _side(e_h, d_l, tol, "ex_ante l")),
+                      BAYESIAN: (_side(e_l, b_h, tol, "bayesian h"),
+                                 _side(e_h, b_l, tol, "bayesian l"))}
 
     def ratios(self, concept: str) -> tuple[float, float]:
         """``concept``'s (h, l) side ratios, NaN for an infinite side."""
@@ -215,7 +232,8 @@ class ThresholdTable:
         num = prior.p_h * self.e_h + prior.p_l * self.e_l
         den = (prior.p_h * (prior.p_hh - prior.p_lh) * self.d_l
                + prior.p_l * (prior.p_ll - prior.p_hl) * self.d_h)
-        return math.inf if den <= self.tol else _steps(n, num / den, False, self.tol).item()
+        ratio = _side(num, den, self.tol, "always-lie").ratio
+        return math.inf if ratio is None else _steps(n, ratio, False, self.tol).item()
 
     def n_zero(self) -> int:
         """Smallest n >= 2 at which the interim threshold covers asymmetric play.

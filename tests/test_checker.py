@@ -877,6 +877,49 @@ class TestGameSerialization:
         for a, b in zip(again.utilities, game.utilities):
             assert np.allclose(a, b, atol=0)
 
+    @staticmethod
+    def text_games():
+        """Seeded games: peer prediction n = 2..10 (Brier/log, some per-agent
+        scaled), wide games with unequal type and action counts, and a table of
+        edge numbers (ints, -0.0, subnormals, near the +-2^1000 bound)."""
+        rng = np.random.default_rng(1919)
+        for n in range(2, 11):
+            rule = cl.BrierRule() if n % 2 else cl.LogRule(base=float(rng.uniform(1.5, 10.0)))
+            game = cl.peer_prediction_game(cl.make_setting(n, rule, prior=props.random_prior(rng)))
+            if n % 3 == 0:
+                scales = rng.uniform(-1e3, 1e3, size=n)
+                game = replace(game, utilities=tuple(c * v for c, v in zip(scales, game.utilities)))
+            yield game
+        for n in (1, 2, 3, 4):
+            yield props.random_wide_game(rng, n)
+        yield {"n": 2, "types": [["x"], ["y", "z"]], "actions": [["a", "b", "c"], ["d", "e"]],
+               "prior": [[0.25, 0.75]],
+               "utilities": [[[[0, -0.0], [5e-324, -2.2250738585072014e-308], [1e300, -1e300]]],
+                             [[[2 ** 70, -(2 ** 53 + 1)], [0.1, 1 / 3], [123456789, -7]],
+                              [[-0.0, 0], [1e-320, -5e-324], [2 ** 64, 1.7976931348623157e300]]]]}
+        yield {"n": 1, "types": [["t"]], "actions": [["a", "b"]], "prior": [1],
+               "utilities": [[[-0, 3]]]}
+
+    def test_text_reader_matches_general_json(self):
+        # the flat table reader gives the bits from_dict(json.loads(text)) gives, in
+        # every layout, key order and number form json.dumps writes
+        rng = np.random.default_rng(2020)
+        for game in self.text_games():
+            data = game if isinstance(game, dict) else game.to_dict()
+            keys = list(data)
+            rng.shuffle(keys)
+            for text in (json.dumps(data), json.dumps(data, separators=(",", ":")),
+                         json.dumps(data, indent=2), json.dumps({k: data[k] for k in keys})):
+                flat = checker.game_from_text(text)
+                assert flat is not None, text[:200]
+                general = cl.FiniteBayesianGame.from_dict(json.loads(text))
+                assert (flat.n, flat.type_sets, flat.action_sets) \
+                    == (general.n, general.type_sets, general.action_sets)
+                for a, b in zip((flat.prior, *flat.utilities), (general.prior, *general.utilities),
+                                strict=True):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
     @pytest.mark.parametrize("n", [3.7, 3.0, "3", None])
     def test_game_rejects_non_integer_n(self, n):
         data = props.random_game(np.random.default_rng(44), n=3).to_dict()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import collusion_lab as cl
 import props
-from collusion_lab import cli, mechanism, scoring, thresholds
+from collusion_lab import checker, cli, mechanism, scoring, thresholds
 
 
 REFERENCE = {
@@ -33,6 +34,11 @@ def run(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+#: A table rule whose ex ante h side divides a 1e299 loss by a 1e-290 surplus.
+OVERFLOW_CFG = {"n": 100, "rule": {"rule": "table", "h": [7e299, -1e300], "l": [-1e-290, 0]},
+                "prior": {"p_h": 0.4, "p_h_given_h": 0.7}, "tolerance": 1e-300}
 
 
 class TestThresholdsCommand:
@@ -82,6 +88,25 @@ class TestThresholdsCommand:
         code, out = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
         assert code == 0 and "107" in out
         assert len(calls) == 1
+
+    def test_overflowing_side_ratio_exits_2(self, tmp_path, capsys):
+        # the ex ante h side's ratio is 1e299 / 1e-290
+        code = cli.main(["thresholds", "--config", write_config(tmp_path, OVERFLOW_CFG)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: InvalidSetting: the ex_ante h side's ratio "
+                                "1.0000000000000002e+299 / 1e-290 overflows the float range\n")
+
+    def test_side_past_the_float_range(self, tmp_path, capsys):
+        # a finite ratio near 1e306 times n - 1 = 999 passes the float range: the side
+        # is the exact product, and the run ends as usual
+        cfg = dict(OVERFLOW_CFG, n=1000, rule=dict(OVERFLOW_CFG["rule"], l=[-1e-7, 0]))
+        code, out = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
+        assert code == 0
+        for concept, step in (("ex_ante", 1), ("bayesian", 0)):
+            report = json.loads(out)[concept]
+            assert report["k_h"] == 999 * int(report["ratio_h"]) + step
+            assert report["k"] == 1000 and report["k_l_infinite"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = dict(REFERENCE, extra=1)
@@ -364,6 +389,17 @@ class TestScanCommand:
         assert code == 0 and lines[1].startswith("1,,,,,,,,ConfigError: ")
         assert lines[2].startswith("10,,,,,,,,InvalidSetting: "), lines[2]
 
+    def test_overflowing_side_ratio_is_an_error_cell(self, tmp_path, capsys):
+        # the prior at Pr(h|h) 0.7 overflows a side ratio; the sweep goes on past it
+        cfg = dict(OVERFLOW_CFG, sweep={"param": "p_h_given_h", "values": [0.6, 0.7, 0.8]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == 5 and lines[-1] == ""
+        assert lines[2] == ("100,,,,,,,,InvalidSetting: the ex_ante h side's ratio "
+                            "1.0000000000000002e+299 / 1e-290 overflows the float range")
+        assert lines[1].startswith("100,,,,,,,,NoFiniteN: ")
+        assert lines[3].startswith("100,,,,,,,,NoFiniteN: ")
+
     def test_prior_sweep_memory_is_flat(self, tmp_path, capsys):
         # one table and n_zero kept at a time: ~1.7 MB at 10^4 priors, where a
         # memo of every prior's n_zero held 3.6 MB
@@ -381,8 +417,9 @@ class TestScanCommand:
         assert peak < 2.5 * 2 ** 20, peak
 
     def test_n_sweep_memory_is_flat(self, tmp_path, monkeypatch):
-        # rows are priced and written a chunk at a time: ~4.3 MB at 10^5 rows, ~3.6 MB
-        # of it the sweep's points, where building every row first peaked at ~22 MB
+        # rows are priced and written a chunk at a time and the points made as they
+        # are read: ~0.9 MB at 10^5 rows, where listing the points first peaked at
+        # ~4.3 MB and building every row first at ~22 MB
         class Sink:  # keeps a line count and the last few bytes, not the output
             lines, tail = 0, ""
 
@@ -406,7 +443,7 @@ class TestScanCommand:
         assert code == 0 and sink.lines == 100_001
         assert sink.tail.split("\n")[-2] == props.scan_row_per_setting(100_001, cl.BrierRule(),
                                                        cl.make_prior(2.0 / 3.0, 0.8))
-        assert peak < 6 * 2 ** 20, peak
+        assert peak < 2 * 2 ** 20, peak
 
     def test_chunk_edges(self, tmp_path, capsys):
         # error points on and across chunk edges keep their cells and places, and
@@ -530,18 +567,36 @@ class TestSweepValues:
     def test_points_are_start_plus_index_times_step(self):
         param, values = cli._sweep_values(
             {"param": "p_h", "start": 0.1, "stop": 0.8, "step": 1e-5})
+        values = list(values)
         assert param == "p_h" and len(values) == 70_001
         assert values[-1] == 0.8
         for i in range(0, 70_001, 7):
             assert values[i] == float(Decimal("0.1") + i * Decimal("0.00001")), i
 
     def test_ranges(self):
-        assert cli._sweep_values({"param": "n", "start": 10, "stop": 40, "step": 10}) \
-            == ("n", [10, 20, 30, 40])
-        assert cli._sweep_values({"param": "n", "start": 2, "stop": 9, "step": 3})[1] == [2, 5, 8]
-        assert cli._sweep_values({"param": "n", "start": 50, "stop": 40, "step": 10})[1] == []
-        assert cli._sweep_values({"param": "n", "start": 1.5, "stop": 1.5, "step": 1})[1] == [2]
+        param, values = cli._sweep_values({"param": "n", "start": 10, "stop": 40, "step": 10})
+        assert (param, list(values)) == ("n", [10, 20, 30, 40])
+        assert list(cli._sweep_values({"param": "n", "start": 2, "stop": 9, "step": 3})[1]) \
+            == [2, 5, 8]
+        assert list(cli._sweep_values({"param": "n", "start": 50, "stop": 40, "step": 10})[1]) \
+            == []
+        assert list(cli._sweep_values({"param": "n", "start": 1.5, "stop": 1.5, "step": 1})[1]) \
+            == [2]
         assert cli._sweep_values({"param": "p_h", "values": [0.3, 1]})[1] == [0.3, 1]
+
+    def test_points_are_made_as_read(self):
+        # a 10^6-point range is checked but not listed: the list took ~38.6 MB
+        tracemalloc.start()
+        try:
+            param, values = cli._sweep_values({"param": "n", "start": 2, "stop": 1_000_001,
+                                               "step": 1})
+            first = list(itertools.islice(values, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert param == "n" and first == [2, 3, 4]
+        assert peak < 4 * 2 ** 20, peak
+        assert sum(1 for _ in values) == 1_000_000 - 3
 
     @pytest.mark.parametrize("sweep", [
         {"param": "n", "start": 10, "stop": math.inf, "step": 1},
@@ -590,7 +645,8 @@ GAME = {"n": 2, "types": [["t"], ["t"]], "actions": [["a", "b"], ["a", "b"]],
 GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "k": 2}
 
 
-@pytest.mark.parametrize("command,cfg", [
+#: Configs that exit 2 with one line on stderr: (command, config).
+MALFORMED = [
     ("game-check", dict(GAME_CFG, concept="interim_D")),
     ("game-check", dict(GAME_CFG, grid_steps=1)),
     ("game-check", dict(GAME_CFG, budget="x")),
@@ -676,7 +732,10 @@ GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]
                                     "values": [3]})),
     ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3], "step": 0.1})),
     ("game-check", dict(GAME_CFG, grid_steps=10 ** 20)),  # more grid points than 2^20
-])
+]
+
+
+@pytest.mark.parametrize("command,cfg", MALFORMED)
 def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -762,6 +821,88 @@ def test_overlong_integer_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _game_file_corpus() -> dict:
+    """Game file contents by name: the inline malformed games, then tampered texts."""
+    corpus = {f"inline {i}": json.dumps(cfg["game"]) for i, (command, cfg) in enumerate(MALFORMED)
+              if command == "game-check" and "game" in cfg and cfg["game"] is not GAME}
+    base = cl.peer_prediction_game(cl.make_setting(
+        3, cl.BrierRule(), prior=cl.make_prior(2 / 3, 0.8))).to_dict()
+    text = json.dumps(base)
+    corpus["valid"] = text
+
+    def number(token, table="utilities"):  # the table's first number written as token
+        data = json.loads(text)
+        cell = data[table]
+        while isinstance(cell[0], list):
+            cell = cell[0]
+        cell[0] = "@"
+        return json.dumps(data).replace('"@"', token, 1)
+
+    for token in ("+1", "01", ".5", "1.", "-", "1e5e5", "NaN", "Infinity", "-Infinity",
+                  "1e999", "1" + "0" * 400, "10**400", "1" + "0" * 5000, "true", "null",
+                  '"0.5"', "1e302", "0x1", "1_0", "[1.0]", "", "1E-999999"):
+        corpus[f"utilities {token[:12]!r}"] = number(token)
+    for token in ("0.9", "-0.0", "NaN", "1e999", '"0.5"', "false", "1E-999999"):
+        corpus[f"prior {token!r}"] = number(token, "prior")
+    first_row = json.dumps(base["utilities"][0][0][0])
+    corpus["ragged row"] = text.replace(first_row, first_row[:first_row.rindex(",")] + "]", 1)
+    corpus["extra nesting"] = text.replace(first_row, f"[{first_row}]", 1)
+    corpus["row without comma"] = text.replace(first_row, first_row.replace(",", " "), 1)
+    corpus["row trailing comma"] = text.replace(first_row, first_row[:-1] + ",]", 1)
+    corpus["two tables"] = json.dumps({**base, "utilities": base["utilities"][:2]})
+    corpus["flat prior"] = json.dumps({**base, "prior": sum(sum(base["prior"], []), [])})
+    corpus["duplicate prior"] = '{"prior": [[[1.0]]], ' + text[1:]
+    corpus["duplicate prior last"] = text[:-1] + ', "prior": 5}'
+    corpus["duplicate utilities"] = text[:-1] + ', "utilities": [[[1.0]]]}'
+    corpus["nested prior"] = json.dumps({**base, "types": [{"prior": base["prior"]}] * 3})
+    corpus["missing actions"] = json.dumps({k: v for k, v in base.items() if k != "actions"})
+    corpus["extra key"] = json.dumps({**base, "x": 1})
+    corpus["escaped key"] = text.replace('"prior"', '"pri\\u006fr"')
+    for label in ('"prior": [1]', "\u0000", "1E-999999", "prior", "utilities", "["):
+        relabel = [[label if a == "h" else a for a in labels] for labels in base["types"]]
+        corpus[f"label {label!r}"] = json.dumps({**base, "types": relabel, "actions": relabel})
+    corpus["types not lists"] = json.dumps({**base, "types": 5})
+    corpus["empty type set"] = json.dumps({**base, "types": [[], [], []]})
+    corpus["pretty"] = json.dumps(base, indent=2).replace("\n", "\r\n")
+    corpus["compact"] = json.dumps(base, separators=(",", ":"))
+    for garbage in (" x", "]", "}", "{}", " \n"):
+        corpus[f"trailing {garbage!r}"] = text + garbage
+    corpus["bom"] = "\ufeff" + text
+    corpus["not utf-8"] = b"\xff" + text.encode()
+    for other in ("", "[]", "5", "null", "{", '"game"'):
+        corpus[f"document {other[:8]!r}"] = other
+    return corpus
+
+
+GAME_FILES = _game_file_corpus()
+
+
+@pytest.mark.parametrize("name", list(GAME_FILES))
+def test_game_file_reads_as_general_json(tmp_path, capsys, monkeypatch, name):
+    # the flat table reader changes no exit code, stdout or message of the general path
+    game = tmp_path / "game.json"
+    content = GAME_FILES[name]
+    if isinstance(content, bytes):
+        game.write_bytes(content)
+    else:
+        game.write_text(content, encoding="utf-8")
+    argv = ["game-check", "--config", write_config(tmp_path, {"game": str(game)})]
+
+    def outcome():
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    flat = outcome()
+    monkeypatch.setattr(checker, "game_from_text", lambda text: None)
+    assert outcome() == flat
+    code, out, err = flat
+    if code == 0:
+        assert err == "" and isinstance(json.loads(out)["bne"], bool)
+    else:
+        assert code == 2 and out == "" and err.count("\n") == 1, (code, err)
 
 
 def test_nan_tolerance_flag_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,28 @@ class TestThresholdTable:
     def test_array_steps_match_scalar_oracle(self):
         # int64 columns, Python ints past 2^62, infinite sides and negative ratios
         props.check_steps_match_scalar()
+
+    @pytest.mark.parametrize("interim", [False, True])
+    def test_products_past_the_float_range_are_exact(self, interim):
+        # a finite ratio times n - 1 can pass the float range: there the size is the
+        # exact product (such a ratio is a whole number), elsewhere the float step;
+        # each n gives the same size alone as inside a column
+        from collusion_lab.thresholds import _steps
+        ns = [2, 100, 180, 181, 1000, 10 ** 12, 2 ** 62]
+        for ratio in (1e306, -1e306, 3.5e289, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                column = _steps(np.array(ns, dtype=np.int64), ratio, interim, 1e-9).tolist()
+                alone = [_steps(n, ratio, interim, 1e-9).item() for n in ns]
+            want = [props.step_scalar(n, ratio, interim, 1e-9)
+                    if math.isfinite((n - 1) * ratio) else
+                    max(1, (n - 1) * int(ratio) + (0 if interim else 1)) for n in ns]
+            assert column == alone == want, ratio
+
+    def test_overflowing_ratio_is_invalid(self):
+        rule = cl.TableRule(7e299, -1e300, -1e-290, 0.0)
+        with pytest.raises(cl.InvalidSetting, match="ex_ante h side's ratio"):
+            ThresholdTable(cl.make_prior(0.4, 0.7), rule, 1e-300)
 
     def test_corners_are_the_pair_forms_derivatives(self):
         # the table reads the form's corner slopes, summed from the scores; each is a slope
