@@ -85,6 +85,7 @@ from .thresholds import (
     INTERIM_D,
     deviation_succeeds,
     member_delta,
+    succeeding_rows,
     symmetric_deltas,
     symmetric_succeeds,
     truthful_baseline,
@@ -117,14 +118,15 @@ def _number_array(value) -> np.ndarray:
     if isinstance(value, np.ndarray) and value.dtype == float and np.isfinite(value).all():
         return value
     cells = np.asarray(value, dtype=object)
-    if set(map(type, cells.flat)) <= {int, float}:  # the usual case, checked in bulk
+    flat = cells.ravel()  # not ``cells.flat``: numpy's iterators stop at 32 axes, arrays at 64
+    if set(map(type, flat)) <= {int, float}:  # the usual case, checked in bulk
         try:
-            array = cells.astype(float)
+            array = flat.astype(float)
         except OverflowError:  # an int beyond the float range: _number names it
             array = None
         if array is not None and np.isfinite(array).all():
-            return array
-    return np.array([_number(x) for x in cells.flat], dtype=float).reshape(cells.shape)
+            return array.reshape(cells.shape)
+    return np.array([_number(x) for x in flat], dtype=float).reshape(cells.shape)
 
 
 @dataclass(frozen=True)
@@ -675,22 +677,6 @@ def _search_order(pools: Sequence[range], shared: bool, multiset: bool):
     yield from (c for c in rest if not shared or len(set(c)) > 1)
 
 
-def _first_success(deltas: Sequence[np.ndarray], tol: float) -> Optional[int]:
-    """First row of a chunk that passes ``deviation_succeeds`` (ex ante or per type).
-
-    ``deltas`` holds one (B,) or (B, types) array per member: no entry of
-    a row may fall below -tol and some entry must exceed tol.
-    """
-    rows = len(deltas[0])
-    no_loss, gain = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
-    for d in deltas:
-        d = d.reshape(rows, -1)
-        no_loss &= (d >= -tol).all(axis=1)
-        gain |= (d > tol).any(axis=1)
-    hits = np.flatnonzero(no_loss & gain)
-    return int(hits[0]) if hits.size else None
-
-
 def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, concept: str,
                    grid_steps: int = 11, budget: int = DEFAULT_BUDGET,
                    tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
@@ -762,8 +748,9 @@ def find_deviation(game: FiniteBayesianGame, profile: MixedProfile, k: int, conc
                 stacks = [_pool_stack(grid_of[c], t, ixs)
                           for c, t, ixs in zip(coalition, types, zip(*chunk))]
                 deltas = [x - b for x, b in zip(contract(stacks), base)]
-                hit = _first_success(deltas, tol)
-                if hit is not None:
+                wins = succeeding_rows(deltas, tol)
+                if wins.any():
+                    hit = wins.argmax()  # the first success
                     return DeviationCertificate(
                         concept=concept, coalition=coalition,
                         strategies=tuple(tuple(map(tuple, s[hit].tolist())) for s in stacks),
@@ -899,6 +886,8 @@ def _strategy_from_dists(dists: Sequence[Sequence[float]]) -> Strategy:
 
 #: Grid strategies (lanes) priced per chunk by ``find_setting_deviation``.
 _CHUNK_LANES = 2 ** 12
+#: Grid strategies ``find_setting_deviation`` prices at most: grid_steps <= 3162.
+_MAX_LANES = 10 ** 7
 #: (beta_l, beta_h) rows of the corner lanes, in ``CANONICAL_DEVIATIONS`` order.
 _CORNER_BETAS = np.array([s.betas for s in CANONICAL_DEVIATIONS.values()]).T
 
@@ -923,7 +912,6 @@ def _grid_lanes(grid_steps: int, start: int, stop: int) -> tuple[np.ndarray, np.
 
 
 def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: int = 11,
-                           budget: int = DEFAULT_BUDGET,
                            tol: float = DEFAULT_TOL) -> Optional[DeviationCertificate]:
     """Falsifier against truthful reporting at mechanism scale.
 
@@ -935,9 +923,9 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     over chunks of at most ``_CHUNK_LANES`` strategies generated from their
     indices, so memory stays bounded at any ``grid_steps``.
 
-    ``budget`` counts grid strategies.  Every search prices all
-    grid_steps^2 - 1 of them, so the budget is compared once, before any is
-    priced: past it, ``BudgetExceeded`` with ``nodes_searched`` budget + 1.
+    Every search prices all grid_steps^2 - 1 grid strategies, so the grid
+    alone bounds the work: more than ``_MAX_LANES`` of them raise
+    InvalidSetting before any is priced.
     """
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
@@ -946,8 +934,9 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     if concept not in CONCEPTS:
         raise InvalidSetting(f"unknown concept {concept!r}")
     lanes = grid_steps ** 2 - 1
-    if lanes > budget:
-        raise BudgetExceeded(budget + 1)
+    if lanes > _MAX_LANES:
+        raise InvalidSetting(f"grid_steps {grid_steps} gives {lanes} grid strategies, "
+                             f"more than {_MAX_LANES}")
     winner = None  # (size, strategy)
     for start in range(0, lanes, _CHUNK_LANES):
         own = _grid_lanes(grid_steps, start, min(start + _CHUNK_LANES, lanes))

@@ -13,11 +13,13 @@ Configuration comes from a JSON file (--config).  A command accepts exactly
 the config keys it reads (``_COMMANDS``), and each scalar one (``_FLAGS``)
 is also a flag that overrides the file: ``--grid-steps`` for ``grid_steps``.
 Exit codes: 0 success, 1 falsifier found nothing at the given
-resolution/budget, 2 configuration error, 3 search budget exhausted.
-``falsify`` and ``game-check`` validate their search options (k, concept,
-grid_steps, budget) the same way.  All output is deterministic for a
-fixed config and seed; randomness flows from the single seed through
-fixed-size trial blocks (one spawned stream each).  ``scan`` emits its
+resolution (and, for ``game-check``, budget), 2 configuration error,
+3 ``game-check``'s search budget exhausted.  ``falsify`` and
+``game-check`` validate their search options (k, concept, grid_steps) the
+same way; only ``game-check`` also reads a budget, as ``falsify``'s grid
+alone bounds its work.  All output is deterministic for a fixed config and
+seed; randomness flows from the single seed through fixed-size trial
+blocks (one spawned stream each).  ``scan`` emits its
 rows in sweep order, one chunk of points at a time.
 """
 
@@ -118,6 +120,8 @@ def _parse_json(text: str, path: str, what: str) -> Any:
                           f"column {exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer too long for int() to convert
         raise ConfigError(f"invalid JSON in {what} {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"invalid JSON in {what} {path}: nested too deeply") from exc
 
 
 def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
@@ -147,8 +151,8 @@ def load_config(path: str | None, command: str, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int, int]:
-    """The checked (k, concept, grid_steps, budget) of a coalition search among n agents."""
+def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int]:
+    """The checked (k, concept, grid_steps) of a coalition search among n agents."""
     k = cfg.raw["k"]
     if not _is_int(k) or not 1 <= k <= n:
         raise ConfigError(f'"k" must be an integer in [1, n], got {k!r}')
@@ -158,10 +162,7 @@ def _search_options(cfg: RunConfig, n: int) -> tuple[int, str, int, int]:
     grid_steps = cfg.raw.get("grid_steps", 11)
     if not _is_int(grid_steps) or grid_steps < 2:
         raise ConfigError('"grid_steps" must be an integer >= 2')
-    budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
-    if not _is_int(budget) or budget < 1:
-        raise ConfigError(f'"budget" must be a positive integer, got {budget!r}')
-    return k, concept, grid_steps, budget
+    return k, concept, grid_steps
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +298,9 @@ def cmd_falsify(cfg: RunConfig) -> int:
     setting = cfg.setting
     if "k" not in cfg.raw:
         raise ConfigError('falsify needs "k"')
-    k, concept, grid_steps, budget = _search_options(cfg, setting.n)
-    try:
-        cert = checker.find_setting_deviation(
-            setting, k, concept, grid_steps=grid_steps, budget=budget, tol=cfg.tolerance)
-    except BudgetExceeded as exc:
-        _emit(_dump({"found": False, "budget_exceeded": True,
-                     "nodes_searched": exc.nodes_searched}))
-        return EXIT_BUDGET
+    k, concept, grid_steps = _search_options(cfg, setting.n)
+    cert = checker.find_setting_deviation(
+        setting, k, concept, grid_steps=grid_steps, tol=cfg.tolerance)
     if cert is None:
         _emit(_dump({"found": False, "budget_exceeded": False,
                      "grid_steps": grid_steps, "k": k}))
@@ -486,11 +482,15 @@ def cmd_game_check(cfg: RunConfig) -> int:
     else:
         profile = checker.MixedProfile.from_dict(profile_spec)
     search = _search_options(cfg, game.n) if "k" in cfg.raw else None
+    if search is not None:
+        budget = cfg.raw.get("budget", checker.DEFAULT_BUDGET)
+        if not _is_int(budget) or budget < 1:
+            raise ConfigError(f'"budget" must be a positive integer, got {budget!r}')
     holds, worst = checker.bne_check(game, profile, tol=cfg.tolerance)
     payload: dict = {"bne": holds, "worst_violation": worst}
     code = EXIT_OK
     if search is not None:
-        k, concept, grid_steps, budget = search
+        k, concept, grid_steps = search
         try:
             cert = checker.find_deviation(game, profile, k, concept,
                                           grid_steps=grid_steps, budget=budget,
@@ -516,7 +516,7 @@ def cmd_game_check(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 _SETTING = ("n", "rule", "prior", "world_model")
-_SEARCH = ("k", "concept", "grid_steps", "budget")
+_SEARCH = ("k", "concept", "grid_steps")
 
 #: Each command and the config keys it reads, the only keys it accepts.
 _COMMANDS: dict[str, tuple[Callable[[RunConfig], int], tuple[str, ...]]] = {
@@ -525,7 +525,7 @@ _COMMANDS: dict[str, tuple[Callable[[RunConfig], int], tuple[str, ...]]] = {
     "falsify": (cmd_falsify, (*_SETTING, "tolerance", *_SEARCH)),
     "simulate": (cmd_simulate, (*_SETTING, "deviators", "trials", "seed")),
     "scan": (cmd_scan, (*_SETTING, "tolerance", "sweep")),
-    "game-check": (cmd_game_check, ("game", "profile", "tolerance", *_SEARCH)),
+    "game-check": (cmd_game_check, ("game", "profile", "tolerance", *_SEARCH, "budget")),
 }
 
 #: The scalar keys, each with its flag's type or choices: a command has a

@@ -51,12 +51,11 @@ class DimensionMismatch(CollusionLabError, ValueError):
 
 
 class BudgetExceeded(CollusionLabError, RuntimeError):
-    """The deviation search exhausted its node budget before finishing.
+    """``find_deviation`` exhausted its node budget before finishing.
 
     Attributes:
         nodes_searched: the count at the first node past the budget; nodes
-            are utility evaluations in ``find_deviation`` and grid
-            strategies in ``find_setting_deviation``.
+            are utility evaluations.
     """
 
     def __init__(self, nodes_searched: int, message: str | None = None):

@@ -42,7 +42,8 @@ The tolerance sits where ``ThresholdTable`` puts it: |A| <= tol counts as
 0, as a corner's denominator does; B, like a corner's numerator, stays
 exact; and the root (n-1)*(-B/A) is snapped before its floor or ceiling.
 Success: (s-1)*A + (n-1)*B >= 0 in every component and > 0 in some.
-``deviation_succeeds`` (every delta >= -tol, some > tol) decides the rest:
+``deviation_succeeds`` (every delta >= -tol, some > tol; ``succeeding_rows``
+over a chunk of candidates) decides the rest:
 explicit games, coalitions mixing strategies and known-type (interim_D)
 coalitions.  With the concept names, ``truthful_baseline``/``member_delta``
 and ``symmetric_deltas``, these are the verdict vocabulary ``checker`` imports.
@@ -349,22 +350,32 @@ class DichotomyVerdict:
             succeeded=data["succeeded"], deltas=deltas)
 
 
+def succeeding_rows(deltas: Sequence[np.ndarray], tol: float) -> np.ndarray:
+    """Per row, whether the coalition succeeds ex ante or per type, each delta within ``tol``.
+
+    ``deltas`` holds one (rows,) or (rows, types) array per member: no entry
+    of a row may fall below -tol, and some entry must exceed tol.
+    """
+    rows = len(deltas[0])
+    no_loss, gain = np.ones(rows, dtype=bool), np.zeros(rows, dtype=bool)
+    for d in deltas:
+        d = np.reshape(d, (rows, -1))
+        no_loss &= (d >= -tol).all(axis=1)
+        gain |= (d > tol).any(axis=1)
+    return no_loss & gain
+
+
 def deviation_succeeds(concept: str, deltas: Sequence, tol: float) -> bool:
     """The definitions' success test on one coalition's per-member deltas, each within ``tol``.
 
-    Ex ante and per type: no member (type) loses, someone strictly gains;
-    per-type deltas are tuples.  interim_D: every member strictly gains.
+    Ex ante and per type: ``succeeding_rows`` on one row holding every
+    entry, per-type deltas tuples.  interim_D: every member strictly gains.
     For coalitions sharing one strategy ``winning_sizes`` decides instead.
     """
     if concept == INTERIM_D:
         return all(d > tol for d in deltas)
-    flat: list[float] = []
-    for d in deltas:
-        if isinstance(d, tuple):
-            flat.extend(d)
-        else:
-            flat.append(d)
-    return all(x >= -tol for x in flat) and any(x > tol for x in flat)
+    entries = [x for d in deltas for x in (d if isinstance(d, tuple) else (d,))]
+    return bool(succeeding_rows([np.array([entries], dtype=float)], tol)[0])
 
 
 def truthful_baseline(setting: Setting, concept: str):

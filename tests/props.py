@@ -1453,39 +1453,33 @@ def check_pair_kernel_matches_scalar(seed: int = 6262, priors: int = 3) -> int:
 
 
 def setting_search_case(rng: np.random.Generator) -> tuple:
-    """One seeded (setting, k, concept, grid_steps, budget) for the setting falsifier.
+    """One seeded (setting, k, concept, grid_steps) for the setting falsifier.
 
     n log-uniform in 2..10^4, Brier, log (base e) or table rules, k within 3
-    of the concept's threshold, grid 2/3/5/11 and a budget log-uniform in
-    1..10^7.  Small grids are drawn more often: the lane order of every
-    grid 2..11 is checked by ``check_pair_kernel_matches_scalar``.
+    of the concept's threshold and grid 2/3/5/11.  Small grids are drawn
+    more often: the lane order of every grid 2..11 is checked by
+    ``check_pair_kernel_matches_scalar``.
     """
     n = int(round(math.exp(rng.uniform(math.log(2), math.log(10 ** 4)))))
     rule = random_table_rule(rng) if rng.random() < 0.2 else random_rule(rng)
     setting = cl.make_setting(n, rule, prior=random_prior(rng))
     concept = cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN
     grid_steps = int(rng.choice([2, 3, 5, 11], p=[0.3, 0.3, 0.25, 0.15]))
-    budget = int(10 ** rng.uniform(0, 7))
     k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
     k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
-    return setting, k, concept, grid_steps, budget
+    return setting, k, concept, grid_steps
 
 
 def search_matches_oracle(oracle, setting: cl.Setting, k: int, concept: str, grid_steps: int,
-                          budget: int, label=None) -> str:
-    """``find_setting_deviation`` under ``budget`` against ``oracle`` (no budget).
+                          label=None) -> str:
+    """``find_setting_deviation`` against ``oracle``.
 
-    The search stops, with ``nodes_searched`` budget + 1, exactly when the
-    grid_steps^2 - 1 lanes exceed the budget; otherwise it returns what the
-    oracle returns: an equal certificate (the dict compares every field,
-    deltas as floats) or the same None.  Returns "budget", "none" or "found".
+    The search returns what the oracle returns: an equal certificate (the
+    dict compares every field, deltas as floats) or the same None.  Returns
+    "none" or "found".
     """
-    fast = search_outcome(cl.find_setting_deviation, setting, k, concept,
-                          grid_steps=grid_steps, budget=budget)
-    label = label or (setting, k, concept, grid_steps, budget)
-    if grid_steps ** 2 - 1 > budget:
-        assert fast == ("budget", budget + 1), label
-        return "budget"
+    fast = search_outcome(cl.find_setting_deviation, setting, k, concept, grid_steps=grid_steps)
+    label = label or (setting, k, concept, grid_steps)
     assert fast == search_outcome(oracle, setting, k, concept, grid_steps=grid_steps), label
     return "none" if fast[1] is None else "found"
 
@@ -1497,11 +1491,11 @@ def check_setting_falsifier_matches_bisection(seed: int = 9090, cases: int = 10_
     Returns how many ended each way.
     """
     rng = np.random.default_rng(seed)
-    kinds = {"found": 0, "none": 0, "budget": 0}
+    kinds = {"found": 0, "none": 0}
     for case in range(cases):
-        setting, k, concept, grid_steps, budget = setting_search_case(rng)
+        setting, k, concept, grid_steps = setting_search_case(rng)
         kinds[search_matches_oracle(setting_falsifier_by_bisection, setting, k, concept,
-                                    grid_steps, budget, label=case)] += 1
+                                    grid_steps, label=case)] += 1
     return kinds
 
 
@@ -1525,32 +1519,6 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
                     strategies=(strat.rows,) * size,
                     deltas=deltas, tolerance=tol)
     return None
-
-
-def setting_falsifier_eval_bound(grid_steps: int) -> int:
-    """The budget a finishing setting search needs: its grid_steps^2 - 1 strategies."""
-    return grid_steps ** 2 - 1  # every (beta_l, beta_h) grid point but truthful
-
-
-def setting_falsifier_budget_needed(setting: cl.Setting, k: int, concept: str,
-                                    grid_steps: int) -> int:
-    """B*, the smallest budget with which ``find_setting_deviation`` finishes, by bisection.
-
-    Asserts first that it finishes within ``setting_falsifier_eval_bound``.
-    """
-    def finishes(budget: int) -> bool:
-        return search_outcome(cl.find_setting_deviation, setting, k, concept,
-                              grid_steps=grid_steps, budget=budget)[0] == "found"
-
-    lo, hi = 0, setting_falsifier_eval_bound(grid_steps)
-    assert finishes(hi), (setting, k, concept, grid_steps, hi)
-    while hi - lo > 1:  # finishes(hi), not finishes(lo)
-        mid = (lo + hi) // 2
-        if finishes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, i,
@@ -1642,31 +1610,22 @@ def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120
 def check_setting_falsifier_matches_loop(seed: int = 808, cases: int = 300) -> None:
     """The closed-form setting falsifier returns exactly what the size loop returns.
 
-    For n <= 200, both concepts, several grid resolutions and budgets from
-    tiny to the default, by ``search_matches_oracle``.  For every fourth
-    case B* (``setting_falsifier_budget_needed``) must be the lane count
-    ``setting_falsifier_eval_bound``, and the search at B* - 1 must stop with
-    ``nodes_searched == B*``.
+    For n <= 200, both concepts and several grid resolutions, by
+    ``search_matches_oracle``.
     """
     rng = np.random.default_rng(seed)
-    kinds = {"found": 0, "none": 0, "budget": 0}
+    kinds = {"found": 0, "none": 0}
     for case in range(cases):
         n = int(round(math.exp(rng.uniform(math.log(2), math.log(200)))))  # the loop is O(n^2)
         setting = cl.make_setting(n, random_rule(rng), prior=random_prior(rng))
         concept = cl.EX_ANTE if rng.random() < 0.5 else cl.BAYESIAN
         grid_steps = int(rng.choice([2, 3, 5, 11]))
-        budget = cl.DEFAULT_BUDGET if rng.random() < 0.5 else int(rng.integers(1, 301))
         # k around the concept's threshold, where the first success sits
         k_star = (cl.k_ex_ante if concept == cl.EX_ANTE else cl.k_bayesian)(setting).k
         k = int(np.clip(k_star + rng.integers(-3, 4), 1, n))
-        label = (n, setting.prior, setting.rule, concept, k, grid_steps, budget)
+        label = (n, setting.prior, setting.rule, concept, k, grid_steps)
         kinds[search_matches_oracle(setting_falsifier_by_size, setting, k, concept, grid_steps,
-                                    budget, label)] += 1
-        if case % 4 == 0:
-            needed = setting_falsifier_budget_needed(setting, k, concept, grid_steps)
-            assert needed == setting_falsifier_eval_bound(grid_steps), label
-            assert search_outcome(cl.find_setting_deviation, setting, k, concept,
-                                  grid_steps=grid_steps, budget=needed - 1) == ("budget", needed), label
+                                    label)] += 1
     assert min(kinds.values()) >= cases // 20, kinds
 
 

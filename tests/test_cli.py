@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -167,14 +168,6 @@ class TestFalsifyCommand:
         code, _ = run(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])
         assert code == 2
 
-    def test_budget_exit_code(self, tmp_path, capsys):
-        cfg = dict(REFERENCE, k=40, budget=3)
-        code, out = run(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])
-        assert code == 3
-        payload = json.loads(out)
-        assert payload["budget_exceeded"]
-        assert payload["nodes_searched"] > 3
-
     @pytest.mark.parametrize("concept,threshold,k_star", [("ex_ante", cl.k_ex_ante, 23_810),
                                                           ("bayesian", cl.k_bayesian, 39_683)])
     def test_boundary_at_large_n(self, tmp_path, capsys, concept, threshold, k_star):
@@ -215,23 +208,41 @@ class TestFalsifyCommand:
         assert run(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])[0] == code
         assert len(calls) == 1 and len(forms) == 1
 
-    def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
-        # 10^10 grid strategies: the default budget stops the search before it prices any
-        cfg = dict(REFERENCE, k=40, concept="bayesian", grid_steps=10 ** 5)
-        code = cli.main(["falsify", "--config", write_config(tmp_path, cfg)])
+    @staticmethod
+    def refused(capsys, argv):
+        """``main(argv)`` exits 2 with one stderr line, within 0.5 s CPU and 16 MB traced."""
+        tracemalloc.start()
+        try:
+            start = time.process_time()
+            code = cli.main(argv)
+            cpu = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
-        assert code == 3 and captured.err == ""
-        assert json.loads(captured.out) == {"found": False, "budget_exceeded": True,
-                                            "nodes_searched": cl.DEFAULT_BUDGET + 1}
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "more than 10000000" in captured.err
+        assert cpu < 0.5 and peak < 16 * 2 ** 20, (cpu, peak)
 
-    def test_huge_grid_exits_3(self, tmp_path, capsys):
-        # 10^40 grid strategies: the budget is compared before any is generated
+    def test_budget_bounds_the_work_at_any_grid(self, tmp_path, capsys):
+        # 10^10 grid strategies: the 10^7 cap refuses the search before it prices any
+        cfg = dict(REFERENCE, k=40, concept="bayesian", grid_steps=10 ** 5)
+        self.refused(capsys, ["falsify", "--config", write_config(tmp_path, cfg)])
+
+    def test_huge_grid_exits_2(self, tmp_path, capsys):
+        # 10^40 grid strategies: the cap is compared before any is generated
         path = write_config(tmp_path, dict(REFERENCE, k=40))
-        code = cli.main(["falsify", "--config", path, "--grid-steps", str(10 ** 20)])
-        captured = capsys.readouterr()
-        assert code == 3 and captured.err == ""
-        assert json.loads(captured.out) == {"found": False, "budget_exceeded": True,
-                                            "nodes_searched": cl.DEFAULT_BUDGET + 1}
+        self.refused(capsys, ["falsify", "--config", path, "--grid-steps", str(10 ** 20)])
+
+    def test_grid_cap_boundary(self, tmp_path, capsys):
+        # 3162^2 - 1 grid strategies fit the cap and print what they always printed;
+        # 3163^2 - 1 do not
+        path = write_config(tmp_path, dict(REFERENCE, k=27, concept="ex_ante"))
+        code, out = run(capsys, ["falsify", "--config", path, "--grid-steps", "3162"])
+        assert code == 1
+        assert out == ('{\n  "budget_exceeded": false,\n  "found": false,\n'
+                       '  "grid_steps": 3162,\n  "k": 27\n}\n')
+        self.refused(capsys, ["falsify", "--config", path, "--grid-steps", "3163"])
 
     @pytest.mark.parametrize("cfg,concept,k_star", [
         # Brier at n = 10^4: the 39-member all-h delta is +8.28e-10, below the tolerance
@@ -645,6 +656,13 @@ GAME = {"n": 2, "types": [["t"], ["t"]], "actions": [["a", "b"], ["a", "b"]],
 GAME_CFG = {"game": GAME, "profile": {"strategies": [[[1.0, 0.0]], [[1.0, 0.0]]]}, "k": 2}
 
 
+def _nested(value, depth: int):
+    """``value`` inside ``depth`` one-element lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 #: Configs that exit 2 with one line on stderr: (command, config).
 MALFORMED = [
     ("game-check", dict(GAME_CFG, concept="interim_D")),
@@ -732,6 +750,10 @@ MALFORMED = [
                                     "values": [3]})),
     ("scan", dict(REFERENCE, sweep={"param": "p_h", "values": [0.3], "step": 0.1})),
     ("game-check", dict(GAME_CFG, grid_steps=10 ** 20)),  # more grid points than 2^20
+    # tables nested past numpy's 32-axis iterators, and past its 64 axes
+    *[("game-check", dict(GAME_CFG, game=dict(GAME, prior=_nested(1.0, depth))))
+      for depth in (33, 64, 100)],
+    ("game-check", dict(GAME_CFG, profile={"strategies": [_nested(1.0, 40), [[1.0, 0.0]]]})),
 ]
 
 
@@ -751,8 +773,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
 READS = {
     "thresholds": {"n", "rule", "prior", "world_model", "tolerance", "format"},
     "verify-examples": {"tolerance", "format"},
-    "falsify": {"n", "rule", "prior", "world_model", "tolerance",
-                "k", "concept", "grid_steps", "budget"},
+    "falsify": {"n", "rule", "prior", "world_model", "tolerance", "k", "concept", "grid_steps"},
     "simulate": {"n", "rule", "prior", "world_model", "deviators", "trials", "seed"},
     "scan": {"n", "rule", "prior", "world_model", "tolerance", "sweep"},
     "game-check": {"game", "profile", "tolerance", "k", "concept", "grid_steps", "budget"},
@@ -766,7 +787,7 @@ VALID = {
 }
 UNREAD = {"n": 100, "rule": REFERENCE["rule"], "prior": REFERENCE["prior"],
           "world_model": TestSimulateCommand.WM_CFG["world_model"], "tolerance": 1e-9,
-          "format": "json"}
+          "format": "json", "budget": 5}
 
 
 @pytest.mark.parametrize("command,key", [
@@ -783,7 +804,7 @@ def test_key_the_command_does_not_read_exits_2(tmp_path, capsys, command, key):
 
 def test_flags_are_the_scalar_keys_each_command_reads(capsys):
     assert {name: set(keys) for name, (_, keys) in cli._COMMANDS.items()} == READS
-    assert sum(map(len, READS.values())) == 37
+    assert sum(map(len, READS.values())) == 36
     # each scalar key with a flag value and what the flag parses it to
     scalar = {"n": ("7", 7), "tolerance": ("0.5", 0.5), "format": ("text", "text"),
               "k": ("7", 7), "concept": ("bayesian", "bayesian"), "grid_steps": ("7", 7),
@@ -802,7 +823,7 @@ def test_flags_are_the_scalar_keys_each_command_reads(capsys):
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv)
     capsys.readouterr()
-    assert flags == 21
+    assert flags == 20
     with pytest.raises(SystemExit):
         parser.parse_args(["thresholds", "--format", "csv"])
 
@@ -821,6 +842,23 @@ def test_overlong_integer_exits_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+DEEP = "[" * 100_000  # nested past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("command,inline", [("thresholds", True), ("game-check", False),
+                                            ("game-check", True)])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, inline):
+    game = tmp_path / "game.json"
+    game.write_text(DEEP)
+    path = tmp_path / "config.json"
+    prefix = '{"game": ' if command == "game-check" else ""
+    path.write_text(prefix + DEEP if inline else json.dumps({"game": str(game)}))
+    code = cli.main([command, "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "nested too deeply" in captured.err
 
 
 def _game_file_corpus() -> dict:
@@ -870,6 +908,7 @@ def _game_file_corpus() -> dict:
     for garbage in (" x", "]", "}", "{}", " \n"):
         corpus[f"trailing {garbage!r}"] = text + garbage
     corpus["bom"] = "\ufeff" + text
+    corpus["deep nesting"] = DEEP
     corpus["not utf-8"] = b"\xff" + text.encode()
     for other in ("", "[]", "5", "null", "{", '"game"'):
         corpus[f"document {other[:8]!r}"] = other
@@ -918,7 +957,7 @@ FUZZ_CONFIGS = [
                     "prior": REFERENCE["prior"], "tolerance": 1e-9, "format": "text"}),
     ("verify-examples", {"tolerance": 1e-9, "format": "json"}),
     ("falsify", {"n": 60, "rule": {"rule": "log", "base": 2.0}, "prior": REFERENCE["prior"],
-                 "k": 20, "concept": "bayesian", "grid_steps": 3, "budget": 5000}),
+                 "k": 20, "concept": "bayesian", "grid_steps": 3}),
     ("simulate", {"n": 6, "rule": {"rule": "brier"},
                   "world_model": {"p_state": [0.5, 0.5], "p_h_given_state": [0.9, 0.2]},
                   "trials": 300, "seed": 3, "deviators": [{"bl": 0.0, "bh": 1.0}]}),
