@@ -96,17 +96,29 @@ _PROB_TOL = 1e-12
 DEFAULT_BUDGET = 10_000_000
 
 
+#: Characters of an offending value's repr that an error message keeps.
+_SHOWN_CHARS = 200
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut to ``_SHOWN_CHARS`` characters: the value may be a whole table."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... ({len(text)} characters)"
+
+
 def _number(value) -> float:
     """A finite JSON number as a float; strings and bools are not numbers."""
     if not is_finite_number(value):
-        raise TypeError(f"expected a finite number, got {value!r}")
+        raise TypeError(f"expected a finite number, got {_shown(value)}")
     return float(value)
 
 
 def _index(value) -> int:
     """A JSON integer; bools, floats and strings are not integers."""
     if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
+        raise TypeError(f"expected an integer, got {_shown(value)}")
     return operator.index(value)
 
 

@@ -395,29 +395,29 @@ def _outcome(fn, *args):
 _CHUNK_ROWS = 2 ** 10
 
 
-def _scan_lines(points, tol: float) -> list[str]:
-    """The CSV rows of one chunk of ``(label, n, known)`` points, in order.
+def _error_lines(labels, cells) -> list[str]:
+    return [f"{label},,,,,,,,{cell}" for label, cell in zip(labels, cells)]
 
-    ``known`` is a prior's n_zero and (h, l) side ratios per concept; n or
-    ``known`` is instead the error cell of a point that failed.  The valid
-    points' thresholds take one array step per side (``threshold_columns``).
+
+def _scan_lines(labels, cells, n, n_zero, ratios: dict, tol: float) -> list[str]:
+    """The CSV rows of one chunk of sweep points, in order.
+
+    ``cells`` holds each point's error cell, None where the point is priced.
+    n, n_zero and ``ratios`` (each concept's (h, l) side ratios, NaN on an
+    infinite side) are columns over the chunk, or one value for all of it;
+    the thresholds take one array step per side (``threshold_columns``), and
+    the priced points' rows print them.
     """
-    lines, good = [], []
-    for label, n, known in points:
-        error = n if isinstance(n, str) else known if isinstance(known, str) else None
-        lines.append(None if error is None else f"{label},,,,,,,,{error}")
-        if error is None:
-            good.append((n, *known))
-    if good:
-        ns, nzs, *ratios = zip(*good)
-        ns, columns = np.array(ns, dtype=np.int64), []
-        for concept, pairs in zip(thresholds.CONCEPTS, ratios):
-            columns += thresholds.threshold_columns(concept, ns, *np.array(pairs).T, tol)
-        rows = iter(f"{n},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz},"
-                    for n, e_h, e_l, e, b_h, b_l, b, nz
-                    in zip(ns.tolist(), *(column.tolist() for column in columns), nzs))
-        lines = [next(rows) if line is None else line for line in lines]
-    return lines
+    if all(cells):
+        return _error_lines(labels, cells)
+    columns = []
+    for concept in thresholds.CONCEPTS:
+        columns += thresholds.threshold_columns(concept, n, *ratios[concept], tol)
+    columns.append(n_zero)
+    rows = zip(*(np.broadcast_to(column, (len(cells),)).tolist() for column in columns))
+    return [f"{label},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz}," if cell is None
+            else f"{label},,,,,,,,{cell}"
+            for label, cell, (e_h, e_l, e, b_h, b_l, b, nz) in zip(labels, cells, rows)]
 
 
 def cmd_scan(cfg: RunConfig) -> int:
@@ -426,10 +426,12 @@ def cmd_scan(cfg: RunConfig) -> int:
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
-    # The rule is parsed once per sweep, the prior once per sweep or point; each
-    # prior is scored once, into one threshold table that also gives its n_zero,
-    # and only its n_zero and four side ratios are kept, for its chunk.  A failed
-    # part is its point's error cell, first of n, rule, prior, scores, n_zero.
+    # The rule is parsed once per sweep.  An n-sweep's one prior is scored once,
+    # into one threshold table that also gives its n_zero.  A prior sweep prices
+    # a chunk of points as columns (``thresholds.price_priors``): each check of
+    # the scalar path is a mask, and a point that fails one takes the scalar path
+    # (``known``), the only source of error cells.  A failed part is its point's
+    # error cell, first of n, rule, prior, scores, sides, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
 
     def known(parsed):
@@ -441,22 +443,54 @@ def cmd_scan(cfg: RunConfig) -> int:
         if isinstance(table, str):
             return table
         nz = _outcome(table.n_zero)
-        return nz if isinstance(nz, str) else (nz, *map(table.ratios, thresholds.CONCEPTS))
+        if isinstance(nz, str):
+            return nz
+        return nz, {concept: table.ratios(concept) for concept in thresholds.CONCEPTS}
 
     if param == "n":
         prior_known = known(_outcome(prior.from_config, raw))
-        points = ((v, _outcome(_checked_n, {"n": v}), prior_known) for v in values)
+
+        def lines(chunk: list) -> list[str]:
+            ns = [_outcome(_checked_n, {"n": v}) for v in chunk]
+            cells = [n if isinstance(n, str) else None for n in ns]
+            if isinstance(prior_known, str):
+                return _error_lines(chunk, [cell or prior_known for cell in cells])
+            column = np.array([2 if isinstance(n, str) else n for n in ns], dtype=np.int64)
+            return _scan_lines(chunk, cells, column, *prior_known, tol)
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:
             raise ConfigError('prior-parameter sweeps need a base "prior" config')
         n, label = _outcome(_checked_n, raw), raw.get("n", "")
-        points = ((label, n, n if isinstance(n, str) else
-                   known(_outcome(prior.from_config, {**raw, "prior": {**base, param: v}})))
-                  for v in values)
+
+        def point(v) -> dict:
+            return {**raw, "prior": {**base, param: v}}
+
+        shape = None  # the config's shape, the same at every point: each is a finite number
+
+        def lines(chunk: list) -> list[str]:
+            nonlocal shape
+            labels = [label] * len(chunk)
+            if isinstance(n, str):
+                return _error_lines(labels, [n] * len(chunk))
+            if shape is None:
+                shape = rule if isinstance(rule, str) else _outcome(prior.prior_values,
+                                                                    point(chunk[0]))
+            if isinstance(shape, str):  # every point fails, each with its own cell
+                return _error_lines(labels, [known(_outcome(prior.from_config, point(v)))
+                                             for v in chunk])
+            swept = np.array([float(v) for v in chunk])
+            fixed = np.full_like(swept, shape[1] if param == "p_h" else shape[0])
+            p_h, p_hh = (swept, fixed) if param == "p_h" else (fixed, swept)
+            priced, nzs, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
+            cells = [None if ok else known(_outcome(prior.from_config, point(v)))
+                     for v, ok in zip(chunk, priced.tolist())]
+            return _scan_lines(labels, cells, n, nzs, ratios, tol)
+
     _emit(SCAN_HEADER)
-    while chunk := list(itertools.islice(points, _CHUNK_ROWS)):
-        _emit("\n".join(_scan_lines(chunk, tol)))
+    values = iter(values)
+    while chunk := list(itertools.islice(values, _CHUNK_ROWS)):
+        _emit("\n".join(lines(chunk)))
     return EXIT_OK
 
 

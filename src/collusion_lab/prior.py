@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidPrior, ZeroLikelihood
 from .scoring import HIGH, LOW, BinaryDist, is_finite_number
 
@@ -38,8 +40,36 @@ def _check_prob(value: float, name: str, strict: bool = False) -> None:
         raise InvalidPrior(f"{name} must lie in [0, 1], got {value!r}")
 
 
+class _Complements:
+    """Pr(l), Pr(l|h) and Pr(l|l) of one prior's floats, or of columns of priors."""
+
+    @property
+    def p_l(self):
+        return 1.0 - self.p_h
+
+    @property
+    def p_lh(self):
+        """Pr(l|h)."""
+        return 1.0 - self.p_hh
+
+    @property
+    def p_ll(self):
+        """Pr(l|l)."""
+        return 1.0 - self.p_hl
+
+
+def _derived_p_hl(p_h, p_hh):
+    """Pr(h|l) = Pr(h) * Pr(l|h) / Pr(l), from exchangeability; floats or arrays."""
+    return p_h * (1.0 - p_hh) / (1.0 - p_h)
+
+
+def _exchangeability_sides(p_h, p_hh, p_hl):
+    """Pr(h)*Pr(l|h) and Pr(l)*Pr(h|l), equal for an exchangeable prior; floats or arrays."""
+    return p_h * (1.0 - p_hh), (1.0 - p_h) * p_hl
+
+
 @dataclass(frozen=True)
-class BinaryPrior:
+class BinaryPrior(_Complements):
     """Pairwise symmetric common prior: marginal and the two conditionals."""
 
     p_h: float
@@ -54,25 +84,10 @@ class BinaryPrior:
             raise InvalidPrior(
                 f"signals must be positively informative: Pr(h|h)={self.p_hh!r} "
                 f"must exceed Pr(h|l)={self.p_hl!r}")
-        lhs = self.p_h * (1.0 - self.p_hh)
-        rhs = (1.0 - self.p_h) * self.p_hl
+        lhs, rhs = _exchangeability_sides(self.p_h, self.p_hh, self.p_hl)
         if abs(lhs - rhs) > _EXCHANGEABILITY_TOL:
             raise InvalidPrior(
                 f"exchangeability violated: Pr(h)*Pr(l|h)={lhs!r} != Pr(l)*Pr(h|l)={rhs!r}")
-
-    @property
-    def p_l(self) -> float:
-        return 1.0 - self.p_h
-
-    @property
-    def p_lh(self) -> float:
-        """Pr(l|h)."""
-        return 1.0 - self.p_hh
-
-    @property
-    def p_ll(self) -> float:
-        """Pr(l|l)."""
-        return 1.0 - self.p_hl
 
     def marginal(self, s: str) -> float:
         return self.p_h if s == HIGH else self.p_l
@@ -97,7 +112,7 @@ def make_prior(p_h: float, p_hh: float) -> BinaryPrior:
     """
     _check_prob(p_h, "Pr(h)", strict=True)
     _check_prob(p_hh, "Pr(h|h)", strict=True)
-    p_hl = p_h * (1.0 - p_hh) / (1.0 - p_h)
+    p_hl = _derived_p_hl(p_h, p_hh)
     if not 0.0 < p_hl < 1.0:
         raise InvalidPrior(f"derived Pr(h|l)={p_hl!r} falls outside (0, 1)")
     if not p_hh > p_hl:
@@ -105,6 +120,32 @@ def make_prior(p_h: float, p_hh: float) -> BinaryPrior:
             f"Pr(h|h)={p_hh!r} must exceed derived Pr(h|l)={p_hl!r}; "
             "signals would be uninformative or negatively correlated")
     return BinaryPrior(p_h=p_h, p_hh=p_hh, p_hl=p_hl)
+
+
+@dataclass(frozen=True)
+class PriorColumns(_Complements):
+    """Columns of priors: equal-length arrays of Pr(h), Pr(h|h) and Pr(h|l), unchecked."""
+
+    p_h: np.ndarray
+    p_hh: np.ndarray
+    p_hl: np.ndarray
+
+
+def prior_columns(p_h: np.ndarray, p_hh: np.ndarray) -> tuple[PriorColumns, np.ndarray]:
+    """The priors ``make_prior`` builds from columns of Pr(h) and Pr(h|h), and where it does.
+
+    The mask is True where ``make_prior`` and ``BinaryPrior`` raise nothing,
+    their checks taken element by element on finite floats, and Pr(h|l) is
+    derived by the same operations.  The rows it rejects hold the prior
+    (1/2, 3/4) instead, so that every row can be scored.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_hl = _derived_p_hl(p_h, p_hh)
+        lhs, rhs = _exchangeability_sides(p_h, p_hh, p_hl)
+    ok = ((0.0 < p_h) & (p_h < 1.0) & (0.0 < p_hh) & (p_hh < 1.0) & (0.0 < p_hl) & (p_hl < 1.0)
+          & (p_hh > p_hl) & ~(abs(lhs - rhs) > _EXCHANGEABILITY_TOL))
+    return PriorColumns(*(np.where(ok, x, fill) for x, fill in
+                          ((p_h, 0.5), (p_hh, 0.75), (p_hl, _derived_p_hl(0.5, 0.75))))), ok
 
 
 @dataclass(frozen=True)
@@ -195,8 +236,13 @@ def world_model_for_prior(prior: BinaryPrior) -> WorldModel:
     return wm
 
 
-def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
-    """Read ``{"prior": {...}}`` or ``{"world_model": {...}}``, whose values are JSON numbers."""
+def prior_values(config: dict) -> tuple[float, float] | None:
+    """The (Pr(h), Pr(h|h)) floats of a ``{"prior": {...}}`` config; None for a world model.
+
+    ``InvalidPrior`` unless the config holds exactly one of the two, with
+    exactly its keys and finite JSON numbers: the checks ``from_config``
+    makes before it builds anything.
+    """
     has_prior = "prior" in config
     has_wm = "world_model" in config
     if has_prior == has_wm:
@@ -211,11 +257,19 @@ def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
         values = spec["p_h"], spec["p_h_given_h"]
         if not all(map(is_finite_number, values)):
             raise InvalidPrior(f"prior values must be finite JSON numbers, got {spec!r}")
-        return make_prior(*map(float, values)), None
-    pairs = spec["p_state"], spec["p_h_given_state"]
+        return float(values[0]), float(values[1])
     if not all(isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))
-               for v in pairs):
+               for v in spec.values()):
         raise InvalidPrior(f"world_model values must be lists of two finite JSON numbers, "
                            f"got {spec!r}")
-    wm = WorldModel(*(tuple(map(float, v)) for v in pairs))
+    return None
+
+
+def from_config(config: dict) -> tuple[BinaryPrior, WorldModel | None]:
+    """Read ``{"prior": {...}}`` or ``{"world_model": {...}}``, whose values are JSON numbers."""
+    values = prior_values(config)
+    if values is not None:
+        return make_prior(*values), None
+    spec = config["world_model"]
+    wm = WorldModel(*(tuple(map(float, spec[key])) for key in ("p_state", "p_h_given_state")))
     return induce_prior(wm), wm

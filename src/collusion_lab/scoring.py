@@ -12,7 +12,9 @@ Table rules score affinely in q_h per reported outcome, and arbitrary
 callables are accepted for experimentation.  ``four_scores`` gives the
 ``ScoreTable`` of a prior's two posteriors, which every mechanism utility
 and every collusion threshold downstream reads; ``gap_report`` adds its
-pairwise gaps.
+pairwise gaps.  The built-ins also score a column of posteriors
+(``score_column``, ``four_score_columns``) by the same operations, so each
+element is the float ``score`` gives.
 """
 
 from __future__ import annotations
@@ -21,10 +23,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+import numpy as np
+
 from .errors import InvalidDist, InvalidSetting, LogOfZero
 
 if TYPE_CHECKING:
-    from .prior import BinaryPrior
+    from .prior import BinaryPrior, PriorColumns
 
 LOW = "l"
 HIGH = "h"
@@ -71,6 +75,13 @@ class ScoringRule:
     def score(self, outcome: str, dist: BinaryDist) -> float:
         raise NotImplementedError
 
+    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
+        """``score`` of ``outcome`` at each posterior of an array of Pr(h), all in (0, 1).
+
+        The built-in rules only: the same operations as ``score``, element by element.
+        """
+        raise NotImplementedError
+
     def to_config(self) -> dict:
         raise NotImplementedError
 
@@ -82,10 +93,22 @@ class BrierRule(ScoringRule):
     strictly_proper: bool = True
 
     def score(self, outcome: str, dist: BinaryDist) -> float:
-        return 2.0 * dist.prob(outcome) - (dist.p_h * dist.p_h + dist.p_l * dist.p_l)
+        return self._score(dist.prob(outcome), dist.p_h)
+
+    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
+        return self._score(q_h if outcome == HIGH else 1.0 - q_h, q_h)
+
+    @staticmethod
+    def _score(p, q_h):
+        """2*p - |q|^2 with p = q(outcome), of floats or arrays."""
+        return 2.0 * p - (q_h * q_h + (1.0 - q_h) * (1.0 - q_h))
 
     def to_config(self) -> dict:
         return {"rule": "brier"}
+
+
+#: ``math.log`` element by element, into an object array.
+_LOG = np.frompyfunc(math.log, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -103,9 +126,16 @@ class LogRule(ScoringRule):
         p = dist.prob(outcome)
         if p == 0.0:
             raise LogOfZero(f"log score undefined: outcome {outcome!r} has probability 0")
-        if self.base == math.e:
-            return math.log(p)
-        return math.log(p) / math.log(self.base)
+        return self._score(math.log(p))
+
+    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
+        # math.log per element: numpy's log may differ from it in the last bit
+        p = q_h if outcome == HIGH else 1.0 - q_h
+        return self._score(_LOG(p).astype(np.float64))
+
+    def _score(self, ln):
+        """The score from the natural log of the outcome's probability, of floats or arrays."""
+        return ln if self.base == math.e else ln / math.log(self.base)
 
     def to_config(self) -> dict:
         return {"rule": "log", "base": self.base}
@@ -129,11 +159,18 @@ class TableRule(ScoringRule):
     strictly_proper: bool = False
 
     def score(self, outcome: str, dist: BinaryDist) -> float:
+        if outcome not in SIGNALS:
+            raise InvalidDist(f"unknown outcome {outcome!r}, expected one of {SIGNALS}")
+        return self._score(outcome, dist.p_h)
+
+    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
+        return self._score(outcome, q_h)
+
+    def _score(self, outcome: str, q_h):
+        """The affine score of floats or arrays."""
         if outcome == HIGH:
-            return self.h_intercept + self.h_slope * dist.p_h
-        if outcome == LOW:
-            return self.l_intercept + self.l_slope * dist.p_h
-        raise InvalidDist(f"unknown outcome {outcome!r}, expected one of {SIGNALS}")
+            return self.h_intercept + self.h_slope * q_h
+        return self.l_intercept + self.l_slope * q_h
 
     def to_config(self) -> dict:
         return {
@@ -319,6 +356,31 @@ def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> ScoreTable:
         raise InvalidSetting(f"the scoring rule gives a non-finite score or score spread at "
                              f"this prior: {list(scores)}")
     return scores
+
+
+def four_score_columns(rule: ScoringRule, priors: "PriorColumns") -> tuple[ScoreTable, np.ndarray]:
+    """``four_scores`` of each prior in columns: a ``ScoreTable`` of arrays, and where it holds.
+
+    The mask is False where ``four_scores`` raises: a score or the spread is
+    not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a table rule may overflow
+        scores = ScoreTable(*(rule.score_column(outcome, q_h)
+                              for q_h in (priors.p_hh, priors.p_hl) for outcome in (HIGH, LOW)))
+        return scores, np.isfinite(scores).all(axis=0) & np.isfinite(spread_column(scores))
+
+
+def spread_column(scores: ScoreTable) -> np.ndarray:
+    """``max(scores) - min(scores)`` of a table of arrays, element by element.
+
+    Each score replaces the running largest (smallest) only where it compares
+    greater (smaller), as Python's ``max`` and ``min`` pick.
+    """
+    top = bottom = scores[0]
+    for score in scores[1:]:
+        top = np.where(score > top, score, top)
+        bottom = np.where(score < bottom, score, bottom)
+    return top - bottom
 
 
 def gap_report(rule: ScoringRule, prior: "BinaryPrior") -> GapReport:

@@ -32,6 +32,11 @@ with the one ``four_scores`` call, and gives ``report(concept, n)``,
 ``liar_threshold`` and ``n_zero`` each read a new table.  Every threshold
 is one array step (``_steps``: snap, then floor or ceiling), so
 ``threshold_columns`` prices a whole column of n, or of priors' ratios, at once.
+``price_priors`` gives the n_zero and side ratios of a column of priors at
+once.  The table's arithmetic is written once, over floats or arrays
+(``PairForm.of``, ``_corners``, ``_n_zeros``; the rules' ``score_column``),
+so each entry is its own table's float or int; a row where the table would
+raise is only marked, for the scalar path that ``scan`` takes its error text from.
 
 ``dichotomy_check`` tests a canonical deviation at one coalition size.
 
@@ -68,8 +73,18 @@ from .mechanism import (
     truthful_ex_ante,
     truthful_interim,
 )
-from .prior import BinaryPrior
-from .scoring import DEFAULT_TOL, HIGH, LOW, SIGNALS, ScoringRule, four_scores
+from .prior import BinaryPrior, prior_columns
+from .scoring import (
+    DEFAULT_TOL,
+    HIGH,
+    LOW,
+    SIGNALS,
+    ScoreTable,
+    ScoringRule,
+    four_score_columns,
+    four_scores,
+    spread_column,
+)
 
 EX_ANTE = "ex_ante"
 BAYESIAN = "bayesian"
@@ -189,14 +204,10 @@ class ThresholdTable:
     def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
         self.prior, self.tol = prior, tol
         self.scores = four_scores(rule, prior)
-        form = PairForm.of(prior, self.scores)
-        self.e_l, self.e_h, self.d_h, self.d_l = e_l, e_h, d_h, d_l = form[-4:]
-        # per type, each corner's inside surplus is discounted (module docstring)
-        b_h, b_l = prior.p_ll * d_h, prior.p_hh * d_l
-        self.sides = {EX_ANTE: (_side(e_l, d_h, tol, "ex_ante h"),
-                                _side(e_h, d_l, tol, "ex_ante l")),
-                      BAYESIAN: (_side(e_l, b_h, tol, "bayesian h"),
-                                 _side(e_h, b_l, tol, "bayesian l"))}
+        self.e_l, self.e_h, self.d_h, self.d_l = slopes = PairForm.of(prior, self.scores)[-4:]
+        (ex_h, ex_l), (ba_h, ba_l) = _corners(prior, *slopes)
+        self.sides = {EX_ANTE: (_side(*ex_h, tol, "ex_ante h"), _side(*ex_l, tol, "ex_ante l")),
+                      BAYESIAN: (_side(*ba_h, tol, "bayesian h"), _side(*ba_l, tol, "bayesian l"))}
 
     def ratios(self, concept: str) -> tuple[float, float]:
         """``concept``'s (h, l) side ratios, NaN for an infinite side."""
@@ -237,37 +248,64 @@ class ThresholdTable:
         return math.inf if ratio is None else _steps(n, ratio, False, self.tol).item()
 
     def n_zero(self) -> int:
-        """Smallest n >= 2 at which the interim threshold covers asymmetric play.
-
-        Six conditions bound quantities that scale as 1/(n-1):
-
-            b_h = 4*spread*(D + PS(l,q_l) - PS(h,q_l)) / ((n-1) * D * E_h)
-            b_l = 4*spread*(D + PS(h,q_h) - PS(l,q_h)) / ((n-1) * D * E_l)
-
-        with D the sum of the two cross-posterior gaps and spread the largest
-        difference among the four scores: each b below 1/4 - tol, and at most
-        its side's outsider loss over (posterior * D) and its corner surplus
-        over D when that is positive, both plus tol.  A side's three share c, so
-        the tightest holds exactly when all do (c/x < b1 <= b2 gives c/x <= b2;
-        c/x <= b2 < b1 gives c/x < b1): one ``_first_n`` solve per side.
-        """
-        s_hh, s_lh, s_hl, s_ll = scores = self.scores
-        prior, tol, e_l, e_h = self.prior, self.tol, self.e_l, self.e_h
-        big_d = (s_hh - s_hl) + (s_ll - s_lh)
-        spread = max(scores) - min(scores)
-        if big_d <= tol or e_h <= tol or e_l <= tol:
+        """Smallest n >= 2 at which the interim threshold covers asymmetric play (``_n_zeros``)."""
+        prior = self.prior
+        column = np.array([[*self.scores, self.e_l, self.e_h, self.d_h, self.d_l,
+                            prior.p_hh, prior.p_ll]]).T
+        nz, proper = _n_zeros(ScoreTable(*column[:4]), *column[4:], self.tol)
+        if not proper[0]:
             raise NoFiniteN("a required positive quantity is non-positive; "
                             "the rule is not strictly proper on this prior")
-        quarter, firsts = 0.25 - tol, []
-        for c, surplus, loss, post in (
-                (4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h), self.d_h, e_h, prior.p_hh),
-                (4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l), self.d_l, e_l, prior.p_ll)):
-            # min(a, b) + tol is min(a + tol, b + tol): float addition is monotone
-            bound = min(loss / (post * big_d), surplus / big_d if surplus > tol else math.inf) + tol
-            firsts.append(_first_n(c, min(quarter, bound), quarter <= bound))
-        if None in firsts:
+        if not nz[0]:
             raise NoFiniteN("no finite n satisfies the interim conditions")
-        return max(firsts)
+        return int(nz[0])
+
+
+def _corners(prior, e_l, e_h, d_h, d_l) -> tuple:
+    """Each concept's (h, l) corners as (numerator, denominator), of floats or arrays.
+
+    In ``CONCEPTS`` order; per type, each corner's inside surplus is
+    discounted (module docstring).
+    """
+    return ((e_l, d_h), (e_h, d_l)), ((e_l, prior.p_ll * d_h), (e_h, prior.p_hh * d_l))
+
+
+def _min(a, b) -> np.ndarray:
+    """Python's ``min(a, b)`` element by element: a, unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _n_zeros(scores: ScoreTable, e_l, e_h, d_h, d_l, p_hh, p_ll,
+             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``ThresholdTable.n_zero`` of columns of priors: int64 (0 where none), and where proper.
+
+    Six conditions bound quantities that scale as 1/(n-1):
+
+        b_h = 4*spread*(D + PS(l,q_l) - PS(h,q_l)) / ((n-1) * D * E_h)
+        b_l = 4*spread*(D + PS(h,q_h) - PS(l,q_h)) / ((n-1) * D * E_l)
+
+    with D the sum of the two cross-posterior gaps and spread the largest
+    difference among the four scores: each b below 1/4 - tol, and at most
+    its side's outsider loss over (posterior * D) and its corner surplus
+    over D when that is positive, both plus tol.  A side's three share c, so
+    the tightest holds exactly when all do (c/x < b1 <= b2 gives c/x <= b2;
+    c/x <= b2 < b1 gives c/x < b1): one ``_first_n`` solve per side.  The
+    mask holds where D, E_h and E_l exceed tol, as the conditions need.
+    """
+    s_hh, s_lh, s_hl, s_ll = scores
+    quarter = 0.25 - tol
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows not proper
+        big_d = (s_hh - s_hl) + (s_ll - s_lh)
+        spread = spread_column(scores)
+        proper = ~((big_d <= tol) | (e_h <= tol) | (e_l <= tol))
+        c = np.array([4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h),
+                      4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)])
+        # min(a, b) + tol is min(a + tol, b + tol): float addition is monotone
+        bound = np.array([_min(loss / (post * big_d),
+                               np.where(surplus > tol, surplus / big_d, np.inf)) + tol
+                          for surplus, loss, post in ((d_h, e_h, p_hh), (d_l, e_l, p_ll))])
+        firsts = _first_n(c, _min(quarter, bound), quarter <= bound)
+    return np.where(proper & firsts.all(axis=0), firsts.max(axis=0), 0), proper
 
 
 def k_ex_ante(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
@@ -280,36 +318,76 @@ def k_bayesian(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     return ThresholdTable(setting.prior, setting.rule, tol).report(BAYESIAN, setting.n)
 
 
-def _first_n(c: float, bound: float, strict: bool) -> int | None:
-    """Smallest n <= 2**62 from which ``c/(n-1) < bound`` (or ``<=``) holds on, else None.
+def _first_n(c, bound, strict):
+    """Smallest n <= 2**62 from which ``c/(n-1) < bound`` (or ``<=``) holds on, per element.
 
+    Arrays give int64 arrays, 0 where no such n; floats give an int, or None.
+    bound is below +inf, so ``<= bound`` is ``< nextafter(bound, inf)``.
     For c > 0 that is n - 1 = c/bound up to rounding: the float is nudged to
     the smallest x = n - 1 at which the comparison holds, then n - 1 is the
     smallest integer whose float is >= x.  For c <= 0 it holds at all n or none.
     """
-    def holds(x) -> bool:
-        return c / x < bound if strict else c / x <= bound
+    if np.ndim(c) == 0:
+        m = _first_n(np.array([c], dtype=float), np.array([bound], dtype=float),
+                     np.array([strict]))[0]
+        return int(m) if m else None
 
-    if not holds(2 ** 62 - 1):
-        return None
-    if holds(1):
-        return 2
-    x = c / bound
-    while not holds(x):  # a few ulps at most
-        x = math.nextafter(x, math.inf)
-    while holds(math.nextafter(x, 0.0)):
-        x = math.nextafter(x, 0.0)
-    m = math.ceil(x)
-    if x > 2.0 ** 53:  # neighbouring integers share x: the lowest one that rounds to it
-        m = (int(math.nextafter(x, 0.0)) + m) // 2
-        if float(m) < x:
-            m += 1
-    return m + 1
+    # c/x <= bound is c/x < the next float above bound: one strict test per lane
+    upper = np.where(strict, bound, np.nextafter(bound, np.inf))
+
+    def holds(x) -> np.ndarray:
+        return c / x < upper
+
+    found, at_once = holds(float(2 ** 62 - 1)), holds(1.0)
+    search = found & ~at_once
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # lanes not searched
+        x = np.where(search, c / bound, 1.0)
+    while (step := search & ~holds(x)).any():  # a few ulps at most
+        x = np.where(step, np.nextafter(x, np.inf), x)
+    while (step := search & holds(below := np.nextafter(x, 0.0))).any():
+        x = np.where(step, below, x)
+    m = np.ceil(x).astype(np.int64)
+    wide = x > 2.0 ** 53  # neighbouring integers share x: the lowest one that rounds to it
+    if wide.any():
+        mid = (np.nextafter(x, 0.0).astype(np.int64) + m) // 2
+        m = np.where(wide, mid + (mid.astype(np.float64) < x), m)
+    return np.where(found, np.where(at_once, 2, m + 1), 0)
 
 
 def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> int:
     """Smallest n >= 2 from which k_B covers asymmetric play (``ThresholdTable.n_zero``)."""
     return ThresholdTable(prior, rule, tol).n_zero()
+
+
+def price_priors(p_h: np.ndarray, p_hh: np.ndarray, rule: ScoringRule,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The n_zero and side ratios of each prior's ``ThresholdTable``, for columns of priors.
+
+    The priors are ``make_prior(p_h[i], p_hh[i])``; ``rule`` is a built-in
+    rule (``ScoringRule.score_column``).  Returns (priced, n_zero, ratios),
+    ``ratios`` each concept's (h, l) ratio columns, NaN on an infinite side.
+    ``priced`` is False where the scalar path raises (``make_prior``,
+    ``four_scores``, a side's overflow or ``n_zero``), and such rows hold 0
+    and NaN; every other row holds the int and floats its table gives, made
+    by the same operations in the same order.
+    """
+    priors, ok = prior_columns(p_h, p_hh)
+    scores, finite = four_score_columns(rule, priors)
+    ok &= finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows not priced
+        slopes = PairForm.of(priors, scores)[-4:]
+        ratios = {}
+        for concept, corners in zip(CONCEPTS, _corners(priors, *slopes)):
+            ratios[concept] = []
+            for num, den in corners:  # as ``_side``: den <= tol is infinite, else num / den
+                infinite, ratio = den <= tol, num / den
+                ok &= infinite | (abs(ratio) < math.inf)
+                ratios[concept].append(np.where(infinite, np.nan, ratio))
+        n_zero, _ = _n_zeros(scores, *slopes, priors.p_hh, priors.p_ll, tol)
+    ok &= n_zero.astype(bool)
+    return (ok, np.where(ok, n_zero, 0),
+            {concept: tuple(np.where(ok, ratio, np.nan) for ratio in pair)
+             for concept, pair in ratios.items()})
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):

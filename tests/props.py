@@ -11,6 +11,8 @@ role-grouped closed forms they validate.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import math
 import string
@@ -430,6 +432,86 @@ def scan_row_per_setting(n: int, rule: cl.ScoringRule, prior: cl.BinaryPrior,
     ex = report_per_setting(setting, cl.EX_ANTE, tol)
     ba = report_per_setting(setting, cl.BAYESIAN, tol)
     return f"{n},{ex.k_h},{ex.k_l},{ex.k},{ba.k_h},{ba.k_l},{ba.k},{nz},"
+
+
+def prior_sweep_row(n: int, rule: cl.ScoringRule, p_h: float, p_hh: float,
+                    tol: float = cl.DEFAULT_TOL) -> str | None:
+    """A prior-sweep point's ``scan`` row: the error cell the scalar functions raise, if any,
+    else ``scan_row_per_setting`` (None where its searched n_zero has no finite value)."""
+    try:
+        prior = cl.make_prior(p_h, p_hh)
+        cl.n_zero(prior, rule, tol)
+    except cl.CollusionLabError as exc:
+        cell = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+        return f"{n},,,,,,,,{cell}"
+    return scan_row_per_setting(n, rule, prior, tol)
+
+
+#: Sweep points ``make_prior`` rejects, or accepts only at an edge of the float range;
+#: at Pr(h) = 5e-324 and Pr(h|h) > 1/2 the derived Pr(h|l) rounds to 0.
+PRIOR_EDGE_POINTS = (0.0, 1.0, -0.25, 1.1, 1e-300, 1.0 - 1e-16, 5e-324)
+
+
+def scan_stdout(raw: dict, tol: float) -> str:
+    """``scan``'s stdout for a config dict at any tolerance, 0 included (no config file)."""
+    from collusion_lab import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_scan(cli.RunConfig(raw=raw, tolerance=tol)) == 0
+    return out.getvalue()
+
+
+def check_prior_sweep_columns(seed: int = 2626, points: int = 40) -> dict:
+    """``scan`` prices prior sweeps as the scalar path does, row by row (``prior_sweep_row``).
+
+    Brier, log base e, 2 and 10, two random table rules and two
+    ``tiny_loss_table_rule``s (loss up to 1e-8 at their base prior), at tol
+    0, 1e-9 and 1e-3; both parameters, each sweep over the base value,
+    ``points`` seeded values in (0, 1) and ``PRIOR_EDGE_POINTS`` in seeded
+    order at a log-uniform n; then one 1025-point sweep, across a chunk
+    edge.  Returns how many rows were priced, were error cells, and had an
+    n_zero past 2^53; each kind must occur.
+    """
+    from collusion_lab import cli
+
+    rng = np.random.default_rng(seed)
+    seen = {"priced": 0, "error": 0, "n_zero_past_2^53": 0}
+
+    def check(rule, base, param, values, n, tol):
+        raw = {"n": n, "rule": rule.to_config(), "sweep": {"param": param, "values": values},
+               "prior": {"p_h": base.p_h, "p_h_given_h": base.p_hh}}
+        lines = scan_stdout(raw, tol).split("\n")
+        assert lines[0] == cli.SCAN_HEADER and lines[-1] == "" and len(lines) == len(values) + 2
+        for line, v in zip(lines[1:], values):
+            p_h, p_hh = (v, base.p_hh) if param == "p_h" else (base.p_h, v)
+            want = prior_sweep_row(n, rule, p_h, p_hh, tol)
+            assert line == want, (rule, tol, param, v, n, line, want)
+            cells = line.split(",")
+            seen["error" if cells[8] else "priced"] += 1
+            seen["n_zero_past_2^53"] += not cells[8] and int(cells[7]) > 2 ** 53
+
+    makers = [lambda pr: cl.BrierRule(), lambda pr: cl.LogRule(),
+              lambda pr: cl.LogRule(base=2.0), lambda pr: cl.LogRule(base=10.0),
+              lambda pr: random_table_rule(rng), lambda pr: random_table_rule(rng),
+              lambda pr: tiny_loss_table_rule(rng, pr, 1e-8),
+              lambda pr: tiny_loss_table_rule(rng, pr, 1e-8)]
+    for tol in (0.0, 1e-9, 1e-3):
+        for make in makers:
+            base = random_prior(rng)
+            rule = make(base)
+            for param in ("p_h", "p_h_given_h"):
+                values = ([base.p_h if param == "p_h" else base.p_hh, *PRIOR_EDGE_POINTS]
+                          + [float(x) for x in rng.uniform(0.0, 1.0, size=points)])
+                values = [values[i] for i in rng.permutation(len(values))]
+                check(rule, base, param, values, int(2.0 ** rng.uniform(1.0, 62.0)), tol)
+    base = cl.make_prior(0.4, 0.7)
+    values = [round(0.45 + 0.5 * j / 1024, 9) for j in range(1025)]
+    for at, v in zip((0, 1022, 1023, 1024), (0.4, 1.0, 1e-300, -0.25)):
+        values[at] = v
+    check(cl.LogRule(), base, "p_h_given_h", values, 5000, 1e-9)
+    assert min(seen.values()) > 0, seen
+    return seen
 
 
 def log_spaced_n(points: int = 48) -> list[int]:

@@ -501,6 +501,12 @@ class TestScanCommand:
             want = props.scan_row_per_setting(5000, cl.LogRule(), prior_j)
             assert want is not None and line == want, (p_hh, line, want)
 
+    def test_prior_sweep_columns_match_scalar_path(self):
+        # each chunk's priors are priced as columns: every row equals the per-setting
+        # oracle or the scalar path's error cell, at tol 0, 1e-9 and 1e-3
+        seen = props.check_prior_sweep_columns()
+        assert seen["priced"] > 1000 and seen["error"] > 100, seen
+
     ORACLE_RULES =[{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
                     {"rule": "table", "h": [0.0, 0.0], "l": [1.0, 0.0]},
                     {"rule": "table", "h": [-0.3, 1.7], "l": [0.9, -1.2]}]
@@ -543,26 +549,41 @@ class TestScanCommand:
                     assert line == want, (cfg, line, want)
 
     def test_work_per_row(self, tmp_path, capsys, monkeypatch):
-        # four_scores once per prior, for the one table that also gives n_zero:
-        # never per row
-        calls = []
+        # four_scores once per n-sweep's prior, for the one table that also gives
+        # n_zero; a prior sweep scores no valid point by the scalar path, but each
+        # chunk's priors once, as a column
+        calls, column_calls = [], []
 
         def counted(rule, pr):
             calls.append(pr)
             return scoring.four_scores(rule, pr)
 
+        def counted_columns(rule, priors):
+            column_calls.append(len(priors.p_h))
+            return scoring.four_score_columns(rule, priors)
+
         monkeypatch.setattr(thresholds, "four_scores", counted)
+        monkeypatch.setattr(thresholds, "four_score_columns", counted_columns)
         cfg = dict(self.BASE, sweep={"param": "n", "start": 10, "stop": 5009, "step": 1})
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         assert code == 0 and out.count("\n") == 5001
-        assert len(calls) == 1
+        assert len(calls) == 1 and column_calls == []
         values = [round(0.1 + 0.6 * j / 249, 6) for j in range(250)]
         cfg = dict(self.BASE, sweep={"param": "p_h", "values": values})
         calls.clear()
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         rows = out.split("\n")[1:-1]
         assert code == 0 and len(rows) == 250 and all(row.endswith(",") for row in rows)
-        assert len(calls) == len(values)
+        assert calls == [] and column_calls == [250]
+        # two chunks, each scored as one column; the invalid point also takes the
+        # scalar path, which fails before it scores
+        values = [0.0] + [round(0.1 + 0.6 * j / 1023, 9) for j in range(1024)]
+        cfg = dict(self.BASE, sweep={"param": "p_h", "values": values})
+        column_calls.clear()
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        rows = out.split("\n")[1:-1]
+        assert code == 0 and len(rows) == 1025 and "InvalidPrior" in rows[0]
+        assert calls == [] and column_calls == [1024, 1]
 
     def test_golden_output(self, tmp_path, capsys):
         # captured before n_zero became closed form and scan parsed once per
@@ -767,6 +788,24 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, cfg):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], captured.err
+
+
+@pytest.mark.parametrize("where", ["inline", "file"])
+@pytest.mark.parametrize("field,value,start", [
+    ("utilities", [[1.0, list(range(100_000))]], "got [0, 1, 2, 3, 4, 5"),  # ragged
+    ("prior", _nested(list(range(100_000)), 70), "got [[[[[[[0, 1, 2, 3"),  # past 64 axes
+])
+def test_long_offending_value_is_cut(tmp_path, capsys, where, field, value, start):
+    # the error line names the value's start, not the whole of a table: the
+    # ragged table's repr alone runs to 688,890 characters
+    game = {"n": 1, "types": [["a", "b"]], "actions": [["a", "b"]], "prior": [0.5, 0.5],
+            "utilities": [[[1.0, 0.0], [0.0, 1.0]]], field: value}
+    spec = game if where == "inline" else write_config(tmp_path, game, "game.json")
+    code = cli.main(["game-check", "--config", write_config(tmp_path, {"game": spec})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 400, len(captured.err)
+    assert start in captured.err and "characters)" in captured.err, captured.err
 
 
 #: The config keys each command reads; scalar ones are also flags.

@@ -47,6 +47,24 @@ class TestScore:
         rule = cl.CallableRule(fn=lambda s, d: d.prob(s) ** 2)
         assert rule.score(cl.HIGH, cl.BinaryDist(0.5)) == 0.25
 
+    @pytest.mark.parametrize("rule", [cl.LogRule(), cl.LogRule(base=2.0), cl.LogRule(base=10.0),
+                                      cl.BrierRule(), cl.TableRule(-0.3, 1.7, 0.9, -1.2)])
+    def test_score_column_bit_for_bit(self, rule):
+        # 10^5 seeded posteriors, uniform and near either end: each column element
+        # has the bits of ``score`` (numpy's log differs from math.log in the last
+        # bit on some hosts)
+        rng = np.random.default_rng(1717)
+        q_h = np.concatenate([rng.uniform(0.0, 1.0, size=40_000),
+                              10.0 ** -rng.uniform(0.0, 300.0, size=30_000),
+                              1.0 - 10.0 ** -rng.uniform(1.0, 15.9, size=30_000)])
+        q_h = q_h[(q_h > 0.0) & (q_h < 1.0)]
+        assert len(q_h) > 99_990
+        for outcome in cl.SIGNALS:
+            column = rule.score_column(outcome, q_h)
+            scalar = np.array([rule.score(outcome, cl.BinaryDist(x)) for x in q_h.tolist()])
+            assert column.dtype == np.float64
+            assert np.array_equal(column.view(np.int64), scalar.view(np.int64)), outcome
+
 
 class TestExpectedScore:
     def test_brier_at_posterior(self):
