@@ -92,7 +92,11 @@ def _checked_n(raw: dict) -> int:
     """The config's population size ``n``: an integer in [2, 2^62]."""
     if "n" not in raw:
         raise ConfigError('missing required key "n"')
-    n = raw["n"]
+    return _valid_n(raw["n"])
+
+
+def _valid_n(n) -> int:
+    """``n`` itself, an integer in [2, 2^62]: ``_checked_n`` of a value."""
     if not _is_int(n) or n < 2:
         raise ConfigError(f'"n" must be an integer >= 2, got {n!r}')
     if n > _MAX_N:
@@ -302,8 +306,7 @@ def cmd_falsify(cfg: RunConfig) -> int:
     cert = checker.find_setting_deviation(
         setting, k, concept, grid_steps=grid_steps, tol=cfg.tolerance)
     if cert is None:
-        _emit(_dump({"found": False, "budget_exceeded": False,
-                     "grid_steps": grid_steps, "k": k}))
+        _emit(_dump({"found": False, "grid_steps": grid_steps, "k": k}))
         return EXIT_NONE_FOUND
     if not checker.verify_setting_certificate(setting, cert):
         raise CollusionLabError("internal error: emitted certificate failed re-verification")
@@ -395,26 +398,34 @@ def _outcome(fn, *args):
 _CHUNK_ROWS = 2 ** 10
 
 
-def _error_lines(labels, cells) -> list[str]:
-    return [f"{label},,,,,,,,{cell}" for label, cell in zip(labels, cells)]
+def _error_cell(rule, parsed, tol: float) -> str:
+    """The scalar path's error cell of a prior the columns leave unpriced: the first
+    failed part of the rule, the prior (``_outcome``s), the table's scores, sides, n_zero."""
+    for part in (rule, parsed):
+        if isinstance(part, str):
+            return part
+    table = _outcome(thresholds.ThresholdTable, parsed[0], rule, tol)
+    cell = table if isinstance(table, str) else _outcome(table.n_zero)
+    assert isinstance(cell, str), "a prior the columns leave unpriced fails the scalar path"
+    return cell
 
 
 def _scan_lines(labels, cells, n, n_zero, ratios: dict, tol: float) -> list[str]:
     """The CSV rows of one chunk of sweep points, in order.
 
     ``cells`` holds each point's error cell, None where the point is priced.
-    n, n_zero and ``ratios`` (each concept's (h, l) side ratios, NaN on an
-    infinite side) are columns over the chunk, or one value for all of it;
-    the thresholds take one array step per side (``threshold_columns``), and
-    the priced points' rows print them.
+    n, n_zero and ``ratios`` (``thresholds.price_priors``' columns) are
+    columns over the chunk, or one row for all of it; the thresholds take
+    one array step per side (``threshold_columns``), and the priced points'
+    rows print them.
     """
-    if all(cells):
-        return _error_lines(labels, cells)
-    columns = []
-    for concept in thresholds.CONCEPTS:
-        columns += thresholds.threshold_columns(concept, n, *ratios[concept], tol)
-    columns.append(n_zero)
-    rows = zip(*(np.broadcast_to(column, (len(cells),)).tolist() for column in columns))
+    rows = itertools.repeat((None,) * 7)  # a chunk of error cells prices nothing
+    if not all(cells):
+        columns = []
+        for concept in thresholds.CONCEPTS:
+            columns += thresholds.threshold_columns(concept, n, *ratios[concept], tol)
+        columns.append(n_zero)
+        rows = zip(*(np.broadcast_to(column, (len(cells),)).tolist() for column in columns))
     return [f"{label},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz}," if cell is None
             else f"{label},,,,,,,,{cell}"
             for label, cell, (e_h, e_l, e, b_h, b_l, b, nz) in zip(labels, cells, rows)]
@@ -426,37 +437,26 @@ def cmd_scan(cfg: RunConfig) -> int:
         raise ConfigError('scan needs a "sweep" object')
     param, values = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
-    # The rule is parsed once per sweep.  An n-sweep's one prior is scored once,
-    # into one threshold table that also gives its n_zero.  A prior sweep prices
-    # a chunk of points as columns (``thresholds.price_priors``): each check of
-    # the scalar path is a mask, and a point that fails one takes the scalar path
-    # (``known``), the only source of error cells.  A failed part is its point's
-    # error cell, first of n, rule, prior, scores, sides, n_zero.
+    # Every printed threshold comes from ``thresholds.price_priors``: an n-sweep
+    # prices its one prior once, as a one-row column against each chunk's n, and a
+    # prior sweep a chunk of priors at one n.  Each check of the scalar path is a
+    # mask there; a point that fails one gets its error cell from the scalar path
+    # (``_error_cell``), first of n, rule, prior, scores, sides, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
 
-    def known(parsed):
-        """A parsed prior's n_zero and side ratios per concept, or an error cell."""
-        for part in (rule, parsed):
-            if isinstance(part, str):
-                return part
-        table = _outcome(thresholds.ThresholdTable, parsed[0], rule, tol)
-        if isinstance(table, str):
-            return table
-        nz = _outcome(table.n_zero)
-        if isinstance(nz, str):
-            return nz
-        return nz, {concept: table.ratios(concept) for concept in thresholds.CONCEPTS}
-
     if param == "n":
-        prior_known = known(_outcome(prior.from_config, raw))
+        parsed = _outcome(prior.from_config, raw)
+        priced = n_zero = ratios = None
+        if not isinstance(rule, str) and not isinstance(parsed, str):
+            pr = parsed[0]
+            priced, n_zero, ratios = thresholds.price_priors([pr.p_h], [pr.p_hh], rule, tol)
+        cell = None if priced is not None and priced[0] else _error_cell(rule, parsed, tol)
 
         def lines(chunk: list) -> list[str]:
-            ns = [_outcome(_checked_n, {"n": v}) for v in chunk]
-            cells = [n if isinstance(n, str) else None for n in ns]
-            if isinstance(prior_known, str):
-                return _error_lines(chunk, [cell or prior_known for cell in cells])
+            ns = [_outcome(_valid_n, v) for v in chunk]
+            cells = [n if isinstance(n, str) else cell for n in ns]
             column = np.array([2 if isinstance(n, str) else n for n in ns], dtype=np.int64)
-            return _scan_lines(chunk, cells, column, *prior_known, tol)
+            return _scan_lines(chunk, cells, column, n_zero, ratios, tol)
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:
@@ -466,26 +466,23 @@ def cmd_scan(cfg: RunConfig) -> int:
         def point(v) -> dict:
             return {**raw, "prior": {**base, param: v}}
 
-        shape = None  # the config's shape, the same at every point: each is a finite number
+        def cell(v) -> str:
+            return n if isinstance(n, str) else _error_cell(
+                rule, _outcome(prior.from_config, point(v)), tol)
+
+        # the config's shape is the same at every point, as each is a finite number
+        shape = rule if isinstance(rule, str) else _outcome(prior.prior_values, point(0.5))
 
         def lines(chunk: list) -> list[str]:
-            nonlocal shape
             labels = [label] * len(chunk)
-            if isinstance(n, str):
-                return _error_lines(labels, [n] * len(chunk))
-            if shape is None:
-                shape = rule if isinstance(rule, str) else _outcome(prior.prior_values,
-                                                                    point(chunk[0]))
-            if isinstance(shape, str):  # every point fails, each with its own cell
-                return _error_lines(labels, [known(_outcome(prior.from_config, point(v)))
-                                             for v in chunk])
+            if isinstance(n, str) or isinstance(shape, str):  # every point fails
+                return _scan_lines(labels, [cell(v) for v in chunk], n, None, None, tol)
             swept = np.array([float(v) for v in chunk])
             fixed = np.full_like(swept, shape[1] if param == "p_h" else shape[0])
             p_h, p_hh = (swept, fixed) if param == "p_h" else (fixed, swept)
-            priced, nzs, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
-            cells = [None if ok else known(_outcome(prior.from_config, point(v)))
-                     for v, ok in zip(chunk, priced.tolist())]
-            return _scan_lines(labels, cells, n, nzs, ratios, tol)
+            priced, n_zero, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
+            cells = [None if ok else cell(v) for v, ok in zip(chunk, priced.tolist())]
+            return _scan_lines(labels, cells, n, n_zero, ratios, tol)
 
     _emit(SCAN_HEADER)
     values = iter(values)

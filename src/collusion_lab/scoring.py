@@ -156,7 +156,6 @@ class TableRule(ScoringRule):
     h_slope: float = 0.0
     l_intercept: float = 0.0
     l_slope: float = 0.0
-    strictly_proper: bool = False
 
     def score(self, outcome: str, dist: BinaryDist) -> float:
         if outcome not in SIGNALS:
@@ -177,7 +176,6 @@ class TableRule(ScoringRule):
             "rule": "table",
             "h": [self.h_intercept, self.h_slope],
             "l": [self.l_intercept, self.l_slope],
-            "strictly_proper": self.strictly_proper,
         }
 
 
@@ -233,13 +231,10 @@ def rule_from_config(config: dict) -> ScoringRule:
             raise InvalidDist(f"log base must be a finite number, got {base!r}")
         return LogRule(base=float(base))
     if kind == "table":
-        extra = set(config) - {"rule", "h", "l", "strictly_proper"}
+        extra = set(config) - {"rule", "h", "l"}
         if extra:
             raise InvalidDist(f"unknown scoring-rule keys {sorted(extra)}")
-        strict = config.get("strictly_proper", False)
-        if not isinstance(strict, bool):
-            raise InvalidDist(f'table rule "strictly_proper" must be true or false, got {strict!r}')
-        return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"), strict)
+        return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"))
     raise InvalidDist(f"unknown scoring rule {kind!r}")
 
 

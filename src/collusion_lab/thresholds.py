@@ -32,11 +32,13 @@ with the one ``four_scores`` call, and gives ``report(concept, n)``,
 ``liar_threshold`` and ``n_zero`` each read a new table.  Every threshold
 is one array step (``_steps``: snap, then floor or ceiling), so
 ``threshold_columns`` prices a whole column of n, or of priors' ratios, at once.
-``price_priors`` gives the n_zero and side ratios of a column of priors at
-once.  The table's arithmetic is written once, over floats or arrays
-(``PairForm.of``, ``_corners``, ``_n_zeros``; the rules' ``score_column``),
-so each entry is its own table's float or int; a row where the table would
-raise is only marked, for the scalar path that ``scan`` takes its error text from.
+``price_priors`` gives the n_zero and side ratios of a column of priors,
+and ``scan`` prices every row it prints from it: an n-sweep's one prior is
+a one-row column.  The table's arithmetic is written once, over floats or
+arrays (``PairForm.of``, ``_corners``, the side rule ``_sides``,
+``_n_zeros``; the rules' ``score_column``), so each entry is its own
+table's float or int; a row where the table would raise is only marked,
+and the scalar table writes that row's error cell.
 
 ``dichotomy_check`` tests a canonical deviation at one coalition size.
 
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,22 +132,30 @@ class ThresholdReport:
         return ThresholdReport(**data)
 
 
-class _Side(NamedTuple):
-    """One corner's n-free part: ``num / den`` once, or None when ``den <= tol``."""
-
-    num: float
-    den: float
-    ratio: float | None
+#: The four corners, in ``_corners`` order, as their overflow errors name them.
+_CORNERS = ("ex_ante h", "ex_ante l", "bayesian h", "bayesian l")
 
 
-def _side(num: float, den: float, tol: float, name: str) -> _Side:
-    """The ``name`` corner's side; ``InvalidSetting`` when its ratio overflows the float range."""
-    if den <= tol:
-        return _Side(num, den, None)
-    ratio = num / den
-    if not math.isfinite(ratio):
-        raise InvalidSetting(f"the {name} side's ratio {num!r} / {den!r} overflows the float range")
-    return _Side(num, den, ratio)
+def _sides(num, den, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Corners' n-free ratios ``num / den`` and where each side is valid, elementwise.
+
+    ``den <= tol`` is an infinite side (that corner never profits), ratio
+    NaN; a finite side whose ratio passes the float range is invalid.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        infinite = den <= tol
+        ratio = np.where(infinite, np.nan, np.divide(num, den))
+    return ratio, infinite | np.isfinite(ratio)
+
+
+def _checked_sides(num: np.ndarray, den: np.ndarray, tol: float, names) -> list[tuple]:
+    """The named corners' (num, den, ratio) floats; ``InvalidSetting`` names the first invalid."""
+    ratio, valid = _sides(num, den, tol)
+    sides = list(zip(num.tolist(), den.tolist(), ratio.tolist()))
+    for name, (x, y, _), ok in zip(names, sides, valid.tolist()):
+        if not ok:
+            raise InvalidSetting(f"the {name} side's ratio {x!r} / {y!r} overflows the float range")
+    return sides
 
 
 def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
@@ -194,7 +204,8 @@ class ThresholdTable:
 
     ``scores`` are ``four_scores``, its one call here; ``e_l, e_h, d_h, d_l``
     the outsider losses and corner reward surpluses; ``sides`` each concept's
-    (h, l) corners, the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
+    (h, l) corners as (num, den, ratio), the ratio NaN on an infinite side,
+    the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
     The four are ``mechanism.PairForm``'s corner slopes, the same floats
     ``winning_sizes`` reads.
     """
@@ -205,14 +216,8 @@ class ThresholdTable:
         self.prior, self.tol = prior, tol
         self.scores = four_scores(rule, prior)
         self.e_l, self.e_h, self.d_h, self.d_l = slopes = PairForm.of(prior, self.scores)[-4:]
-        (ex_h, ex_l), (ba_h, ba_l) = _corners(prior, *slopes)
-        self.sides = {EX_ANTE: (_side(*ex_h, tol, "ex_ante h"), _side(*ex_l, tol, "ex_ante l")),
-                      BAYESIAN: (_side(*ba_h, tol, "bayesian h"), _side(*ba_l, tol, "bayesian l"))}
-
-    def ratios(self, concept: str) -> tuple[float, float]:
-        """``concept``'s (h, l) side ratios, NaN for an infinite side."""
-        return tuple(math.nan if side.ratio is None else side.ratio
-                     for side in self.sides[concept])
+        sides = _checked_sides(*_corners(prior, *slopes), tol, _CORNERS)
+        self.sides = {EX_ANTE: sides[:2], BAYESIAN: sides[2:]}
 
     def k(self, concept: str, n):
         """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n.
@@ -220,19 +225,20 @@ class ThresholdTable:
         n is an int, giving ints, or an int64 array, giving arrays
         (``threshold_columns``).
         """
-        ks = threshold_columns(concept, n, *self.ratios(concept), self.tol)
+        (*_, ratio_h), (*_, ratio_l) = self.sides[concept]
+        ks = threshold_columns(concept, n, ratio_h, ratio_l, self.tol)
         return tuple(k.item() for k in ks) if np.ndim(n) == 0 else ks
 
     def report(self, concept: str, n: int) -> ThresholdReport:
         """``concept``'s thresholds at population size n, with the quantities behind them."""
-        side_h, side_l = self.sides[concept]
+        (num_h, den_h, ratio_h), (num_l, den_l, ratio_l) = self.sides[concept]
         k_h, k_l, k = self.k(concept, n)
         return ThresholdReport(
             concept=concept, n=n, k_h=k_h, k_l=k_l, k=k,
-            k_h_infinite=side_h.ratio is None, k_l_infinite=side_l.ratio is None,
-            numerator_h=side_h.num, denominator_h=side_h.den,
-            numerator_l=side_l.num, denominator_l=side_l.den,
-            ratio_h=side_h.ratio, ratio_l=side_l.ratio)
+            k_h_infinite=math.isnan(ratio_h), k_l_infinite=math.isnan(ratio_l),
+            numerator_h=num_h, denominator_h=den_h, numerator_l=num_l, denominator_l=den_l,
+            ratio_h=None if math.isnan(ratio_h) else ratio_h,
+            ratio_l=None if math.isnan(ratio_l) else ratio_l)
 
     def liar(self, n: int):
         """The always-lie corner's threshold at n; ``math.inf`` when it never profits.
@@ -244,8 +250,8 @@ class ThresholdTable:
         num = prior.p_h * self.e_h + prior.p_l * self.e_l
         den = (prior.p_h * (prior.p_hh - prior.p_lh) * self.d_l
                + prior.p_l * (prior.p_ll - prior.p_hl) * self.d_h)
-        ratio = _side(num, den, self.tol, "always-lie").ratio
-        return math.inf if ratio is None else _steps(n, ratio, False, self.tol).item()
+        [(*_, ratio)] = _checked_sides(np.array([num]), np.array([den]), self.tol, ("always-lie",))
+        return math.inf if math.isnan(ratio) else _steps(n, ratio, False, self.tol).item()
 
     def n_zero(self) -> int:
         """Smallest n >= 2 at which the interim threshold covers asymmetric play (``_n_zeros``)."""
@@ -261,13 +267,11 @@ class ThresholdTable:
         return int(nz[0])
 
 
-def _corners(prior, e_l, e_h, d_h, d_l) -> tuple:
-    """Each concept's (h, l) corners as (numerator, denominator), of floats or arrays.
-
-    In ``CONCEPTS`` order; per type, each corner's inside surplus is
-    discounted (module docstring).
-    """
-    return ((e_l, d_h), (e_h, d_l)), ((e_l, prior.p_ll * d_h), (e_h, prior.p_hh * d_l))
+def _corners(prior, e_l, e_h, d_h, d_l) -> tuple[np.ndarray, np.ndarray]:
+    """The four corners' numerators and denominators, arrays of four (rows) in ``_CORNERS``
+    order; per type, each inside surplus is discounted (module docstring)."""
+    return (np.array([e_l, e_h, e_l, e_h]),
+            np.array([d_h, d_l, prior.p_ll * d_h, prior.p_hh * d_l]))
 
 
 def _min(a, b) -> np.ndarray:
@@ -292,18 +296,25 @@ def _n_zeros(scores: ScoreTable, e_l, e_h, d_h, d_l, p_hh, p_ll,
     c/x <= b2 < b1 gives c/x < b1): one ``_first_n`` solve per side.  The
     mask holds where D, E_h and E_l exceed tol, as the conditions need.
     """
-    s_hh, s_lh, s_hl, s_ll = scores
     quarter = 0.25 - tol
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows not proper
+        s_hh, s_lh, s_hl, s_ll = scores
         big_d = (s_hh - s_hl) + (s_ll - s_lh)
-        spread = spread_column(scores)
         proper = ~((big_d <= tol) | (e_h <= tol) | (e_l <= tol))
+        gain_h, gain_l = d_h > tol, d_l > tol
+        # c and the bounds are ratios of like powers of the scores, so scores and slopes
+        # scaled by 2^-e (e the binary exponent of the largest |score|) give the same
+        # bits, and tiny or huge scores no longer under- or overflow their products
+        grid = np.array([*scores, big_d, e_l, e_h, d_h, d_l])
+        e = -np.frexp(abs(grid[:4]).max(axis=0))[1]
+        s_hh, s_lh, s_hl, s_ll, big_d, e_l, e_h, d_h, d_l = np.ldexp(grid, e)
+        spread = spread_column((s_hh, s_lh, s_hl, s_ll))
         c = np.array([4.0 * spread * (big_d + s_ll - s_hl) / (big_d * e_h),
                       4.0 * spread * (big_d + s_hh - s_lh) / (big_d * e_l)])
         # min(a, b) + tol is min(a + tol, b + tol): float addition is monotone
-        bound = np.array([_min(loss / (post * big_d),
-                               np.where(surplus > tol, surplus / big_d, np.inf)) + tol
-                          for surplus, loss, post in ((d_h, e_h, p_hh), (d_l, e_l, p_ll))])
+        bound = np.array([
+            _min(loss / (post * big_d), np.where(gain, surplus / big_d, np.inf)) + tol
+            for surplus, gain, loss, post in ((d_h, gain_h, e_h, p_hh), (d_l, gain_l, e_l, p_ll))])
         firsts = _first_n(c, _min(quarter, bound), quarter <= bound)
     return np.where(proper & firsts.all(axis=0), firsts.max(axis=0), 0), proper
 
@@ -359,7 +370,7 @@ def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> i
     return ThresholdTable(prior, rule, tol).n_zero()
 
 
-def price_priors(p_h: np.ndarray, p_hh: np.ndarray, rule: ScoringRule,
+def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
     """The n_zero and side ratios of each prior's ``ThresholdTable``, for columns of priors.
 
@@ -371,23 +382,16 @@ def price_priors(p_h: np.ndarray, p_hh: np.ndarray, rule: ScoringRule,
     and NaN; every other row holds the int and floats its table gives, made
     by the same operations in the same order.
     """
-    priors, ok = prior_columns(p_h, p_hh)
+    priors, ok = prior_columns(np.asarray(p_h, dtype=float), np.asarray(p_hh, dtype=float))
     scores, finite = four_score_columns(rule, priors)
-    ok &= finite
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # rows not priced
+    with np.errstate(over="ignore", invalid="ignore"):  # rows not priced
         slopes = PairForm.of(priors, scores)[-4:]
-        ratios = {}
-        for concept, corners in zip(CONCEPTS, _corners(priors, *slopes)):
-            ratios[concept] = []
-            for num, den in corners:  # as ``_side``: den <= tol is infinite, else num / den
-                infinite, ratio = den <= tol, num / den
-                ok &= infinite | (abs(ratio) < math.inf)
-                ratios[concept].append(np.where(infinite, np.nan, ratio))
-        n_zero, _ = _n_zeros(scores, *slopes, priors.p_hh, priors.p_ll, tol)
-    ok &= n_zero.astype(bool)
-    return (ok, np.where(ok, n_zero, 0),
-            {concept: tuple(np.where(ok, ratio, np.nan) for ratio in pair)
-             for concept, pair in ratios.items()})
+        corners = _corners(priors, *slopes)
+    ratios, valid = _sides(*corners, tol)
+    n_zero, _ = _n_zeros(scores, *slopes, priors.p_hh, priors.p_ll, tol)
+    ok &= finite & valid.all(axis=0) & n_zero.astype(bool)
+    ratios = np.where(ok, ratios, np.nan)
+    return ok, np.where(ok, n_zero, 0), {EX_ANTE: ratios[:2], BAYESIAN: ratios[2:]}
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):

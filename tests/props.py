@@ -577,7 +577,9 @@ def check_steps_match_scalar(seed: int = 6161, priors: int = 10, tables: int = 6
             for _ in range(priors):
                 table = ThresholdTable(random_prior(rng), rule, tol)
                 for concept in cl.CONCEPTS:
-                    ratios = table.ratios(concept)
+                    report = table.report(concept, 2)
+                    ratios = [math.nan if r is None else r
+                              for r in (report.ratio_h, report.ratio_l)]
                     want = [[n if math.isnan(r) else step_scalar(n, r, concept == cl.BAYESIAN, tol)
                              for n in ns] for r in ratios]
                     want.append([min(h, l, n) for h, l, n in zip(*want, ns)])

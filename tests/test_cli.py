@@ -235,13 +235,12 @@ class TestFalsifyCommand:
         self.refused(capsys, ["falsify", "--config", path, "--grid-steps", str(10 ** 20)])
 
     def test_grid_cap_boundary(self, tmp_path, capsys):
-        # 3162^2 - 1 grid strategies fit the cap and print what they always printed;
+        # 3162^2 - 1 grid strategies fit the cap and print the no-find record;
         # 3163^2 - 1 do not
         path = write_config(tmp_path, dict(REFERENCE, k=27, concept="ex_ante"))
         code, out = run(capsys, ["falsify", "--config", path, "--grid-steps", "3162"])
         assert code == 1
-        assert out == ('{\n  "budget_exceeded": false,\n  "found": false,\n'
-                       '  "grid_steps": 3162,\n  "k": 27\n}\n')
+        assert out == '{\n  "found": false,\n  "grid_steps": 3162,\n  "k": 27\n}\n'
         self.refused(capsys, ["falsify", "--config", path, "--grid-steps", "3163"])
 
     @pytest.mark.parametrize("cfg,concept,k_star", [
@@ -411,6 +410,27 @@ class TestScanCommand:
         assert lines[1].startswith("100,,,,,,,,NoFiniteN: ")
         assert lines[3].startswith("100,,,,,,,,NoFiniteN: ")
 
+    def test_n_sweep_error_cells(self, tmp_path, capsys):
+        # an n-sweep's one prior fails once, and every row with a valid n carries its
+        # cell; an n error comes first
+        cfg = dict(OVERFLOW_CFG, sweep={"param": "n", "values": [1, 10, 100]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == 5 and lines[-1] == ""
+        assert lines[1] == '1,,,,,,,,ConfigError: "n" must be an integer >= 2; got 1'
+        for n, line in zip((10, 100), lines[2:4]):
+            assert line == (f"{n},,,,,,,,InvalidSetting: the ex_ante h side's ratio "
+                            "1.0000000000000002e+299 / 1e-290 overflows the float range")
+        # the all-zero table rule: both corners never profit, and n_zero has no finite value
+        cfg = dict(self.BASE, rule={"rule": "table"}, sweep={"param": "n", "values": [2.5, 5, 50]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        lines = out.split("\n")
+        assert code == 0 and len(lines) == 5
+        assert lines[1].startswith("2.5,,,,,,,,ConfigError: "), lines[1]
+        for n, line in zip((5, 50), lines[2:4]):
+            assert line == (f"{n},,,,,,,,NoFiniteN: a required positive quantity is "
+                            "non-positive; the rule is not strictly proper on this prior")
+
     def test_prior_sweep_memory_is_flat(self, tmp_path, capsys):
         # one table and n_zero kept at a time: ~1.7 MB at 10^4 priors, where a
         # memo of every prior's n_zero held 3.6 MB
@@ -549,9 +569,9 @@ class TestScanCommand:
                     assert line == want, (cfg, line, want)
 
     def test_work_per_row(self, tmp_path, capsys, monkeypatch):
-        # four_scores once per n-sweep's prior, for the one table that also gives
-        # n_zero; a prior sweep scores no valid point by the scalar path, but each
-        # chunk's priors once, as a column
+        # no valid point is scored by the scalar path: an n-sweep scores its one
+        # prior once, as a one-row column, and a prior sweep each chunk's priors
+        # once, as a column
         calls, column_calls = [], []
 
         def counted(rule, pr):
@@ -567,10 +587,10 @@ class TestScanCommand:
         cfg = dict(self.BASE, sweep={"param": "n", "start": 10, "stop": 5009, "step": 1})
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         assert code == 0 and out.count("\n") == 5001
-        assert len(calls) == 1 and column_calls == []
+        assert calls == [] and column_calls == [1]
         values = [round(0.1 + 0.6 * j / 249, 6) for j in range(250)]
         cfg = dict(self.BASE, sweep={"param": "p_h", "values": values})
-        calls.clear()
+        column_calls.clear()
         code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
         rows = out.split("\n")[1:-1]
         assert code == 0 and len(rows) == 250 and all(row.endswith(",") for row in rows)

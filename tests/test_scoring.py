@@ -159,7 +159,7 @@ class TestGapReport:
 class TestConfig:
     def test_round_trip(self):
         for rule in (cl.BrierRule(), cl.LogRule(base=2.0),
-                     cl.TableRule(1.0, 2.0, 3.0, 4.0, strictly_proper=False)):
+                     cl.TableRule(1.0, 2.0, 3.0, 4.0)):
             again = cl.rule_from_config(rule.to_config())
             assert again == rule
 

@@ -169,6 +169,15 @@ class TestNZero:
         with pytest.raises(cl.NoFiniteN):
             cl.n_zero(SETTING.prior, cl.TableRule())
 
+    def test_score_scale_does_not_move_n_zero(self):
+        # n_zero's conditions are ratios of like powers of the scores, so scaling the
+        # rule by 2^j keeps them; unscaled, their products under- or overflow for
+        # j < -536 and j > 509
+        prior = cl.make_prior(0.5, 0.8)
+        for j in range(-1000, 1001, 25):
+            scale = 2.0 ** j
+            assert cl.n_zero(prior, cl.TableRule(0.0, scale, 0.0, -scale), 0.0) == 167, j
+
     def test_matches_search_oracle(self):
         props.check_n_zero_matches_search()
 
