@@ -67,8 +67,7 @@ class Strategy:
 
     def __post_init__(self):
         for name, value in (("beta_l", self.beta_l), ("beta_h", self.beta_h)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and 0.0 <= value <= 1.0):
+            if not (is_finite_number(value) and 0.0 <= value <= 1.0):
                 raise InvalidStrategy(f"{name} must lie in [0, 1], got {value!r}")
 
     def report_prob(self, signal: str) -> float:

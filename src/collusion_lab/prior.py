@@ -31,7 +31,7 @@ _EXCHANGEABILITY_TOL = 1e-12
 
 
 def _check_prob(value: float, name: str, strict: bool = False) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+    if not is_finite_number(value):
         raise InvalidPrior(f"{name} must be a finite number, got {value!r}")
     if strict:
         if not 0.0 < value < 1.0:
@@ -139,11 +139,11 @@ def prior_columns(p_h: np.ndarray, p_hh: np.ndarray) -> tuple[PriorColumns, np.n
     derived by the same operations.  The rows it rejects hold the prior
     (1/2, 3/4) instead, so that every row can be scored.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p_hl = _derived_p_hl(p_h, p_hh)
         lhs, rhs = _exchangeability_sides(p_h, p_hh, p_hl)
-    ok = ((0.0 < p_h) & (p_h < 1.0) & (0.0 < p_hh) & (p_hh < 1.0) & (0.0 < p_hl) & (p_hl < 1.0)
-          & (p_hh > p_hl) & ~(abs(lhs - rhs) > _EXCHANGEABILITY_TOL))
+        ok = ((0.0 < p_h) & (p_h < 1.0) & (0.0 < p_hh) & (p_hh < 1.0) & (0.0 < p_hl)
+              & (p_hl < 1.0) & (p_hh > p_hl) & ~(abs(lhs - rhs) > _EXCHANGEABILITY_TOL))
     return PriorColumns(*(np.where(ok, x, fill) for x, fill in
                           ((p_h, 0.5), (p_hh, 0.75), (p_hl, _derived_p_hl(0.5, 0.75))))), ok
 

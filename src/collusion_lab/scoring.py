@@ -8,20 +8,20 @@ strictly proper when it does so uniquely.  Built-ins:
     brier   PS(s, q) = 2*q(s) - (q_h^2 + q_l^2)
     log     PS(s, q) = log_b(q(s))          (base b, default e)
 
-Table rules score affinely in q_h per reported outcome, and arbitrary
-callables are accepted for experimentation.  ``four_scores`` gives the
-``ScoreTable`` of a prior's two posteriors, which every mechanism utility
-and every collusion threshold downstream reads; ``gap_report`` adds its
-pairwise gaps.  The built-ins also score a column of posteriors
-(``score_column``, ``four_score_columns``) by the same operations, so each
-element is the float ``score`` gives.
+Table rules score affinely in q_h per reported outcome.  Each rule is one
+formula, ``score_at``, over a posterior's Pr(h) or a column of them, so a
+column's elements are the floats the scalar path gives.  ``four_scores``
+gives the ``ScoreTable`` of a prior's two posteriors, which every mechanism
+utility and every collusion threshold downstream reads, and
+``four_score_columns`` the tables of a column of priors; ``gap_report``
+adds a table's pairwise gaps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class BinaryDist:
     p_h: float
 
     def __post_init__(self):
-        if not (isinstance(self.p_h, (int, float)) and math.isfinite(self.p_h)):
+        if not is_finite_number(self.p_h):
             raise InvalidDist(f"p_h must be a finite number, got {self.p_h!r}")
         if not 0.0 <= self.p_h <= 1.0:
             raise InvalidDist(f"p_h must lie in [0, 1], got {self.p_h!r}")
@@ -64,7 +64,7 @@ class BinaryDist:
 
 
 class ScoringRule:
-    """Base class: a score function on (outcome, BinaryDist).
+    """Base class: a rule is its formula ``score_at`` of (outcome, Pr(h)).
 
     ``strictly_proper`` is the rule's own claim; it must agree with
     ``verify_properness`` on a grid (tested, not assumed).
@@ -73,12 +73,15 @@ class ScoringRule:
     strictly_proper: bool = False
 
     def score(self, outcome: str, dist: BinaryDist) -> float:
-        raise NotImplementedError
+        """Score reporting ``dist`` when the realized outcome is ``outcome``."""
+        dist.prob(outcome)  # InvalidDist on an unknown outcome
+        return self.score_at(outcome, dist.p_h)
 
-    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
-        """``score`` of ``outcome`` at each posterior of an array of Pr(h), all in (0, 1).
+    def score_at(self, outcome: str, q_h):
+        """The score of ``outcome`` (h or l) reported at Pr(h) = ``q_h``.
 
-        The built-in rules only: the same operations as ``score``, element by element.
+        ``q_h`` is a float in [0, 1], or an array of them in (0, 1), scored
+        element by element with the float's operations.
         """
         raise NotImplementedError
 
@@ -92,15 +95,8 @@ class BrierRule(ScoringRule):
 
     strictly_proper: bool = True
 
-    def score(self, outcome: str, dist: BinaryDist) -> float:
-        return self._score(dist.prob(outcome), dist.p_h)
-
-    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
-        return self._score(q_h if outcome == HIGH else 1.0 - q_h, q_h)
-
-    @staticmethod
-    def _score(p, q_h):
-        """2*p - |q|^2 with p = q(outcome), of floats or arrays."""
+    def score_at(self, outcome: str, q_h):
+        p = q_h if outcome == HIGH else 1.0 - q_h
         return 2.0 * p - (q_h * q_h + (1.0 - q_h) * (1.0 - q_h))
 
     def to_config(self) -> dict:
@@ -119,22 +115,18 @@ class LogRule(ScoringRule):
     strictly_proper: bool = True
 
     def __post_init__(self):
-        if not (self.base > 0 and self.base != 1 and math.isfinite(self.base)):
+        if not (is_finite_number(self.base) and self.base > 0 and self.base != 1):
             raise InvalidDist(f"log base must be positive and != 1, got {self.base!r}")
 
-    def score(self, outcome: str, dist: BinaryDist) -> float:
-        p = dist.prob(outcome)
-        if p == 0.0:
-            raise LogOfZero(f"log score undefined: outcome {outcome!r} has probability 0")
-        return self._score(math.log(p))
-
-    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
-        # math.log per element: numpy's log may differ from it in the last bit
+    def score_at(self, outcome: str, q_h):
         p = q_h if outcome == HIGH else 1.0 - q_h
-        return self._score(_LOG(p).astype(np.float64))
-
-    def _score(self, ln):
-        """The score from the natural log of the outcome's probability, of floats or arrays."""
+        if isinstance(p, np.ndarray):
+            # math.log per element: numpy's log may differ from it in the last bit
+            ln = _LOG(p).astype(np.float64)
+        elif p == 0.0:
+            raise LogOfZero(f"log score undefined: outcome {outcome!r} has probability 0")
+        else:
+            ln = math.log(p)
         return ln if self.base == math.e else ln / math.log(self.base)
 
     def to_config(self) -> dict:
@@ -157,16 +149,7 @@ class TableRule(ScoringRule):
     l_intercept: float = 0.0
     l_slope: float = 0.0
 
-    def score(self, outcome: str, dist: BinaryDist) -> float:
-        if outcome not in SIGNALS:
-            raise InvalidDist(f"unknown outcome {outcome!r}, expected one of {SIGNALS}")
-        return self._score(outcome, dist.p_h)
-
-    def score_column(self, outcome: str, q_h: np.ndarray) -> np.ndarray:
-        return self._score(outcome, q_h)
-
-    def _score(self, outcome: str, q_h):
-        """The affine score of floats or arrays."""
+    def score_at(self, outcome: str, q_h):
         if outcome == HIGH:
             return self.h_intercept + self.h_slope * q_h
         return self.l_intercept + self.l_slope * q_h
@@ -177,20 +160,6 @@ class TableRule(ScoringRule):
             "h": [self.h_intercept, self.h_slope],
             "l": [self.l_intercept, self.l_slope],
         }
-
-
-@dataclass(frozen=True)
-class CallableRule(ScoringRule):
-    """Wraps an arbitrary ``fn(outcome, dist) -> float`` evaluation contract."""
-
-    fn: Callable[[str, BinaryDist], float]
-    strictly_proper: bool = False
-
-    def score(self, outcome: str, dist: BinaryDist) -> float:
-        return float(self.fn(outcome, dist))
-
-    def to_config(self) -> dict:
-        raise TypeError("callable rules have no config form")
 
 
 def is_finite_number(value) -> bool:
@@ -236,11 +205,6 @@ def rule_from_config(config: dict) -> ScoringRule:
             raise InvalidDist(f"unknown scoring-rule keys {sorted(extra)}")
         return TableRule(*_table_pair(config, "h"), *_table_pair(config, "l"))
     raise InvalidDist(f"unknown scoring rule {kind!r}")
-
-
-def score(rule: ScoringRule, outcome: str, dist: BinaryDist) -> float:
-    """Score reporting ``dist`` when the realized outcome is ``outcome``."""
-    return rule.score(outcome, dist)
 
 
 def expected_score(rule: ScoringRule, p: BinaryDist, q: BinaryDist) -> float:
@@ -337,15 +301,19 @@ class ScoreTable(NamedTuple):
                 p_h * self.s_hl + (1.0 - p_h) * self.s_ll)
 
 
+def _score_table(rule: ScoringRule, priors) -> ScoreTable:
+    """The four scores at Pr(h|h) and Pr(h|l) of a prior, or of columns of priors."""
+    q_h, q_l = priors.p_hh, priors.p_hl
+    return ScoreTable(rule.score_at(HIGH, q_h), rule.score_at(LOW, q_h),
+                      rule.score_at(HIGH, q_l), rule.score_at(LOW, q_l))
+
+
 def four_scores(rule: ScoringRule, prior: "BinaryPrior") -> ScoreTable:
     """(PS(h,q_h), PS(l,q_h), PS(h,q_l), PS(l,q_l)) for the prior's posteriors.
 
     ``InvalidSetting`` unless every score and their spread (max - min) are finite.
     """
-    q_h = prior.posterior(HIGH)
-    q_l = prior.posterior(LOW)
-    scores = ScoreTable(rule.score(HIGH, q_h), rule.score(LOW, q_h), rule.score(HIGH, q_l),
-                        rule.score(LOW, q_l))
+    scores = _score_table(rule, prior)
     spread = max(scores) - min(scores)  # finite when every score is, or when one is NaN
     if not math.isfinite(spread) or math.isnan(sum(scores)):
         raise InvalidSetting(f"the scoring rule gives a non-finite score or score spread at "
@@ -360,8 +328,7 @@ def four_score_columns(rule: ScoringRule, priors: "PriorColumns") -> tuple[Score
     not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a table rule may overflow
-        scores = ScoreTable(*(rule.score_column(outcome, q_h)
-                              for q_h in (priors.p_hh, priors.p_hl) for outcome in (HIGH, LOW)))
+        scores = _score_table(rule, priors)
         return scores, np.isfinite(scores).all(axis=0) & np.isfinite(spread_column(scores))
 
 

@@ -36,7 +36,7 @@ is one array step (``_steps``: snap, then floor or ceiling), so
 and ``scan`` prices every row it prints from it: an n-sweep's one prior is
 a one-row column.  The table's arithmetic is written once, over floats or
 arrays (``PairForm.of``, ``_corners``, the side rule ``_sides``,
-``_n_zeros``; the rules' ``score_column``), so each entry is its own
+``_n_zeros``; the rules' ``score_at``), so each entry is its own
 table's float or int; a row where the table would raise is only marked,
 and the scalar table writes that row's error cell.
 
@@ -374,8 +374,8 @@ def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
     """The n_zero and side ratios of each prior's ``ThresholdTable``, for columns of priors.
 
-    The priors are ``make_prior(p_h[i], p_hh[i])``; ``rule`` is a built-in
-    rule (``ScoringRule.score_column``).  Returns (priced, n_zero, ratios),
+    The priors are ``make_prior(p_h[i], p_hh[i])``; ``rule`` scores columns
+    (``ScoringRule.score_at``).  Returns (priced, n_zero, ratios),
     ``ratios`` each concept's (h, l) ratio columns, NaN on an infinite side.
     ``priced`` is False where the scalar path raises (``make_prior``,
     ``four_scores``, a side's overflow or ``n_zero``), and such rows hold 0

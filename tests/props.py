@@ -155,7 +155,7 @@ def oracle_interim(setting: cl.Setting, strategies: list[cl.Strategy], i: int,
                 w_j = pr.cond(s_i, s_j)
                 for r_j in SIGNALS:
                     p_rj = peer.report_prob(s_j) if r_j == cl.HIGH else 1.0 - peer.report_prob(s_j)
-                    total += p_ri * w_j * p_rj * cl.score(rule, r_j, pr.posterior(r_i))
+                    total += p_ri * w_j * p_rj * rule.score(r_j, pr.posterior(r_i))
     return total / (setting.n - 1)
 
 
@@ -740,9 +740,9 @@ def interim_d_oracle(wm: cl.WorldModel, rule: cl.ScoringRule, n: int,
         own = reports[i]
         total = 0.0
         for like, p in weighted:
-            inner = sum(cl.score(rule, r, q[own]) for j, r in enumerate(reports) if j != i)
-            outsider = (p * cl.score(rule, cl.HIGH, q[own])
-                        + (1.0 - p) * cl.score(rule, cl.LOW, q[own]))
+            inner = sum(rule.score(r, q[own]) for j, r in enumerate(reports) if j != i)
+            outsider = (p * rule.score(cl.HIGH, q[own])
+                        + (1.0 - p) * rule.score(cl.LOW, q[own]))
             total += (like / z) * (inner + (n - d) * outsider)
         out.append(total / (n - 1))
     return out

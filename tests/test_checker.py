@@ -627,9 +627,9 @@ class TestInterimD:
                 for j, r in enumerate(reports):
                     if j == i:
                         continue
-                    inner += cl.score(rule, r, q[own])
-                outsider = (p * cl.score(rule, cl.HIGH, q[own])
-                            + (1 - p) * cl.score(rule, cl.LOW, q[own]))
+                    inner += rule.score(r, q[own])
+                outsider = (p * rule.score(cl.HIGH, q[own])
+                            + (1 - p) * rule.score(cl.LOW, q[own]))
                 total += (l / z) * (inner + (n - len(s_d)) * outsider)
             return total / (n - 1)
 

@@ -380,6 +380,16 @@ class TestScanCommand:
         for row in lines[3:]:
             assert row.endswith(",")
 
+    def test_huge_prior_values_are_quiet_error_cells(self, tmp_path, capsys):
+        # the column checks overflow on 1e300 and subtract inf from inf: no RuntimeWarning
+        cfg = dict(self.BASE, prior={"p_h": 0.5, "p_h_given_h": 1e300},
+                   sweep={"param": "p_h", "values": [1e300, 0.3]})
+        code, out = run(capsys, ["scan", "--config", write_config(tmp_path, cfg)])
+        assert code == 0
+        assert out.split("\n")[1:] == [
+            "100,,,,,,,,InvalidPrior: Pr(h) must lie strictly inside (0; 1); got 1e+300",
+            "100,,,,,,,,InvalidPrior: Pr(h|h) must lie strictly inside (0; 1); got 1e+300", ""]
+
     def test_non_finite_scores_are_error_cells(self, tmp_path, capsys):
         # score(h, q) = 1e308 q, score(l, q) = -1e308 q: the spread 2e308 max(q)
         # overflows once Pr(h|h) passes ~0.9

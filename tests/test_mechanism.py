@@ -423,8 +423,8 @@ class TestPairKernel:
 
     @pytest.mark.parametrize("rule", [
         cl.TableRule(1e308, 1e308, 0.0, 0.0),
-        cl.CallableRule(fn=lambda s, d: -math.inf if s == cl.LOW else 0.0),
-        cl.CallableRule(fn=lambda s, d: math.nan),
+        cl.TableRule(0.0, 0.0, -math.inf, 0.0),
+        cl.TableRule(math.nan, 0.0, math.nan, 0.0),
     ])
     def test_non_finite_score_rejected(self, rule):
         setting = cl.make_setting(10, rule, prior=SETTING.prior)

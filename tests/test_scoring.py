@@ -14,21 +14,21 @@ Q_L = REFERENCE_PRIOR.posterior(cl.LOW)
 
 class TestScore:
     def test_brier_h_given_h(self):
-        assert cl.score(cl.BrierRule(), cl.HIGH, Q_H) == pytest.approx(0.92, abs=1e-12)
+        assert cl.BrierRule().score(cl.HIGH, Q_H) == pytest.approx(0.92, abs=1e-12)
 
     def test_brier_l_given_h(self):
-        assert cl.score(cl.BrierRule(), cl.LOW, Q_H) == pytest.approx(-0.28, abs=1e-12)
+        assert cl.BrierRule().score(cl.LOW, Q_H) == pytest.approx(-0.28, abs=1e-12)
 
     def test_log_point_mass(self):
-        assert cl.score(cl.LogRule(), cl.HIGH, cl.BinaryDist(1.0)) == 0.0
+        assert cl.LogRule().score(cl.HIGH, cl.BinaryDist(1.0)) == 0.0
 
     def test_log_of_zero(self):
         with pytest.raises(cl.LogOfZero):
-            cl.score(cl.LogRule(), cl.HIGH, cl.BinaryDist(0.0))
+            cl.LogRule().score(cl.HIGH, cl.BinaryDist(0.0))
 
     def test_log_base(self):
         # log_2(0.5) = -1 exactly
-        assert cl.score(cl.LogRule(base=2.0), cl.HIGH, cl.BinaryDist(0.5)) == pytest.approx(
+        assert cl.LogRule(base=2.0).score(cl.HIGH, cl.BinaryDist(0.5)) == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_invalid_dist(self):
@@ -43,9 +43,26 @@ class TestScore:
         assert rule.score(cl.HIGH, d) == pytest.approx(1.0 - 0.8, abs=1e-15)
         assert rule.score(cl.LOW, d) == pytest.approx(0.5 + 0.1, abs=1e-15)
 
-    def test_callable_rule(self):
-        rule = cl.CallableRule(fn=lambda s, d: d.prob(s) ** 2)
-        assert rule.score(cl.HIGH, cl.BinaryDist(0.5)) == 0.25
+    @pytest.mark.parametrize("rule", [cl.BrierRule(), cl.LogRule(), cl.TableRule(1.0, 2.0)])
+    def test_unknown_outcome(self, rule):
+        with pytest.raises(cl.InvalidDist) as exc:
+            rule.score("x", cl.BinaryDist(0.5))
+        assert str(exc.value) == "unknown outcome 'x', expected one of ('l', 'h')"
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda v: cl.BinaryDist(v), cl.InvalidDist),
+        (lambda v: cl.LogRule(base=v), cl.InvalidDist),
+        (lambda v: cl.Strategy(v, 0.0), cl.InvalidStrategy),
+        (lambda v: cl.make_prior(v, 0.5), cl.InvalidPrior),
+        (lambda v: cl.BinaryPrior(0.5, v, 0.5), cl.InvalidPrior),
+        (lambda v: cl.WorldModel((v, 0.5), (0.5, 0.5)), cl.InvalidPrior),
+    ], ids=["BinaryDist", "LogRule", "Strategy", "make_prior", "BinaryPrior", "WorldModel"])
+    @pytest.mark.parametrize("value", [10 ** 400, "x", True, None],
+                             ids=["huge_int", "str", "bool", "None"])
+    def test_constructors_take_finite_numbers(self, build, error, value):
+        # one check, is_finite_number: no OverflowError or TypeError, and a bool is no number
+        with pytest.raises(error):
+            build(value)
 
     @pytest.mark.parametrize("rule", [cl.LogRule(), cl.LogRule(base=2.0), cl.LogRule(base=10.0),
                                       cl.BrierRule(), cl.TableRule(-0.3, 1.7, 0.9, -1.2)])
@@ -60,7 +77,7 @@ class TestScore:
         q_h = q_h[(q_h > 0.0) & (q_h < 1.0)]
         assert len(q_h) > 99_990
         for outcome in cl.SIGNALS:
-            column = rule.score_column(outcome, q_h)
+            column = rule.score_at(outcome, q_h)
             scalar = np.array([rule.score(outcome, cl.BinaryDist(x)) for x in q_h.tolist()])
             assert column.dtype == np.float64
             assert np.array_equal(column.view(np.int64), scalar.view(np.int64)), outcome
