@@ -19,8 +19,14 @@ resolution (and, for ``game-check``, budget), 2 configuration error,
 same way; only ``game-check`` also reads a budget, as ``falsify``'s grid
 alone bounds its work.  All output is deterministic for a fixed config and
 seed; randomness flows from the single seed through fixed-size trial
-blocks (one spawned stream each).  ``scan`` emits its
-rows in sweep order, one chunk of points at a time.
+blocks (one spawned stream each).
+
+``scan`` emits its rows in sweep order, one chunk of ``_CHUNK_ROWS`` points
+at a time.  A range's chunk is one column of points (``_sweep_values``);
+the n and prior checks are masks over it, and only the points a mask
+rejects take the scalar path, for their error cells; the priced points'
+thresholds are one array step (``thresholds.threshold_columns``), and one
+``%`` format writes their rows (``_scan_text``).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -351,15 +357,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 _MAX_SWEEP_POINTS = 10 ** 7
 
+#: Sweep points ``scan`` makes, checks, prices and writes as one chunk.
+_CHUNK_ROWS = 2 ** 10
 
-def _sweep_values(sweep: dict) -> tuple[str, Iterable]:
-    """The swept parameter and its points, in sweep order.
 
-    Exactly one form: ``values`` verbatim, or ``start + i*step`` for i = 0,
-    1, ... up to ``stop`` (an index within 1e-9 of the last point counts),
-    rounded to 12 decimals (to integers for n) and made one at a time as
-    they are read.  Every number must be finite, and the point count is
-    checked before any point is made.
+def _sweep_values(sweep: dict) -> tuple[str, Iterator]:
+    """The swept parameter and its points, one chunk of ``_CHUNK_ROWS`` at a time.
+
+    Exactly one form: ``values`` verbatim, in list slices, or ``start +
+    i*step`` for i = 0, 1, ... up to ``stop`` (an index within 1e-9 of the
+    last point counts).  A range's chunk is made when it is read, as the
+    column ``start + step*i``: int64 when start and step are ints, float64
+    when one is a float, and Python numbers (dtype object) once some |point|
+    could pass 2^62, so every point has the bits of Python's ``start +
+    i*step``.  n points are rounded to integers (``np.rint``, half to even
+    as ``round``), prior points to 12 decimals by Python's ``round``, a list
+    (numpy's differs in the last bit).  Every number must be finite, and
+    the point count is checked before any point is made.
     """
     if set(sweep) - {"param"} not in ({"values"}, {"start", "stop", "step"}):
         raise ConfigError('sweep needs "param" and either "values" or start/stop/step, '
@@ -371,7 +385,7 @@ def _sweep_values(sweep: dict) -> tuple[str, Iterable]:
         values = sweep["values"]
         if not isinstance(values, list) or not all(scoring.is_finite_number(v) for v in values):
             raise ConfigError(f'sweep "values" must be a list of finite numbers, got {values!r}')
-        return param, values
+        return param, (values[i:i + _CHUNK_ROWS] for i in range(0, len(values), _CHUNK_ROWS))
     start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
     for key, value in (("start", start), ("stop", stop), ("step", step)):
         if not scoring.is_finite_number(value):
@@ -382,8 +396,17 @@ def _sweep_values(sweep: dict) -> tuple[str, Iterable]:
     if span >= _MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep has more than {_MAX_SWEEP_POINTS} points")
     count = math.floor(span + 1e-9) + 1 if span > -1 else 0
-    points = (start + i * step for i in range(count))
-    return param, (int(round(x)) if param == "n" else round(x, 12) for x in points)
+    index = np.int64 if abs(start) + step * count < 2 ** 62 else object
+
+    def chunk(i: int):
+        x = start + step * np.arange(i, min(i + _CHUNK_ROWS, count), dtype=index)
+        if param != "n":
+            return [round(v, 12) for v in x.tolist()]
+        if x.dtype == np.float64:
+            return np.rint(x).astype(np.int64)
+        return np.frompyfunc(round, 1, 1)(x) if x.dtype == object else x
+
+    return param, map(chunk, range(0, count, _CHUNK_ROWS))
 
 
 def _outcome(fn, *args):
@@ -392,10 +415,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except CollusionLabError as exc:
         return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-
-
-#: Sweep points whose thresholds ``scan`` prices in one array step per side.
-_CHUNK_ROWS = 2 ** 10
 
 
 def _error_cell(rule, parsed, tol: float) -> str:
@@ -410,38 +429,42 @@ def _error_cell(rule, parsed, tol: float) -> str:
     return cell
 
 
-def _scan_lines(labels, cells, n, n_zero, ratios: dict, tol: float) -> list[str]:
-    """The CSV rows of one chunk of sweep points, in order.
+#: A priced row: n, the six thresholds and n_zero, with an empty error cell.
+_ROW = "%d,%d,%d,%d,%d,%d,%d,%d,"
 
-    ``cells`` holds each point's error cell, None where the point is priced.
-    n, n_zero and ``ratios`` (``thresholds.price_priors``' columns) are
-    columns over the chunk, or one row for all of it; the thresholds take
-    one array step per side (``threshold_columns``), and the priced points'
-    rows print them.
+
+def _scan_text(priced, errors: list[str], n, n_zero, ratios, tol: float) -> str:
+    """The CSV text of one chunk of sweep points, rows in sweep order.
+
+    ``priced`` marks the points that pass every check, and ``errors`` holds
+    the other points' rows, in order.  n, n_zero and the four side ratio
+    rows (``thresholds.price_priors``) cover the priced points, or are one
+    row for all of them: one ``threshold_columns`` call steps every side,
+    and one ``%`` format writes every priced row.
     """
-    rows = itertools.repeat((None,) * 7)  # a chunk of error cells prices nothing
-    if not all(cells):
-        columns = []
-        for concept in thresholds.CONCEPTS:
-            columns += thresholds.threshold_columns(concept, n, *ratios[concept], tol)
-        columns.append(n_zero)
-        rows = zip(*(np.broadcast_to(column, (len(cells),)).tolist() for column in columns))
-    return [f"{label},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz}," if cell is None
-            else f"{label},,,,,,,,{cell}"
-            for label, cell, (e_h, e_l, e, b_h, b_l, b, nz) in zip(labels, cells, rows)]
+    if not priced.any():
+        return "\n".join(errors)
+    columns = np.broadcast_arrays(n, *thresholds.threshold_columns(n, ratios, tol), n_zero)
+    table = np.stack(columns, axis=1)
+    text = "\n".join([_ROW] * len(table)) % tuple(table.ravel().tolist())
+    if not errors:
+        return text
+    rows = np.empty(len(priced), dtype=object)
+    rows[priced], rows[~priced] = text.split("\n"), errors
+    return "\n".join(rows.tolist())
 
 
 def cmd_scan(cfg: RunConfig) -> int:
     sweep = cfg.raw.get("sweep")
     if not isinstance(sweep, dict):
         raise ConfigError('scan needs a "sweep" object')
-    param, values = _sweep_values(sweep)
+    param, chunks = _sweep_values(sweep)
     raw, tol = cfg.raw, cfg.tolerance
     # Every printed threshold comes from ``thresholds.price_priors``: an n-sweep
     # prices its one prior once, as a one-row column against each chunk's n, and a
     # prior sweep a chunk of priors at one n.  Each check of the scalar path is a
     # mask there; a point that fails one gets its error cell from the scalar path
-    # (``_error_cell``), first of n, rule, prior, scores, sides, n_zero.
+    # (``_valid_n``, then ``_error_cell``), first of n, rule, prior, scores, sides, n_zero.
     rule = _outcome(scoring.rule_from_config, raw.get("rule", {"rule": "brier"}))
 
     if param == "n":
@@ -452,11 +475,16 @@ def cmd_scan(cfg: RunConfig) -> int:
             priced, n_zero, ratios = thresholds.price_priors([pr.p_h], [pr.p_hh], rule, tol)
         cell = None if priced is not None and priced[0] else _error_cell(rule, parsed, tol)
 
-        def lines(chunk: list) -> list[str]:
-            ns = [_outcome(_valid_n, v) for v in chunk]
-            cells = [n if isinstance(n, str) else cell for n in ns]
-            column = np.array([2 if isinstance(n, str) else n for n in ns], dtype=np.int64)
-            return _scan_lines(chunk, cells, column, n_zero, ratios, tol)
+        def text(points) -> str:
+            # ``_valid_n`` as one mask: an integer in [2, 2^62]; a range's points are integers
+            column = np.array(points, dtype=object) if isinstance(points, list) else points
+            valid = (column >= 2) & (column <= _MAX_N)
+            if isinstance(points, list):
+                valid &= np.fromiter(map(_is_int, points), bool, len(points))
+            ok = valid if cell is None else np.zeros_like(valid)
+            errors = [f"{v},,,,,,,,{cell if good else _outcome(_valid_n, v)}"
+                      for v, good in zip(column[~ok].tolist(), valid[~ok].tolist())]
+            return _scan_text(ok, errors, column[ok].astype(np.int64), n_zero, ratios, tol)
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:
@@ -473,21 +501,19 @@ def cmd_scan(cfg: RunConfig) -> int:
         # the config's shape is the same at every point, as each is a finite number
         shape = rule if isinstance(rule, str) else _outcome(prior.prior_values, point(0.5))
 
-        def lines(chunk: list) -> list[str]:
-            labels = [label] * len(chunk)
+        def text(points: list) -> str:
             if isinstance(n, str) or isinstance(shape, str):  # every point fails
-                return _scan_lines(labels, [cell(v) for v in chunk], n, None, None, tol)
-            swept = np.array([float(v) for v in chunk])
+                return "\n".join(f"{label},,,,,,,,{cell(v)}" for v in points)
+            swept = np.array(points, dtype=float)
             fixed = np.full_like(swept, shape[1] if param == "p_h" else shape[0])
             p_h, p_hh = (swept, fixed) if param == "p_h" else (fixed, swept)
-            priced, n_zero, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
-            cells = [None if ok else cell(v) for v, ok in zip(chunk, priced.tolist())]
-            return _scan_lines(labels, cells, n, n_zero, ratios, tol)
+            ok, n_zero, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
+            errors = [f"{label},,,,,,,,{cell(v)}" for v in itertools.compress(points, ~ok)]
+            return _scan_text(ok, errors, n, n_zero[ok], ratios[:, ok], tol)
 
     _emit(SCAN_HEADER)
-    values = iter(values)
-    while chunk := list(itertools.islice(values, _CHUNK_ROWS)):
-        _emit("\n".join(lines(chunk)))
+    for points in chunks:
+        _emit(text(points))
     return EXIT_OK
 
 

@@ -31,7 +31,8 @@ with the one ``four_scores`` call, and gives ``report(concept, n)``,
 ``liar(n)`` and ``n_zero()``; ``k_ex_ante``, ``k_bayesian``,
 ``liar_threshold`` and ``n_zero`` each read a new table.  Every threshold
 is one array step (``_steps``: snap, then floor or ceiling), so
-``threshold_columns`` prices a whole column of n, or of priors' ratios, at once.
+``threshold_columns`` prices the four sides of a whole column of n, or of
+priors' ratios, in one step.
 ``price_priors`` gives the n_zero and side ratios of a column of priors,
 and ``scan`` prices every row it prints from it: an n-sweep's one prior is
 a one-row column.  The table's arithmetic is written once, over floats or
@@ -163,40 +164,47 @@ def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
     return np.frompyfunc(int, 1, 1)(whole) if wide else whole.astype(np.int64)
 
 
-def _steps(n, ratio, interim: bool, tol: float) -> np.ndarray:
+def _steps(n, ratio, interim, tol: float) -> np.ndarray:
     """Each side's per-n half: the smallest coalition size at which its corner profits.
 
     ``floor(x) + 1`` ex ante, ``ceil(x)`` per type (a zero delta for one type
     beside a strict gain for the other already succeeds), never below 1, with
     x the snapped ``(n-1) * ratio``; n where the ratio is NaN (an infinite
-    side).  n (int64) broadcasts against ratio (float), at least 1-d.  The
-    sizes are int64, or Python ints (dtype object) once some |x| reaches 2^62;
-    where ``(n-1) * ratio`` passes the float range, x is the exact product.
+    side).  n (int64) and ``interim`` (a bool, or bools per side) broadcast
+    against ratio (float), at least 1-d.  The sizes are int64, or Python ints
+    (dtype object) once some |x| reaches 2^62; where ``(n-1) * ratio``
+    passes the float range, x is the exact product.
     """
     n = np.asarray(n, dtype=np.int64)
     infinite = np.isnan(ratio)
     ratio = np.where(infinite, 0.0, ratio)
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is inf
         x = np.atleast_1d(_snap((n - 1) * ratio, tol))
-    whole = np.ceil(x) if interim else np.floor(x)
+    whole = np.where(interim, np.ceil(x), np.floor(x))
     if (abs(x) < 2.0 ** 62).all():
         whole = _ints(whole, False)
     else:  # where x is inf, |ratio| is past 2^53, so a whole number
         finite = np.isfinite(x)
         exact = np.frompyfunc(lambda m, r: (int(m) - 1) * int(r), 2, 1)(n, ratio)
         whole = np.where(finite, _ints(np.where(finite, whole, 0.0), True), exact)
-    return np.where(infinite, n, np.maximum(whole if interim else whole + 1, 1))
+    return np.where(infinite, n, np.maximum(np.where(interim, whole, whole + 1), 1))
 
 
-def threshold_columns(concept: str, n, ratio_h, ratio_l, tol: float) -> tuple:
-    """``concept``'s (k_h, k_l, k) arrays from its side ratios (NaN: infinite) at n.
+#: Which of the four corners, rows in ``_CORNERS`` order, take the per-type step.
+_PER_TYPE = np.array([[False], [False], [True], [True]])
 
-    n and the ratios broadcast (``_steps``), so one call prices a column of
-    population sizes against one prior's ratios, or of priors at one n.
+
+def threshold_columns(n, ratios, tol: float) -> tuple:
+    """(k_E_h, k_E_l, k_E, k_B_h, k_B_l, k_B) at n from the four corners' ratio rows.
+
+    ``ratios`` has one row per corner in ``_CORNERS`` order, NaN on an
+    infinite side, and every side takes one ``_steps`` call.  n broadcasts
+    against each row, so one call prices a column of population sizes
+    against one prior's ratios (rows of one), or of priors at one n.
     """
-    interim = concept == BAYESIAN
-    k_h, k_l = (_steps(n, ratio, interim, tol) for ratio in (ratio_h, ratio_l))
-    return k_h, k_l, np.minimum(np.minimum(k_h, k_l), n)
+    e_h, e_l, b_h, b_l = _steps(n, ratios, _PER_TYPE, tol)
+    return (e_h, e_l, np.minimum(np.minimum(e_h, e_l), n),
+            b_h, b_l, np.minimum(np.minimum(b_h, b_l), n))
 
 
 class ThresholdTable:
@@ -207,10 +215,11 @@ class ThresholdTable:
     (h, l) corners as (num, den, ratio), the ratio NaN on an infinite side,
     the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
     The four are ``mechanism.PairForm``'s corner slopes, the same floats
-    ``winning_sizes`` reads.
+    ``winning_sizes`` reads.  ``ratios`` holds the four sides' ratios as
+    ``threshold_columns``' rows.
     """
 
-    __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides")
+    __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides", "ratios")
 
     def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
         self.prior, self.tol = prior, tol
@@ -218,6 +227,7 @@ class ThresholdTable:
         self.e_l, self.e_h, self.d_h, self.d_l = slopes = PairForm.of(prior, self.scores)[-4:]
         sides = _checked_sides(*_corners(prior, *slopes), tol, _CORNERS)
         self.sides = {EX_ANTE: sides[:2], BAYESIAN: sides[2:]}
+        self.ratios = np.array([[ratio] for *_, ratio in sides])
 
     def k(self, concept: str, n):
         """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n.
@@ -225,8 +235,8 @@ class ThresholdTable:
         n is an int, giving ints, or an int64 array, giving arrays
         (``threshold_columns``).
         """
-        (*_, ratio_h), (*_, ratio_l) = self.sides[concept]
-        ks = threshold_columns(concept, n, ratio_h, ratio_l, self.tol)
+        ks = threshold_columns(n, self.ratios, self.tol)
+        ks = ks[:3] if concept == EX_ANTE else ks[3:]
         return tuple(k.item() for k in ks) if np.ndim(n) == 0 else ks
 
     def report(self, concept: str, n: int) -> ThresholdReport:
@@ -376,7 +386,8 @@ def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
 
     The priors are ``make_prior(p_h[i], p_hh[i])``; ``rule`` scores columns
     (``ScoringRule.score_at``).  Returns (priced, n_zero, ratios),
-    ``ratios`` each concept's (h, l) ratio columns, NaN on an infinite side.
+    ``ratios`` the four corners' ratio rows (``threshold_columns``), NaN on
+    an infinite side.
     ``priced`` is False where the scalar path raises (``make_prior``,
     ``four_scores``, a side's overflow or ``n_zero``), and such rows hold 0
     and NaN; every other row holds the int and floats its table gives, made
@@ -390,8 +401,7 @@ def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
     ratios, valid = _sides(*corners, tol)
     n_zero, _ = _n_zeros(scores, *slopes, priors.p_hh, priors.p_ll, tol)
     ok &= finite & valid.all(axis=0) & n_zero.astype(bool)
-    ratios = np.where(ok, ratios, np.nan)
-    return ok, np.where(ok, n_zero, 0), {EX_ANTE: ratios[:2], BAYESIAN: ratios[2:]}
+    return ok, np.where(ok, n_zero, 0), np.where(ok, ratios, np.nan)
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):

@@ -462,6 +462,164 @@ def scan_stdout(raw: dict, tol: float) -> str:
     return out.getvalue()
 
 
+# ``scan`` as it ran when it made its rows one point at a time, kept as the
+# oracle of the chunked path: each range point made alone by Python's
+# ``start + i*step`` and ``round``, each n checked by ``_valid_n``, each row
+# priced by the scalar threshold table and printed by its own f-string.
+
+def sweep_points_per_point(sweep: dict) -> list:
+    """A valid sweep's points in order, each range point made alone as Python computes it."""
+    if "values" in sweep:
+        return list(sweep["values"])
+    start, stop, step = sweep["start"], sweep["stop"], sweep["step"]
+    span = (stop - start) / step
+    count = math.floor(span + 1e-9) + 1 if span > -1 else 0
+    points = (start + i * step for i in range(count))
+    return [int(round(x)) if sweep["param"] == "n" else round(x, 12) for x in points]
+
+
+def _error_cell_or(fn, *args):
+    """``fn(*args)``, or the ``scan`` error cell of the package error it raises."""
+    try:
+        return fn(*args)
+    except cl.CollusionLabError as exc:
+        return f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+
+
+def _priced_per_point(rule, parsed, tol: float):
+    """The scalar table of a parsed prior and its n_zero, or the first error cell of
+    rule, prior, table and n_zero."""
+    for part in (rule, parsed):
+        if isinstance(part, str):
+            return part
+    from collusion_lab.thresholds import ThresholdTable
+
+    table = _error_cell_or(ThresholdTable, parsed[0], rule, tol)
+    nz = table if isinstance(table, str) else _error_cell_or(table.n_zero)
+    return nz if isinstance(nz, str) else (table, nz)
+
+
+def scan_stdout_per_point(raw: dict, tol: float = cl.DEFAULT_TOL) -> str:
+    """``scan``'s stdout for a config whose sweep is valid, made one point at a time.
+
+    An n-sweep parses and prices its prior once; a prior sweep each point's.
+    A row's error cell is the first failure of n, rule, prior, table, n_zero.
+    """
+    from collusion_lab import cli, prior as prior_config
+
+    param = raw["sweep"]["param"]
+    rule = _error_cell_or(cl.rule_from_config, raw.get("rule", {"rule": "brier"}))
+    if param == "n":
+        shared = _priced_per_point(rule, _error_cell_or(prior_config.from_config, raw), tol)
+    lines = [cli.SCAN_HEADER]
+    for v in sweep_points_per_point(raw["sweep"]):
+        if param == "n":
+            label, n, priced = v, _error_cell_or(cli._valid_n, v), shared
+        else:
+            label, n = raw.get("n", ""), _error_cell_or(cli._checked_n, raw)
+            point = {**raw, "prior": {**raw["prior"], param: v}}
+            priced = n if isinstance(n, str) else _priced_per_point(
+                rule, _error_cell_or(prior_config.from_config, point), tol)
+        cell = n if isinstance(n, str) else priced
+        if isinstance(cell, str):
+            lines.append(f"{label},,,,,,,,{cell}")
+            continue
+        table, nz = cell
+        (e_h, e_l, e), (b_h, b_l, b) = table.k(cl.EX_ANTE, n), table.k(cl.BAYESIAN, n)
+        lines.append(f"{label},{e_h},{e_l},{e},{b_h},{b_l},{b},{nz},")
+    return "\n".join(lines) + "\n"
+
+
+def scan_oracle_configs(seed: int = 2424, count: int = 36) -> list[dict]:
+    """Seeded ``scan`` configs for ``scan_stdout_per_point``, fixed cases first.
+
+    Int and float n ranges with .5 ties (2.5..6 by 0.5 gives n = 2, 3, 4,
+    4, 4, 5, 6, 6), a float start of 2^53 and an int one of 2^53 + 1 with a
+    float step, a range crossing 2^62, negative
+    starts, empty ranges, int ranges past int64 and a float start with an
+    int step past it; n lists holding 9.0, 2**70 and -1 on both sides of
+    each chunk edge; p_h and p_h_given_h ranges, int ones included, and
+    lists; a rule, a prior and an n that fail.  Then ``count`` seeded ones:
+    a random rule, prior, tolerance and form, of up to 2100 n points or 250 prior ones.
+    """
+    from collusion_lab import cli
+
+    edge = cli._CHUNK_ROWS
+    base = {"rule": {"rule": "brier"}, "prior": {"p_h": 0.4, "p_h_given_h": 0.7}, "n": 300}
+
+    def n_range(start, stop, step, **extra):
+        return dict(base, **extra, sweep={"param": "n", "start": start, "stop": stop,
+                                          "step": step})
+
+    marks = (9.0, 2 ** 70, -1)
+    spots = [edge - 2, edge - 1, edge, edge + 1, 2 * edge - 1, 2 * edge]
+    listed = [marks[j % 3] if j in spots else 2 + (j * 7919) % 10 ** 6
+              for j in range(2 * edge + 3)]
+    p_hhs = [marks[j % 3] if j in spots else round(0.45 + 0.5 * j / edge, 9)
+             for j in range(edge + 3)]
+    cases = [
+        n_range(2.5, 6, 0.5), n_range(2.5, 6.0, 0.5, rule={"rule": "log"}),
+        n_range(9007199254740992.0, 9007199254741010.0, 1.0),
+        n_range(9007199254740992.0, 9007199254741010.0, 1),
+        n_range(9007199254740992.0, 9007199254741000.0, 0.5),
+        n_range(9007199254740993, 9007199254741000, 0.5),
+        n_range(4611686018427387900, 4611686018427387910, 3),
+        n_range(4611686018427387900.0, 4611686018427387910, 3),
+        n_range(-5, 10, 2), n_range(-3.5, 9, 1.25), n_range(-2 ** 62, -2 ** 62 + 40, 4),
+        n_range(50, 40, 10), n_range(1.5, 1.4, 1), n_range(0.5, 0.5, 1),
+        n_range(5, 2 ** 72, 2 ** 70), n_range(-10 ** 30, 10 ** 30, 10 ** 29),
+        n_range(0.5, 10 ** 21, 10 ** 20), n_range(2, 2 ** 63 + 7, 2 ** 61),
+        n_range(2, 2100, 1), n_range(10, 3 * edge, 3),
+        dict(base, sweep={"param": "n", "values": listed}),
+        dict(base, rule={"rule": "log"}, sweep={"param": "n", "values": listed[::-1]}),
+        dict(base, sweep={"param": "p_h_given_h", "values": p_hhs}),
+        dict(base, sweep={"param": "p_h", "start": 0.1, "stop": 0.7, "step": 0.00058}),
+        dict(base, sweep={"param": "p_h_given_h", "start": 0, "stop": 1, "step": 0.125}),
+        dict(base, sweep={"param": "p_h_given_h", "start": 0, "stop": 2, "step": 1}),
+        dict(base, sweep={"param": "p_h", "start": 0.3, "stop": 1.3, "step": 1}),
+        dict(base, sweep={"param": "p_h", "start": 1e-13, "stop": 0.9, "step": 1 / 3}),
+        dict(base, rule={"rule": "bogus"}, sweep={"param": "n", "values": [1, 5, 2.5]}),
+        dict(base, prior={"p_h": 0.9, "p_h_given_h": 0.5},
+             sweep={"param": "n", "start": 0, "stop": 5, "step": 1}),
+        dict(base, n=1, sweep={"param": "p_h", "values": [0.3, 0.5]}),
+        {k: v for k, v in base.items() if k != "n"}
+        | {"sweep": {"param": "p_h", "start": 0.2, "stop": 0.4, "step": 0.1}},
+        {"rule": {"rule": "brier"}, "sweep": {"param": "n", "values": [1, 10, 100]},
+         "world_model": {"p_state": [0.3, 0.7], "p_h_given_state": [0.2, 0.9]}},
+    ]
+    rng = np.random.default_rng(seed)
+    rules = [{"rule": "brier"}, {"rule": "log"}, {"rule": "log", "base": 2.0},
+             {"rule": "table", "h": [-0.3, 1.7], "l": [0.9, -1.2]}]
+    for _ in range(count):
+        pr = random_prior(rng)
+        cfg = {"rule": rules[int(rng.integers(len(rules)))],
+               "prior": {"p_h": pr.p_h, "p_h_given_h": pr.p_hh},
+               "n": int(2.0 ** rng.uniform(1.0, 62.0)),
+               "tolerance": float(rng.choice([1e-12, 1e-9, 1e-3]))}
+        param = str(rng.choice(["n", "p_h", "p_h_given_h"]))
+        rows = int(rng.choice([0, 1, 7, 250, edge, edge + 1, 2100] if param == "n" else
+                              [0, 1, 7, 60, 250]))
+        if param == "n":
+            start = int(rng.integers(-20, 10 ** 6)) if rng.random() < 0.5 else \
+                round(float(rng.uniform(-20.0, 1e6)) * 2) / 2
+            step = int(rng.integers(1, 50)) if rng.random() < 0.5 else \
+                float(rng.choice([0.5, 0.25, 1.5, 2.5, 1 / 3]))
+        else:
+            start = float(rng.uniform(-0.1, 0.9))
+            step = float(rng.uniform(0.0, 0.9 - start + 0.2) / max(rows, 1)) or 0.001
+        if rng.random() < 0.7:
+            sweep = {"start": start, "stop": start + step * (rows - 1), "step": step}
+        else:
+            values = [start + step * j for j in range(rows)]
+            if param == "n":
+                values = [int(v) if rng.random() < 0.9 else v for v in values]
+            for at in rng.integers(0, max(rows, 1), size=min(rows, 5)):
+                values[at] = marks[int(rng.integers(3))]
+            sweep = {"values": values}
+        cases.append(dict(cfg, sweep={"param": param, **sweep}))
+    return cases
+
+
 def check_prior_sweep_columns(seed: int = 2626, points: int = 40) -> dict:
     """``scan`` prices prior sweeps as the scalar path does, row by row (``prior_sweep_row``).
 
@@ -600,6 +758,55 @@ def check_steps_match_scalar(seed: int = 6161, priors: int = 10, tables: int = 6
                 seen["negative"] += 1
                 x = (column[:, None] - 1) * ratios[None, :]
                 seen["snapped"] += int(((abs(x - np.round(x)) <= tol) & (x != np.round(x))).sum())
+    assert min(seen.values()) > 0, seen
+    return seen
+
+
+def check_stacked_steps(seed: int = 6262, priors: int = 8, tables: int = 4) -> dict:
+    """``threshold_columns``' one ``_steps`` call over the four stacked sides equals
+    four per-side calls bit for bit, each side's kind (ex ante or per type) its own.
+
+    Brier, log, an infinite-side table rule and ``tables`` random table rules on
+    ``priors`` seeded priors, each table's ratio rows against the
+    ``log_spaced_n`` column; ``price_priors``' ratio rows of a column of seeded
+    priors (unpriced ones NaN) at n = 2, 1000 and 2^62; and seeded ratio rows up to
+    2^40 with NaN sides against a column of n, whose (n-1)*ratio passes 2^62 (Python
+    ints).  Returns how often infinite sides, int64 and Python-int columns came up.
+    """
+    from collusion_lab.thresholds import ThresholdTable, _steps, price_priors, threshold_columns
+
+    def per_side(n, ratios, tol):
+        e_h, e_l, b_h, b_l = (_steps(n, ratio, interim, tol)
+                              for ratio, interim in zip(ratios, (False, False, True, True)))
+        return (e_h, e_l, np.minimum(np.minimum(e_h, e_l), n),
+                b_h, b_l, np.minimum(np.minimum(b_h, b_l), n))
+
+    seen = {"infinite_side": 0, "int64": 0, "python_ints": 0}
+
+    def check(n, ratios, tol):
+        stacked = threshold_columns(n, ratios, tol)
+        assert [k.tolist() for k in stacked] == [k.tolist() for k in per_side(n, ratios, tol)], \
+            (n, ratios, tol)
+        seen["infinite_side"] += int(np.isnan(ratios).any())
+        seen["python_ints" if stacked[0].dtype == object else "int64"] += 1
+
+    rng = np.random.default_rng(seed)
+    rules = ([cl.BrierRule(), cl.LogRule(),
+              cl.TableRule(h_intercept=0.0, h_slope=0.0, l_intercept=1.0, l_slope=0.0)]
+             + [random_table_rule(rng) for _ in range(tables)])
+    column = np.array(log_spaced_n(), dtype=np.int64)
+    for tol in (1e-9, 1e-3):
+        for rule in rules:
+            for _ in range(priors):
+                check(column, ThresholdTable(random_prior(rng), rule, tol).ratios, tol)
+            p_h, p_hh = rng.uniform(0.0, 1.0, size=(2, 200))
+            _, _, ratios = price_priors(p_h, p_hh, rule, tol)
+            for n in (2, 1000, 2 ** 62):
+                check(n, ratios, tol)
+        for scale in (1.0, 2.0 ** 20, 2.0 ** 40):
+            ratios = rng.uniform(-0.1, 1.0, size=(4, len(column))) * scale
+            ratios[rng.random(ratios.shape) < 0.2] = np.nan
+            check(column, ratios, tol)
     assert min(seen.values()) > 0, seen
     return seen
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import os
@@ -442,8 +441,8 @@ class TestScanCommand:
                             "non-positive; the rule is not strictly proper on this prior")
 
     def test_prior_sweep_memory_is_flat(self, tmp_path, capsys):
-        # one table and n_zero kept at a time: ~1.7 MB at 10^4 priors, where a
-        # memo of every prior's n_zero held 3.6 MB
+        # one chunk's columns kept at a time: ~0.8 MB at 10^4 priors, the written
+        # rows included, where a memo of every prior's n_zero held 3.6 MB
         cfg = dict(self.BASE, prior={"p_h": 0.4, "p_h_given_h": 0.7},
                    sweep={"param": "p_h_given_h", "start": 0.5, "stop": 0.95,
                           "step": 0.45 / 9999})
@@ -458,9 +457,9 @@ class TestScanCommand:
         assert peak < 2.5 * 2 ** 20, peak
 
     def test_n_sweep_memory_is_flat(self, tmp_path, monkeypatch):
-        # rows are priced and written a chunk at a time and the points made as they
-        # are read: ~0.9 MB at 10^5 rows, where listing the points first peaked at
-        # ~4.3 MB and building every row first at ~22 MB
+        # rows are priced and written a chunk at a time and each chunk's points made
+        # as one column when it is read: ~0.5 MB at 10^5 rows, where listing the
+        # points first peaked at ~4.3 MB and building every row first at ~22 MB
         class Sink:  # keeps a line count and the last few bytes, not the output
             lines, tail = 0, ""
 
@@ -615,6 +614,15 @@ class TestScanCommand:
         assert code == 0 and len(rows) == 1025 and "InvalidPrior" in rows[0]
         assert calls == [] and column_calls == [1024, 1]
 
+    def test_stdout_matches_per_point_oracle(self, tmp_path, capsys):
+        # the chunked path against the per-point one it replaced, byte for byte: range
+        # points made alone, each n checked by _valid_n, each row its own f-string
+        for raw in props.scan_oracle_configs():
+            code, out = run(capsys, ["scan", "--config", write_config(tmp_path, raw)])
+            assert code == 0
+            tol = raw.get("tolerance", cl.DEFAULT_TOL)
+            assert out == props.scan_stdout_per_point(raw, tol), raw
+
     def test_golden_output(self, tmp_path, capsys):
         # captured before n_zero became closed form and scan parsed once per
         # sweep: valid rows, n < 2, invalid priors, bad rules, NoFiniteN; the
@@ -625,40 +633,61 @@ class TestScanCommand:
             assert (code, out) == (case["exit"], case["stdout"]), case["config"]
 
 
+def sweep_points(sweep: dict) -> tuple[str, list]:
+    """``cli._sweep_values``' parameter and its points, the chunks joined, as Python numbers."""
+    param, chunks = cli._sweep_values(sweep)
+    return param, [v for chunk in chunks for v in (chunk if isinstance(chunk, list)
+                                                      else chunk.tolist())]
+
+
 class TestSweepValues:
     def test_points_are_start_plus_index_times_step(self):
-        param, values = cli._sweep_values(
-            {"param": "p_h", "start": 0.1, "stop": 0.8, "step": 1e-5})
-        values = list(values)
+        param, values = sweep_points({"param": "p_h", "start": 0.1, "stop": 0.8, "step": 1e-5})
         assert param == "p_h" and len(values) == 70_001
         assert values[-1] == 0.8
         for i in range(0, 70_001, 7):
             assert values[i] == float(Decimal("0.1") + i * Decimal("0.00001")), i
 
     def test_ranges(self):
-        param, values = cli._sweep_values({"param": "n", "start": 10, "stop": 40, "step": 10})
-        assert (param, list(values)) == ("n", [10, 20, 30, 40])
-        assert list(cli._sweep_values({"param": "n", "start": 2, "stop": 9, "step": 3})[1]) \
-            == [2, 5, 8]
-        assert list(cli._sweep_values({"param": "n", "start": 50, "stop": 40, "step": 10})[1]) \
-            == []
-        assert list(cli._sweep_values({"param": "n", "start": 1.5, "stop": 1.5, "step": 1})[1]) \
-            == [2]
-        assert cli._sweep_values({"param": "p_h", "values": [0.3, 1]})[1] == [0.3, 1]
+        assert sweep_points({"param": "n", "start": 10, "stop": 40, "step": 10}) \
+            == ("n", [10, 20, 30, 40])
+        assert sweep_points({"param": "n", "start": 2, "stop": 9, "step": 3})[1] == [2, 5, 8]
+        assert sweep_points({"param": "n", "start": 50, "stop": 40, "step": 10})[1] == []
+        assert sweep_points({"param": "n", "start": 1.5, "stop": 1.5, "step": 1})[1] == [2]
+        assert sweep_points({"param": "p_h", "values": [0.3, 1]})[1] == [0.3, 1]
 
     def test_points_are_made_as_read(self):
-        # a 10^6-point range is checked but not listed: the list took ~38.6 MB
+        # a 10^6-point range is checked but not listed: the list took ~38.6 MB; each
+        # chunk is one column, made when it is read
         tracemalloc.start()
         try:
-            param, values = cli._sweep_values({"param": "n", "start": 2, "stop": 1_000_001,
+            param, chunks = cli._sweep_values({"param": "n", "start": 2, "stop": 1_000_001,
                                                "step": 1})
-            first = list(itertools.islice(values, 3))
+            first = next(chunks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert param == "n" and first == [2, 3, 4]
+        assert param == "n" and first.dtype == np.int64 and first[:3].tolist() == [2, 3, 4]
+        assert len(first) == cli._CHUNK_ROWS
         assert peak < 4 * 2 ** 20, peak
-        assert sum(1 for _ in values) == 1_000_000 - 3
+        assert sum(map(len, chunks)) == 1_000_000 - cli._CHUNK_ROWS
+
+    def test_chunks_keep_python_bits(self):
+        # int64 for int operands, float64 for a float one, Python numbers past 2^62:
+        # every point is Python's start + i*step, rounded half to even for n
+        cases = [(2.5, 6, 0.5), (9007199254740992.0, 9007199254741010.0, 1),
+                 (9007199254740993, 9007199254741010, 0.5),
+                 (4611686018427387900, 4611686018427387910, 3), (-3.5, 9, 1.25),
+                 (5, 2 ** 72, 2 ** 70), (0.5, 10 ** 21, 10 ** 20), (2, 2 ** 63 + 7, 2 ** 61),
+                 (3, 3 + 5 * 3000, 5)]
+        for param in ("n", "p_h"):
+            for start, stop, step in cases:
+                sweep = {"param": param, "start": start, "stop": stop, "step": step}
+                got = sweep_points(sweep)[1]
+                want = props.sweep_points_per_point(sweep)
+                assert got == want and list(map(type, got)) == list(map(type, want)), sweep
+        assert sweep_points({"param": "n", "start": 2.5, "stop": 6, "step": 0.5})[1] \
+            == [2, 3, 4, 4, 4, 5, 6, 6]
 
     @pytest.mark.parametrize("sweep", [
         {"param": "n", "start": 10, "stop": math.inf, "step": 1},

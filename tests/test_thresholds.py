@@ -68,6 +68,10 @@ class TestThresholdTable:
         # int64 columns, Python ints past 2^62, infinite sides and negative ratios
         props.check_steps_match_scalar()
 
+    def test_stacked_steps_match_per_side_steps(self):
+        # the four corners take one _steps call, each side with its own kind of step
+        props.check_stacked_steps()
+
     @pytest.mark.parametrize("interim", [False, True])
     def test_products_past_the_float_range_are_exact(self, interim):
         # a finite ratio times n - 1 can pass the float range: there the size is the
