@@ -83,12 +83,9 @@ from .thresholds import (
     CONCEPTS,
     EX_ANTE,
     INTERIM_D,
+    coalition_deltas,
     deviation_succeeds,
-    member_delta,
     succeeding_rows,
-    symmetric_deltas,
-    symmetric_succeeds,
-    truthful_baseline,
     winning_sizes,
 )
 
@@ -959,12 +956,10 @@ def find_setting_deviation(setting: Setting, k: int, concept: str, grid_steps: i
     if winner is None:
         return None
     size, strat = winner
-    return DeviationCertificate(
-        concept=concept, coalition=tuple(range(size)),
-        strategies=(strat.rows,) * size,
-        deltas=symmetric_deltas(setting, strat, size, concept,
-                                truthful_baseline(setting, concept)),
-        tolerance=tol)
+    [delta] = coalition_deltas(setting, concept, {strat: size}).values()
+    return DeviationCertificate(concept=concept, coalition=tuple(range(size)),
+                                strategies=(strat.rows,) * size, deltas=(delta,) * size,
+                                tolerance=tol)
 
 
 def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) -> list:
@@ -972,10 +967,8 @@ def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) ->
 
     The strategy rows are grouped before any ``Strategy`` is built, and
     rows that give the same strategy share a group, in first-appearance
-    order as ``mechanism._peer_roles`` groups a profile.  A member's delta
-    depends only on its own strategy and the group counts, so it is
-    computed once per distinct strategy: a symmetric certificate costs the
-    utilities of one member whatever its size.
+    order as ``mechanism._peer_roles`` groups a profile; the groups' deltas
+    are ``thresholds.coalition_deltas``, one per distinct strategy.
     """
     k = len(cert.coalition)
     row_counts = Counter(cert.strategies)
@@ -984,12 +977,7 @@ def _setting_certificate_deltas(setting: Setting, cert: DeviationCertificate) ->
         counts: Counter = Counter()
         for row, count in row_counts.items():
             counts[strategy_of[row]] += count
-        base = truthful_baseline(setting, cert.concept)
-        delta_of = {}
-        for own in counts:
-            peers = [(c - 1 if s is own else c, s) for s, c in counts.items()]
-            peers.append((setting.n - k, TRUTHFUL_STRATEGY))
-            delta_of[own] = member_delta(setting, own, peers, cert.concept, base)
+        delta_of = coalition_deltas(setting, cert.concept, counts)
         by_row = {row: delta_of[strat] for row, strat in strategy_of.items()}
         return [by_row[row] for row in cert.strategies]
     if cert.concept == INTERIM_D:
@@ -1017,12 +1005,13 @@ def verify_setting_certificate(setting: Setting, cert: DeviationCertificate) -> 
     ``deviation_succeeds`` on the recomputed deltas otherwise.
     """
     _check_coalition(cert, setting.n)
-    recomputed, rows = _setting_certificate_deltas(setting, cert), set(cert.strategies)
+    recomputed = _setting_certificate_deltas(setting, cert)
     if not _deltas_match(cert, recomputed):
         return False
+    rows, k = set(cert.strategies), len(cert.coalition)
     if cert.concept in CONCEPTS and len(rows) == 1:
-        return symmetric_succeeds(setting, _strategy_from_dists(*rows), len(cert.coalition),
-                                  cert.concept, cert.tolerance)
+        own = np.array(_strategy_from_dists(*rows).betas)[:, None]
+        return bool(winning_sizes(setting, cert.concept, own, k, k, cert.tolerance)[0] == k)
     return deviation_succeeds(cert.concept, recomputed, cert.tolerance)
 
 

@@ -433,18 +433,18 @@ def _error_cell(rule, parsed, tol: float) -> str:
 _ROW = "%d,%d,%d,%d,%d,%d,%d,%d,"
 
 
-def _scan_text(priced, errors: list[str], n, n_zero, ratios, tol: float) -> str:
+def _scan_text(priced, errors: list[str], n, n_zero, sides, tol: float) -> str:
     """The CSV text of one chunk of sweep points, rows in sweep order.
 
     ``priced`` marks the points that pass every check, and ``errors`` holds
-    the other points' rows, in order.  n, n_zero and the four side ratio
-    rows (``thresholds.price_priors``) cover the priced points, or are one
-    row for all of them: one ``threshold_columns`` call steps every side,
-    and one ``%`` format writes every priced row.
+    the other points' rows, in order.  n, n_zero and ``sides``, the four
+    sides' ratio and step rows (``thresholds.price_priors``), cover the priced
+    points, or are one row for all of them: one ``threshold_columns`` call
+    steps every side, and one ``%`` format writes every priced row.
     """
     if not priced.any():
         return "\n".join(errors)
-    columns = np.broadcast_arrays(n, *thresholds.threshold_columns(n, ratios, tol), n_zero)
+    columns = np.broadcast_arrays(n, *thresholds.threshold_columns(n, *sides, tol), n_zero)
     table = np.stack(columns, axis=1)
     text = "\n".join([_ROW] * len(table)) % tuple(table.ravel().tolist())
     if not errors:
@@ -469,10 +469,10 @@ def cmd_scan(cfg: RunConfig) -> int:
 
     if param == "n":
         parsed = _outcome(prior.from_config, raw)
-        priced = n_zero = ratios = None
+        priced = n_zero = sides = None
         if not isinstance(rule, str) and not isinstance(parsed, str):
             pr = parsed[0]
-            priced, n_zero, ratios = thresholds.price_priors([pr.p_h], [pr.p_hh], rule, tol)
+            priced, n_zero, *sides = thresholds.price_priors([pr.p_h], [pr.p_hh], rule, tol)
         cell = None if priced is not None and priced[0] else _error_cell(rule, parsed, tol)
 
         def text(points) -> str:
@@ -484,7 +484,7 @@ def cmd_scan(cfg: RunConfig) -> int:
             ok = valid if cell is None else np.zeros_like(valid)
             errors = [f"{v},,,,,,,,{cell if good else _outcome(_valid_n, v)}"
                       for v, good in zip(column[~ok].tolist(), valid[~ok].tolist())]
-            return _scan_text(ok, errors, column[ok].astype(np.int64), n_zero, ratios, tol)
+            return _scan_text(ok, errors, column[ok].astype(np.int64), n_zero, sides, tol)
     else:
         base = raw.get("prior")
         if not isinstance(base, dict) or not base:
@@ -507,9 +507,9 @@ def cmd_scan(cfg: RunConfig) -> int:
             swept = np.array(points, dtype=float)
             fixed = np.full_like(swept, shape[1] if param == "p_h" else shape[0])
             p_h, p_hh = (swept, fixed) if param == "p_h" else (fixed, swept)
-            ok, n_zero, ratios = thresholds.price_priors(p_h, p_hh, rule, tol)
+            ok, n_zero, *sides = thresholds.price_priors(p_h, p_hh, rule, tol)
             errors = [f"{label},,,,,,,,{cell(v)}" for v in itertools.compress(points, ~ok)]
-            return _scan_text(ok, errors, n, n_zero[ok], ratios[:, ok], tol)
+            return _scan_text(ok, errors, n, n_zero[ok], [x[:, ok] for x in sides], tol)
 
     _emit(SCAN_HEADER)
     for points in chunks:

@@ -41,20 +41,24 @@ arrays (``PairForm.of``, ``_corners``, the side rule ``_sides``,
 table's float or int; a row where the table would raise is only marked,
 and the scalar table writes that row's error cell.
 
-``dichotomy_check`` tests a canonical deviation at one coalition size.
-
 One success rule decides coalitions sharing one strategy (``winning_sizes``).
 A member's delta at size s is ((s-1)*A + (n-1)*B) / (n-1) per component
-(one ex ante, one per signal per type), A and B from ``PairForm.gaps``.
-The tolerance sits where ``ThresholdTable`` puts it: |A| <= tol counts as
-0, as a corner's denominator does; B, like a corner's numerator, stays
-exact; and the root (n-1)*(-B/A) is snapped before its floor or ceiling.
+(one ex ante, one per signal per type), A and B from ``PairForm.gaps``:
+A is the coalition's gain, B a lone deviator's.  The tolerance is one test,
+``_negligible``: |A| <= tol counts as 0.  ``ThresholdTable`` reads it on each
+corner's gain (Pr(l) * d_h and Pr(h) * d_l ex ante, the discounted
+denominators per type), a side being infinite where that gain is not
+positive, and per type on the other type's gain, which decides the side's
+step (``_steps``); B, like a corner's numerator, stays exact; and the root
+(n-1)*(-B/A) is snapped before its floor or ceiling.
 Success: (s-1)*A + (n-1)*B >= 0 in every component and > 0 in some.
+``dichotomy_check`` reads it for a canonical deviation at one size.
 ``deviation_succeeds`` (every delta >= -tol, some > tol; ``succeeding_rows``
 over a chunk of candidates) decides the rest:
 explicit games, coalitions mixing strategies and known-type (interim_D)
-coalitions.  With the concept names, ``truthful_baseline``/``member_delta``
-and ``symmetric_deltas``, these are the verdict vocabulary ``checker`` imports.
+coalitions.  ``coalition_deltas`` is the one place a coalition's member
+deltas are computed, one per distinct strategy.  With the concept names,
+these are the verdict vocabulary ``checker`` imports.
 """
 
 from __future__ import annotations
@@ -71,16 +75,11 @@ from .mechanism import (
     TRUTHFUL_STRATEGY,
     PairForm,
     Setting,
-    Strategy,
     member_utility,
-    truthful_ex_ante,
-    truthful_interim,
 )
 from .prior import BinaryPrior, prior_columns
 from .scoring import (
     DEFAULT_TOL,
-    HIGH,
-    LOW,
     SIGNALS,
     ScoreTable,
     ScoringRule,
@@ -105,8 +104,8 @@ def _snap(x: np.ndarray, tol: float) -> np.ndarray:
 class ThresholdReport:
     """One concept's thresholds plus the raw quantities that produced them.
 
-    ``k_h``/``k_l`` are the side thresholds; an infinite side (non-positive
-    denominator: that corner deviation never profits) is flagged and carries
+    ``k_h``/``k_l`` are the side thresholds; an infinite side (the corner's
+    gain negligible or negative: that deviation never profits) is flagged and carries
     the value n, so it contributes n to the min.  ``ratio_h``/``ratio_l``
     are the n-free numerator/denominator ratios (None on infinite sides).
     """
@@ -137,26 +136,42 @@ class ThresholdReport:
 _CORNERS = ("ex_ante h", "ex_ante l", "bayesian h", "bayesian l")
 
 
-def _sides(num, den, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Corners' n-free ratios ``num / den`` and where each side is valid, elementwise.
+def _negligible(gain, tol: float):
+    """Whether a coalition's gain A counts as 0: ``|A| <= tol``, elementwise.
 
-    ``den <= tol`` is an infinite side (that corner never profits), ratio
-    NaN; a finite side whose ratio passes the float range is invalid.
+    The one tolerance test of the success rule, on a corner's gain in
+    ``_sides`` and on each lane's A in ``winning_sizes``.
+    """
+    return abs(gain) <= tol
+
+
+def _sides(num, den, gain, other, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corners' n-free ratios ``num / den``, their steps and where each side is valid,
+    elementwise.
+
+    A side whose corner's gain is negligible or negative is infinite (that
+    corner never profits), ratio NaN; a finite side whose ratio passes the
+    float range is invalid.  A side takes the ceiling step (``_steps``) where
+    ``other``, the gain of the corner's other type (0 ex ante), is positive
+    and not negligible.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        infinite = den <= tol
+        infinite = _negligible(gain, tol) | (gain <= 0.0)
         ratio = np.where(infinite, np.nan, np.divide(num, den))
-    return ratio, infinite | np.isfinite(ratio)
+        ceil = ~_negligible(other, tol) & (other > 0.0)
+    return ratio, ceil, infinite | np.isfinite(ratio)
 
 
-def _checked_sides(num: np.ndarray, den: np.ndarray, tol: float, names) -> list[tuple]:
-    """The named corners' (num, den, ratio) floats; ``InvalidSetting`` names the first invalid."""
-    ratio, valid = _sides(num, den, tol)
+def _checked_sides(num: np.ndarray, den: np.ndarray, gain: np.ndarray, other, tol: float,
+                   names) -> tuple[list[tuple], np.ndarray]:
+    """The named corners' (num, den, ratio) floats and steps; ``InvalidSetting`` names
+    the first invalid."""
+    ratio, ceil, valid = _sides(num, den, gain, other, tol)
     sides = list(zip(num.tolist(), den.tolist(), ratio.tolist()))
     for name, (x, y, _), ok in zip(names, sides, valid.tolist()):
         if not ok:
             raise InvalidSetting(f"the {name} side's ratio {x!r} / {y!r} overflows the float range")
-    return sides
+    return sides, ceil
 
 
 def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
@@ -164,13 +179,14 @@ def _ints(whole: np.ndarray, wide: bool) -> np.ndarray:
     return np.frompyfunc(int, 1, 1)(whole) if wide else whole.astype(np.int64)
 
 
-def _steps(n, ratio, interim, tol: float) -> np.ndarray:
-    """Each side's per-n half: the smallest coalition size at which its corner profits.
+def _steps(n, ratio, ceil, tol: float) -> np.ndarray:
+    """Each side's per-n half: the largest coalition size at which its corner does not profit.
 
-    ``floor(x) + 1`` ex ante, ``ceil(x)`` per type (a zero delta for one type
-    beside a strict gain for the other already succeeds), never below 1, with
+    ``floor(x) + 1``, or ``ceil(x)`` where ``ceil`` holds (per type, where the
+    corner's other type gains: at size x + 1 the binding type's zero delta
+    beside that strict gain already succeeds), never below 1, with
     x the snapped ``(n-1) * ratio``; n where the ratio is NaN (an infinite
-    side).  n (int64) and ``interim`` (a bool, or bools per side) broadcast
+    side).  n (int64) and ``ceil`` (a bool, or bools per side) broadcast
     against ratio (float), at least 1-d.  The sizes are int64, or Python ints
     (dtype object) once some |x| reaches 2^62; where ``(n-1) * ratio``
     passes the float range, x is the exact product.
@@ -180,29 +196,26 @@ def _steps(n, ratio, interim, tol: float) -> np.ndarray:
     ratio = np.where(infinite, 0.0, ratio)
     with np.errstate(over="ignore", invalid="ignore"):  # a product past the float range is inf
         x = np.atleast_1d(_snap((n - 1) * ratio, tol))
-    whole = np.where(interim, np.ceil(x), np.floor(x))
+    whole = np.where(ceil, np.ceil(x), np.floor(x))
     if (abs(x) < 2.0 ** 62).all():
         whole = _ints(whole, False)
     else:  # where x is inf, |ratio| is past 2^53, so a whole number
         finite = np.isfinite(x)
         exact = np.frompyfunc(lambda m, r: (int(m) - 1) * int(r), 2, 1)(n, ratio)
         whole = np.where(finite, _ints(np.where(finite, whole, 0.0), True), exact)
-    return np.where(infinite, n, np.maximum(np.where(interim, whole, whole + 1), 1))
+    return np.where(infinite, n, np.maximum(np.where(ceil, whole, whole + 1), 1))
 
 
-#: Which of the four corners, rows in ``_CORNERS`` order, take the per-type step.
-_PER_TYPE = np.array([[False], [False], [True], [True]])
-
-
-def threshold_columns(n, ratios, tol: float) -> tuple:
+def threshold_columns(n, ratios, ceil, tol: float) -> tuple:
     """(k_E_h, k_E_l, k_E, k_B_h, k_B_l, k_B) at n from the four corners' ratio rows.
 
     ``ratios`` has one row per corner in ``_CORNERS`` order, NaN on an
-    infinite side, and every side takes one ``_steps`` call.  n broadcasts
-    against each row, so one call prices a column of population sizes
-    against one prior's ratios (rows of one), or of priors at one n.
+    infinite side, ``ceil`` each side's step (``_sides``), and every side
+    takes one ``_steps`` call.  n broadcasts against each row, so one call
+    prices a column of population sizes against one prior's ratios (rows of
+    one), or of priors at one n.
     """
-    e_h, e_l, b_h, b_l = _steps(n, ratios, _PER_TYPE, tol)
+    e_h, e_l, b_h, b_l = _steps(n, ratios, ceil, tol)
     return (e_h, e_l, np.minimum(np.minimum(e_h, e_l), n),
             b_h, b_l, np.minimum(np.minimum(b_h, b_l), n))
 
@@ -215,19 +228,20 @@ class ThresholdTable:
     (h, l) corners as (num, den, ratio), the ratio NaN on an infinite side,
     the per-type surpluses discounted by Pr(l|l) and Pr(h|h).
     The four are ``mechanism.PairForm``'s corner slopes, the same floats
-    ``winning_sizes`` reads.  ``ratios`` holds the four sides' ratios as
-    ``threshold_columns``' rows.
+    ``winning_sizes`` reads.  ``ratios`` and ``ceil`` hold the four sides'
+    ratios and steps as ``threshold_columns``' rows.
     """
 
-    __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides", "ratios")
+    __slots__ = ("prior", "tol", "scores", "e_l", "e_h", "d_h", "d_l", "sides", "ratios",
+                 "ceil")
 
     def __init__(self, prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL):
         self.prior, self.tol = prior, tol
         self.scores = four_scores(rule, prior)
         self.e_l, self.e_h, self.d_h, self.d_l = slopes = PairForm.of(prior, self.scores)[-4:]
-        sides = _checked_sides(*_corners(prior, *slopes), tol, _CORNERS)
+        sides, ceil = _checked_sides(*_corners(prior, *slopes), tol, _CORNERS)
         self.sides = {EX_ANTE: sides[:2], BAYESIAN: sides[2:]}
-        self.ratios = np.array([[ratio] for *_, ratio in sides])
+        self.ratios, self.ceil = np.array([[ratio] for *_, ratio in sides]), ceil[:, None]
 
     def k(self, concept: str, n):
         """(k_h, k_l, k) of ``concept`` at population size n; an infinite side is n.
@@ -235,7 +249,7 @@ class ThresholdTable:
         n is an int, giving ints, or an int64 array, giving arrays
         (``threshold_columns``).
         """
-        ks = threshold_columns(n, self.ratios, self.tol)
+        ks = threshold_columns(n, self.ratios, self.ceil, self.tol)
         ks = ks[:3] if concept == EX_ANTE else ks[3:]
         return tuple(k.item() for k in ks) if np.ndim(n) == 0 else ks
 
@@ -260,7 +274,8 @@ class ThresholdTable:
         num = prior.p_h * self.e_h + prior.p_l * self.e_l
         den = (prior.p_h * (prior.p_hh - prior.p_lh) * self.d_l
                + prior.p_l * (prior.p_ll - prior.p_hl) * self.d_h)
-        [(*_, ratio)] = _checked_sides(np.array([num]), np.array([den]), self.tol, ("always-lie",))
+        num, den = np.array([num]), np.array([den])  # den is the corner's gain
+        [(*_, ratio)], _ = _checked_sides(num, den, den, 0.0, self.tol, ("always-lie",))
         return math.inf if math.isnan(ratio) else _steps(n, ratio, False, self.tol).item()
 
     def n_zero(self) -> int:
@@ -277,11 +292,20 @@ class ThresholdTable:
         return int(nz[0])
 
 
-def _corners(prior, e_l, e_h, d_h, d_l) -> tuple[np.ndarray, np.ndarray]:
-    """The four corners' numerators and denominators, arrays of four (rows) in ``_CORNERS``
-    order; per type, each inside surplus is discounted (module docstring)."""
-    return (np.array([e_l, e_h, e_l, e_h]),
-            np.array([d_h, d_l, prior.p_ll * d_h, prior.p_hh * d_l]))
+def _corners(prior, e_l, e_h, d_h, d_l) -> tuple[np.ndarray, ...]:
+    """The four corners' numerators, denominators, gains and other gains, arrays of four
+    (rows) in ``_CORNERS`` order; per type, each inside surplus is discounted (module
+    docstring).
+
+    A corner's gain is the A of ``winning_sizes`` for its coalition: Pr(l) * d_h and
+    Pr(h) * d_l ex ante, the denominator itself per type, the type the corner
+    misreports.  Its other gain is the other type's A per type, Pr(l|h) * d_h and
+    Pr(h|l) * d_l, and 0 ex ante, which has one component.
+    """
+    den = np.array([d_h, d_l, prior.p_ll * d_h, prior.p_hh * d_l])
+    return (np.array([e_l, e_h, e_l, e_h]), den,
+            np.array([prior.p_l * d_h, prior.p_h * d_l, den[2], den[3]]),
+            np.array([0.0 * d_h, 0.0 * d_l, prior.p_lh * d_h, prior.p_hl * d_l]))
 
 
 def _min(a, b) -> np.ndarray:
@@ -339,20 +363,15 @@ def k_bayesian(setting: Setting, tol: float = DEFAULT_TOL) -> ThresholdReport:
     return ThresholdTable(setting.prior, setting.rule, tol).report(BAYESIAN, setting.n)
 
 
-def _first_n(c, bound, strict):
+def _first_n(c: np.ndarray, bound: np.ndarray, strict: np.ndarray) -> np.ndarray:
     """Smallest n <= 2**62 from which ``c/(n-1) < bound`` (or ``<=``) holds on, per element.
 
-    Arrays give int64 arrays, 0 where no such n; floats give an int, or None.
+    Float arrays give an int64 array, 0 where no such n.
     bound is below +inf, so ``<= bound`` is ``< nextafter(bound, inf)``.
     For c > 0 that is n - 1 = c/bound up to rounding: the float is nudged to
     the smallest x = n - 1 at which the comparison holds, then n - 1 is the
     smallest integer whose float is >= x.  For c <= 0 it holds at all n or none.
     """
-    if np.ndim(c) == 0:
-        m = _first_n(np.array([c], dtype=float), np.array([bound], dtype=float),
-                     np.array([strict]))[0]
-        return int(m) if m else None
-
     # c/x <= bound is c/x < the next float above bound: one strict test per lane
     upper = np.where(strict, bound, np.nextafter(bound, np.inf))
 
@@ -381,13 +400,13 @@ def n_zero(prior: BinaryPrior, rule: ScoringRule, tol: float = DEFAULT_TOL) -> i
 
 
 def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, dict]:
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, ...]:
     """The n_zero and side ratios of each prior's ``ThresholdTable``, for columns of priors.
 
     The priors are ``make_prior(p_h[i], p_hh[i])``; ``rule`` scores columns
-    (``ScoringRule.score_at``).  Returns (priced, n_zero, ratios),
-    ``ratios`` the four corners' ratio rows (``threshold_columns``), NaN on
-    an infinite side.
+    (``ScoringRule.score_at``).  Returns (priced, n_zero, ratios, ceil),
+    ``ratios`` and ``ceil`` the four corners' ratio and step rows
+    (``threshold_columns``), the ratio NaN on an infinite side.
     ``priced`` is False where the scalar path raises (``make_prior``,
     ``four_scores``, a side's overflow or ``n_zero``), and such rows hold 0
     and NaN; every other row holds the int and floats its table gives, made
@@ -398,10 +417,10 @@ def price_priors(p_h: Sequence[float], p_hh: Sequence[float], rule: ScoringRule,
     with np.errstate(over="ignore", invalid="ignore"):  # rows not priced
         slopes = PairForm.of(priors, scores)[-4:]
         corners = _corners(priors, *slopes)
-    ratios, valid = _sides(*corners, tol)
+    ratios, ceil, valid = _sides(*corners, tol)
     n_zero, _ = _n_zeros(scores, *slopes, priors.p_hh, priors.p_ll, tol)
     ok &= finite & valid.all(axis=0) & n_zero.astype(bool)
-    return ok, np.where(ok, n_zero, 0), np.where(ok, ratios, np.nan)
+    return ok, np.where(ok, n_zero, 0), np.where(ok, ratios, np.nan), ceil
 
 
 def liar_threshold(setting: Setting, tol: float = DEFAULT_TOL):
@@ -470,41 +489,28 @@ def deviation_succeeds(concept: str, deltas: Sequence, tol: float) -> bool:
     return bool(succeeding_rows([np.array([entries], dtype=float)], tol)[0])
 
 
-def truthful_baseline(setting: Setting, concept: str):
-    """The truthful utility a deviator's delta is measured against.
+def coalition_deltas(setting: Setting, concept: str, counts: dict) -> dict:
+    """Each strategy's member delta in a coalition that plays ``counts``, the rest truthful.
 
-    A float ex ante; the (low, high) pair of interim utilities per type.
+    ``counts`` maps each strategy played to its member count, in first-appearance
+    order.  A member's delta is its utility change over truthful reporting: a
+    float ex ante, a (low, high) pair per type.  Its peers are the groups in
+    that order, its own less one, then the n - k truthful agents
+    (``mechanism.member_utility``), so a coalition costs one member's utilities
+    per distinct strategy, whatever its size.
     """
-    if concept == EX_ANTE:
-        return truthful_ex_ante(setting)
-    return truthful_interim(setting, LOW), truthful_interim(setting, HIGH)
-
-
-def member_delta(setting: Setting, own: Strategy, peers: Sequence[tuple[int, Strategy]],
-                 concept: str, base):
-    """Utility change of a deviator playing ``own`` over ``base = truthful_baseline(...)``.
-
-    ``peers`` are its n-1 peers as (count, strategy) groups, in the order of
-    ``mechanism.member_utility``.  A float ex ante; a (low, high) pair per type.
-    """
-    if concept == EX_ANTE:
-        return member_utility(setting, own, peers) - base
-    base_l, base_h = base
-    return (member_utility(setting, own, peers, LOW) - base_l,
-            member_utility(setting, own, peers, HIGH) - base_h)
-
-
-def symmetric_deltas(setting: Setting, strategy: Strategy, k: int, concept: str,
-                     base) -> tuple:
-    """Per-member deltas of a size-k coalition whose members all play ``strategy``.
-
-    Members are exchangeable, so one member's delta is every member's: its
-    peers are k-1 fellow members and n-k truthful agents, O(1) at any k.
-    ``base`` is ``truthful_baseline(setting, concept)``, computed once by the
-    caller across the sizes and strategies it tries.
-    """
-    peers = ((k - 1, strategy), (setting.n - k, TRUTHFUL_STRATEGY))
-    return (member_delta(setting, strategy, peers, concept, base),) * k
+    signals = (None,) if concept == EX_ANTE else SIGNALS
+    truthful = [setting.pair_form.reward(TRUTHFUL_STRATEGY.betas, TRUTHFUL_STRATEGY.betas, s)
+                for s in signals]
+    outsiders = (setting.n - sum(counts.values()), TRUTHFUL_STRATEGY)
+    deltas = {}
+    for own in counts:
+        peers = [(c - 1 if strat is own else c, strat) for strat, c in counts.items()]
+        peers.append(outsiders)
+        delta = tuple(member_utility(setting, own, peers, s) - base
+                      for s, base in zip(signals, truthful))
+        deltas[own] = delta[0] if concept == EX_ANTE else delta
+    return deltas
 
 
 def winning_sizes(setting: Setting, concept: str, own, lo: int, hi: int,
@@ -519,7 +525,7 @@ def winning_sizes(setting: Setting, concept: str, own, lo: int, hi: int,
     """
     signals = (None,) if concept == EX_ANTE else SIGNALS
     a, b = (np.array(x) for x in zip(*(setting.pair_form.gaps(own, s) for s in signals)))
-    a = np.where(abs(a) <= tol, 0.0, a)  # as ThresholdTable's den <= tol; B stays exact
+    a = np.where(_negligible(a, tol), 0.0, a)  # the gain test of ``_sides``; B stays exact
     cap = math.ldexp(1.0, min(int(hi).bit_length(), 1023))
     up, down = a > 0.0, a < 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -537,13 +543,6 @@ def winning_sizes(setting: Setting, concept: str, own, lo: int, hi: int,
     return np.minimum(np.where(wins, start, beyond).min(axis=0), hi) + 1
 
 
-def symmetric_succeeds(setting: Setting, strategy: Strategy, k: int, concept: str,
-                       tol: float = DEFAULT_TOL) -> bool:
-    """Whether a size-k coalition whose members all play ``strategy`` succeeds (``winning_sizes``)."""
-    own = tuple(np.array([beta]) for beta in strategy.betas)
-    return bool(winning_sizes(setting, concept, own, k, k, tol)[0] == k)
-
-
 def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
                     tol: float = DEFAULT_TOL) -> DichotomyVerdict:
     """Test whether k coalition members playing a named corner profile succeed."""
@@ -555,7 +554,7 @@ def dichotomy_check(setting: Setting, k: int, deviation: str, concept: str,
     if not 1 <= k <= setting.n:
         raise InvalidSetting(f"k must lie in [1, n], got {k}")
     strategy = CANONICAL_DEVIATIONS[deviation]
-    deltas = symmetric_deltas(setting, strategy, k, concept, truthful_baseline(setting, concept))
-    return DichotomyVerdict(
-        concept=concept, k=k, deviation_tested=deviation,
-        succeeded=symmetric_succeeds(setting, strategy, k, concept, tol), deltas=deltas)
+    [delta] = coalition_deltas(setting, concept, {strategy: k}).values()
+    size = winning_sizes(setting, concept, np.array(strategy.betas)[:, None], k, k, tol)[0]
+    return DichotomyVerdict(concept=concept, k=k, deviation_tested=deviation,
+                            succeeded=bool(size == k), deltas=(delta,) * k)

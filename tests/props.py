@@ -77,9 +77,29 @@ def tiny_loss_table_rule(rng: np.random.Generator, prior: cl.BinaryPrior,
     intercepts put that corner's surplus (d_h or d_l) log-uniform in [1e-4, 1].
     The other corner's loss has the drawn slope's sign, positive here.
     """
-    q_h, q_l = prior.p_hh, prior.p_hl
     loss = float(rng.uniform(0.05, 1.0)) * tol
-    surplus = float(10.0 ** rng.uniform(-4.0, 0.0))
+    return _corner_table_rule(rng, prior, loss, float(10.0 ** rng.uniform(-4.0, 0.0)))
+
+
+def tiny_surplus_table_rule(rng: np.random.Generator, prior: cl.BinaryPrior,
+                            tol: float = cl.DEFAULT_TOL) -> cl.TableRule:
+    """A table rule whose corner surplus (d_h or d_l) is drawn in (tol, 3*tol].
+
+    So that corner coalition's ex-ante gain, Pr(l) * d_h or Pr(h) * d_l,
+    falls on either side of tol, and its per-type gain, the discounted
+    surplus, too.  The single deviator's loss at that corner is the surplus
+    times a ratio log-uniform in [1e-4, 1], so that the side binds.
+    """
+    surplus = (3.0 - float(rng.uniform(0.0, 2.0))) * tol
+    return _corner_table_rule(rng, prior, surplus * float(10.0 ** rng.uniform(-4.0, 0.0)),
+                              surplus)
+
+
+def _corner_table_rule(rng: np.random.Generator, prior: cl.BinaryPrior, loss: float,
+                       surplus: float) -> cl.TableRule:
+    """A table rule whose single deviator at a drawn corner loses ``loss`` and whose
+    surplus at that corner is ``surplus``, built as ``tiny_loss_table_rule`` says."""
+    q_h, q_l = prior.p_hh, prior.p_hl
     free = float(rng.uniform(0.5, 2.0))
     intercept = float(rng.uniform(-1.0, 1.0))
     if rng.random() < 0.5:  # e_l = loss, d_h = surplus
@@ -372,10 +392,18 @@ def snap_scalar(x: float, tol: float) -> float:
     return float(nearest) if abs(x - nearest) <= tol else x
 
 
-def step_scalar(n: int, ratio: float, interim: bool, tol: float) -> int:
-    """A side's size at n: max(1, floor(x) + 1) ex ante, max(1, ceil(x)) per type."""
+def step_scalar(n: int, ratio: float, ceil: bool, tol: float) -> int:
+    """A side's size at n: max(1, floor(x) + 1), or max(1, ceil(x)) where ``ceil``."""
     scaled = snap_scalar((n - 1) * ratio, tol)
-    return max(1, math.ceil(scaled) if interim else math.floor(scaled) + 1)
+    return max(1, math.ceil(scaled) if ceil else math.floor(scaled) + 1)
+
+
+def gains(x: float, tol: float) -> bool:
+    """Whether a coalition's gain A is a strict gain once the success rule's one
+    tolerance test (``thresholds._negligible``) has read it."""
+    from collusion_lab.thresholds import _negligible
+
+    return not _negligible(x, tol) and x > 0
 
 
 def _gaps_per_setting(prior: cl.BinaryPrior, scores: tuple) -> tuple:
@@ -385,11 +413,14 @@ def _gaps_per_setting(prior: cl.BinaryPrior, scores: tuple) -> tuple:
     return e_l, e_h, s_hh - s_lh, s_ll - s_hl
 
 
-def _side_per_setting(n: int, num: float, den: float, interim: bool, tol: float):
-    if den <= tol:
+def _side_per_setting(n: int, num: float, den: float, gain: float, other: float,
+                      tol: float):
+    """A side's (size, ratio), or None where its corner's ``gain`` is not one; the
+    ceiling step where the corner's ``other`` type gains (``gains``)."""
+    if not gains(gain, tol):
         return None
     ratio = num / den
-    return step_scalar(n, ratio, interim, tol), ratio
+    return step_scalar(n, ratio, gains(other, tol), tol), ratio
 
 
 def report_per_setting(setting: cl.Setting, concept: str,
@@ -397,12 +428,18 @@ def report_per_setting(setting: cl.Setting, concept: str,
     """One concept's report recomputed from ``four_scores`` for this setting alone."""
     e_l, e_h, d_h, d_l = _gaps_per_setting(setting.prior,
                                            cl.four_scores(setting.rule, setting.prior))
-    interim = concept == cl.BAYESIAN
-    if interim:
-        d_h, d_l = setting.prior.p_ll * d_h, setting.prior.p_hh * d_l
+    prior = setting.prior
+    if concept == cl.BAYESIAN:
+        # each side's gain is the discounted surplus of the type the corner misreports;
+        # the other type gains the surplus against a fellow member who misreports
+        other_h, other_l = prior.p_lh * d_h, prior.p_hl * d_l
+        d_h, d_l = prior.p_ll * d_h, prior.p_hh * d_l
+        gain_h, gain_l = d_h, d_l
+    else:  # the corner coalition's gain: the surplus against a peer who reports the other way
+        gain_h, gain_l, other_h, other_l = prior.p_l * d_h, prior.p_h * d_l, 0.0, 0.0
     n = setting.n
-    side_h = _side_per_setting(n, e_l, d_h, interim, tol)
-    side_l = _side_per_setting(n, e_h, d_l, interim, tol)
+    side_h = _side_per_setting(n, e_l, d_h, gain_h, other_h, tol)
+    side_l = _side_per_setting(n, e_h, d_l, gain_l, other_l, tol)
     k_h, ratio_h = side_h or (n, None)
     k_l, ratio_l = side_l or (n, None)
     return cl.ThresholdReport(
@@ -418,7 +455,7 @@ def liar_threshold_per_setting(setting: cl.Setting, tol: float = cl.DEFAULT_TOL)
     num = prior.p_h * e_h + prior.p_l * e_l
     den = (prior.p_h * (prior.p_hh - prior.p_lh) * d_l
            + prior.p_l * (prior.p_ll - prior.p_hl) * d_h)
-    side = _side_per_setting(setting.n, num, den, False, tol)
+    side = _side_per_setting(setting.n, num, den, den, 0.0, tol)
     return math.inf if side is None else side[0]
 
 
@@ -738,8 +775,9 @@ def check_steps_match_scalar(seed: int = 6161, priors: int = 10, tables: int = 6
                     report = table.report(concept, 2)
                     ratios = [math.nan if r is None else r
                               for r in (report.ratio_h, report.ratio_l)]
-                    want = [[n if math.isnan(r) else step_scalar(n, r, concept == cl.BAYESIAN, tol)
-                             for n in ns] for r in ratios]
+                    ceils = (table.ceil[2:] if concept == cl.BAYESIAN else table.ceil[:2]).ravel()
+                    want = [[n if math.isnan(r) else step_scalar(n, r, ceil, tol) for n in ns]
+                            for r, ceil in zip(ratios, ceils.tolist())]
                     want.append([min(h, l, n) for h, l, n in zip(*want, ns)])
                     ks = table.k(concept, column)
                     assert [k.tolist() for k in ks] == want, (rule, table.prior, tol, concept)
@@ -764,7 +802,7 @@ def check_steps_match_scalar(seed: int = 6161, priors: int = 10, tables: int = 6
 
 def check_stacked_steps(seed: int = 6262, priors: int = 8, tables: int = 4) -> dict:
     """``threshold_columns``' one ``_steps`` call over the four stacked sides equals
-    four per-side calls bit for bit, each side's kind (ex ante or per type) its own.
+    four per-side calls bit for bit, each side's step (``ceil``) its own.
 
     Brier, log, an infinite-side table rule and ``tables`` random table rules on
     ``priors`` seeded priors, each table's ratio rows against the
@@ -775,18 +813,17 @@ def check_stacked_steps(seed: int = 6262, priors: int = 8, tables: int = 4) -> d
     """
     from collusion_lab.thresholds import ThresholdTable, _steps, price_priors, threshold_columns
 
-    def per_side(n, ratios, tol):
-        e_h, e_l, b_h, b_l = (_steps(n, ratio, interim, tol)
-                              for ratio, interim in zip(ratios, (False, False, True, True)))
+    def per_side(n, ratios, ceils, tol):
+        e_h, e_l, b_h, b_l = (_steps(n, ratio, ceil, tol) for ratio, ceil in zip(ratios, ceils))
         return (e_h, e_l, np.minimum(np.minimum(e_h, e_l), n),
                 b_h, b_l, np.minimum(np.minimum(b_h, b_l), n))
 
     seen = {"infinite_side": 0, "int64": 0, "python_ints": 0}
 
-    def check(n, ratios, tol):
-        stacked = threshold_columns(n, ratios, tol)
-        assert [k.tolist() for k in stacked] == [k.tolist() for k in per_side(n, ratios, tol)], \
-            (n, ratios, tol)
+    def check(n, ratios, ceils, tol):
+        stacked = threshold_columns(n, ratios, ceils, tol)
+        want = per_side(n, ratios, ceils, tol)
+        assert [k.tolist() for k in stacked] == [k.tolist() for k in want], (n, ratios, tol)
         seen["infinite_side"] += int(np.isnan(ratios).any())
         seen["python_ints" if stacked[0].dtype == object else "int64"] += 1
 
@@ -798,15 +835,17 @@ def check_stacked_steps(seed: int = 6262, priors: int = 8, tables: int = 4) -> d
     for tol in (1e-9, 1e-3):
         for rule in rules:
             for _ in range(priors):
-                check(column, ThresholdTable(random_prior(rng), rule, tol).ratios, tol)
+                table = ThresholdTable(random_prior(rng), rule, tol)
+                check(column, table.ratios, table.ceil, tol)
             p_h, p_hh = rng.uniform(0.0, 1.0, size=(2, 200))
-            _, _, ratios = price_priors(p_h, p_hh, rule, tol)
+            _, _, ratios, ceils = price_priors(p_h, p_hh, rule, tol)
             for n in (2, 1000, 2 ** 62):
-                check(n, ratios, tol)
+                check(n, ratios, ceils, tol)
         for scale in (1.0, 2.0 ** 20, 2.0 ** 40):
             ratios = rng.uniform(-0.1, 1.0, size=(4, len(column))) * scale
             ratios[rng.random(ratios.shape) < 0.2] = np.nan
-            check(column, ratios, tol)
+            # ex-ante rows floor + 1, per-type rows the ceiling
+            check(column, ratios, np.array([[False], [False], [True], [True]]), tol)
     assert min(seen.values()) > 0, seen
     return seen
 
@@ -1627,6 +1666,22 @@ def smallest_winning_size(k: int, components) -> int | None:
     return best
 
 
+def truthful_base(setting: cl.Setting, concept: str):
+    """The truthful utility a delta is measured against: a float ex ante, (low, high) per type."""
+    if concept == cl.EX_ANTE:
+        return cl.truthful_ex_ante(setting)
+    return cl.truthful_interim(setting, cl.LOW), cl.truthful_interim(setting, cl.HIGH)
+
+
+def symmetric_delta(setting: cl.Setting, strat: cl.Strategy, size: int, concept: str, base):
+    """One member's delta in a size-``size`` coalition sharing ``strat``, by ``member_utility``:
+    its peers are size - 1 fellow members, then n - size truthful agents."""
+    peers = ((size - 1, strat), (setting.n - size, cl.TRUTHFUL_STRATEGY))
+    if concept == cl.EX_ANTE:
+        return cl.member_utility(setting, strat, peers) - base
+    return tuple(cl.member_utility(setting, strat, peers, s) - b for s, b in zip(SIGNALS, base))
+
+
 def delta_tests(n: int, term, tol: float) -> tuple:
     """A component's (delta >= -tol, delta > tol) tests on the size, from (member, truthful, base)."""
     p_member, p_truthful, base = term
@@ -1644,9 +1699,7 @@ def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
     (``deviation_succeeds``'s +-tol).  The smallest winning size, first
     strategy among ties.
     """
-    from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
-
-    base = truthful_baseline(setting, concept)
+    base = truthful_base(setting, concept)
     prior, table, n = setting.prior, setting.scores, setting.n
     winner = None  # (size, strategy)
     for strat in setting_strategy_grid(grid_steps):
@@ -1666,7 +1719,7 @@ def setting_falsifier_by_bisection(setting: cl.Setting, k: int, concept: str,
     return cl.DeviationCertificate(
         concept=concept, coalition=tuple(range(size)),
         strategies=(strat.rows,) * size,
-        deltas=symmetric_deltas(setting, strat, size, concept, base), tolerance=tol)
+        deltas=(symmetric_delta(setting, strat, size, concept, base),) * size, tolerance=tol)
 
 
 def kernel_rules(rng: np.random.Generator, tables: int = 4) -> list[cl.ScoringRule]:
@@ -1765,14 +1818,14 @@ def search_matches_oracle(oracle, setting: cl.Setting, k: int, concept: str, gri
                           label=None) -> str:
     """``find_setting_deviation`` against ``oracle``.
 
-    The search returns what the oracle returns: an equal certificate (the
-    dict compares every field, deltas as floats) or the same None.  Returns
-    "none" or "found".
+    The search returns what the oracle returns: an equal certificate
+    (dataclass equality: every field, deltas as floats) or the same None.
+    Returns "none" or "found".
     """
-    fast = search_outcome(cl.find_setting_deviation, setting, k, concept, grid_steps=grid_steps)
+    fast = cl.find_setting_deviation(setting, k, concept, grid_steps=grid_steps)
     label = label or (setting, k, concept, grid_steps)
-    assert fast == search_outcome(oracle, setting, k, concept, grid_steps=grid_steps), label
-    return "none" if fast[1] is None else "found"
+    assert fast == oracle(setting, k, concept, grid_steps=grid_steps), label
+    return "none" if fast is None else "found"
 
 
 def check_setting_falsifier_matches_bisection(seed: int = 9090, cases: int = 10_000) -> dict:
@@ -1794,21 +1847,21 @@ def setting_falsifier_by_size(setting: cl.Setting, k: int, concept: str,
                               grid_steps: int = 11, tol: float = cl.DEFAULT_TOL):
     """The setting falsifier as a plain loop: every grid strategy at size 1, then 2, ...
 
-    Returns the first certificate that succeeds (``deviation_succeeds``).
+    Returns the first certificate that succeeds (``deviation_succeeds``).  The
+    members share one strategy, so one member's delta decides for all of them.
     """
-    from collusion_lab.thresholds import (
-        deviation_succeeds, symmetric_deltas, truthful_baseline)
+    from collusion_lab.thresholds import deviation_succeeds
 
     strategies = setting_strategy_grid(grid_steps)
-    base = truthful_baseline(setting, concept)
+    base = truthful_base(setting, concept)
     for size in range(1, k + 1):
         for strat in strategies:
-            deltas = symmetric_deltas(setting, strat, size, concept, base)
-            if deviation_succeeds(concept, deltas, tol):
+            delta = symmetric_delta(setting, strat, size, concept, base)
+            if deviation_succeeds(concept, (delta,), tol):
                 return cl.DeviationCertificate(
                     concept=concept, coalition=tuple(range(size)),
                     strategies=(strat.rows,) * size,
-                    deltas=deltas, tolerance=tol)
+                    deltas=(delta,) * size, tolerance=tol)
     return None
 
 
@@ -1842,9 +1895,7 @@ def utility_by_profile_roles(setting: cl.Setting, profile: cl.DeviationProfile, 
 def profile_deltas(setting: cl.Setting, profile: cl.DeviationProfile, concept: str,
                    utility) -> list:
     """Every deviator's delta through ``utility(setting, profile, i[, s])``."""
-    from collusion_lab.thresholds import truthful_baseline
-
-    base = truthful_baseline(setting, concept)
+    base = truthful_base(setting, concept)
     if concept == cl.EX_ANTE:
         return [utility(setting, profile, i) - base for i in range(profile.k)]
     return [(utility(setting, profile, i, cl.LOW) - base[0],
@@ -1854,15 +1905,16 @@ def profile_deltas(setting: cl.Setting, profile: cl.DeviationProfile, concept: s
 def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120) -> None:
     """Grouped deltas are the floats of the profile path, compared with ==.
 
-    ``symmetric_deltas`` (k-1 fellow members and n-k truthful peers) and the
-    deltas ``verify_setting_certificate`` recomputes for mixed certificates
-    against ``ex_ante_utility``/``interim_utility`` on an explicit
+    ``coalition_deltas`` of a coalition sharing one strategy (k-1 fellow
+    members and n-k truthful peers) and the deltas
+    ``verify_setting_certificate`` recomputes for mixed certificates against
+    ``ex_ante_utility``/``interim_utility`` on an explicit
     ``DeviationProfile`` and against ``utility_by_profile_roles``.  Sizes
     include k = 1 and k = n; strategy pools include the truthful strategy,
     the corners and two rows that read as one strategy.
     """
     from collusion_lab.checker import _setting_certificate_deltas
-    from collusion_lab.thresholds import symmetric_deltas, truthful_baseline
+    from collusion_lab.thresholds import coalition_deltas
 
     rng = np.random.default_rng(seed)
     for sample in range(samples):
@@ -1879,8 +1931,8 @@ def check_grouped_deltas_match_profile_path(seed: int = 2121, samples: int = 120
         want = profile_deltas(setting, profile, concept, cl.ex_ante_utility
                               if concept == cl.EX_ANTE else cl.interim_utility)
         assert want == profile_deltas(setting, profile, concept, utility_by_profile_roles)
-        got = symmetric_deltas(setting, strat, k, concept, truthful_baseline(setting, concept))
-        assert list(got) == want, label
+        got = coalition_deltas(setting, concept, {strat: k})
+        assert [got[strat]] * k == want and list(got) == [strat], label
 
         picks = [pool[int(j)] for j in rng.integers(0, len(pool), size=k)]
         rows = [p.rows for p in picks]
@@ -1967,11 +2019,14 @@ def exact_winning_size(gaps, n: int, k: int, tol: float = cl.DEFAULT_TOL) -> int
     """The smallest winning size in [1, k] from ``exact_gaps``, exactly.
 
     At each size the bisection reads, the exact sign of (s-1)*A + (n-1)*B:
-    >= 0 weak, > 0 strict, in integers, with A read as 0 where |A| <= tol.
+    >= 0 weak, > 0 strict, in integers, with A read as 0 where the success
+    rule's one gain test (``thresholds._negligible``) reads it so.
     """
+    from collusion_lab.thresholds import _negligible
+
     components = []
     for a, b in gaps:
-        a = Fraction(0) if abs(a) <= tol else a
+        a = Fraction(0) if _negligible(a, tol) else a
         # the sign of (s-1)*a + (n-1)*b, both denominators positive
         x, y = a.numerator * b.denominator, (n - 1) * b.numerator * a.denominator
         components.append(((lambda t, x=x, y=y: (t - 1) * x + y >= 0),
@@ -2010,36 +2065,56 @@ def check_rule_matches_exact_oracle(seed: int = 1717, settings: int = 18) -> int
     return compared
 
 
-def check_rule_ladder(seed: int = 3131, priors: int = 440, grid_steps: int = 11) -> dict:
+def check_rule_ladder(seed: int = 3131, priors: int = 440, grid_steps: int = 11,
+                      surplus_priors: int = 40) -> dict:
     """The rule agrees with ``ThresholdTable`` at every n = 10^1..10^11.
 
     Brier, log, table and tiny-loss table rules (``tiny_loss_table_rule``)
-    at seeded priors, both concepts: over the grid, no strategy wins at a
-    size <= ``ThresholdTable``'s k, and when k < n the smallest winning size
-    within k + 1 is k + 1, sizes only, no certificate built.  Settings where
-    a single deviator already wins (table rules that are not proper) are
-    skipped.  Returns how many (setting, n) were checked and skipped.
+    at seeded priors, then ``surplus_priors`` tiny-surplus table rules
+    (``tiny_surplus_table_rule``) at each of tol 1e-9 and 1e-3, both
+    concepts: over the grid, no strategy wins at a size <= ``ThresholdTable``'s
+    k, and when k < n the smallest winning size within k + 1 is k + 1, sizes
+    only, no certificate built.  Settings where a single deviator already
+    wins (table rules that are not proper) are skipped.  Returns how many
+    (setting, n) were checked and skipped, how many of the checked ones had
+    a tiny-surplus rule, and how many tiny-surplus tables have an ex-ante
+    side that is infinite although its surplus exceeds tol (its gain does not).
     """
     from collusion_lab.checker import _grid_lanes
     from collusion_lab.thresholds import ThresholdTable, winning_sizes
 
     rng = np.random.default_rng(seed)
     lanes = _grid_lanes(grid_steps, 0, grid_steps ** 2 - 1)
-    seen = {"checked": 0, "skipped": 0}
+    seen = {"checked": 0, "skipped": 0, "tiny_surplus": 0, "gain_within_tol": 0}
+
+    def ladder(prior: cl.BinaryPrior, rule: cl.ScoringRule, tol: float) -> ThresholdTable:
+        table = ThresholdTable(prior, rule, tol)
+        for concept, e in itertools.product(cl.CONCEPTS, range(1, 12)):
+            setting = cl.make_setting(10 ** e, rule, prior=prior)
+            n, k = setting.n, table.k(concept, setting.n)[2]
+            smallest = int(winning_sizes(setting, concept, lanes, 1, min(k + 1, n), tol).min())
+            if smallest == 1:
+                seen["skipped"] += 1
+                continue
+            assert smallest == (k + 1 if k < n else n + 1), (
+                rule, prior, tol, concept, n, k, smallest)
+            seen["checked"] += 1
+        return table
+
     for case in range(priors):
         prior = random_prior(rng)
         rule = (cl.BrierRule, cl.LogRule, lambda: random_table_rule(rng),
                 lambda: tiny_loss_table_rule(rng, prior))[case % 4]()
-        table = ThresholdTable(prior, rule)
-        for concept, e in itertools.product(cl.CONCEPTS, range(1, 12)):
-            setting = cl.make_setting(10 ** e, rule, prior=prior)
-            n, k = setting.n, table.k(concept, setting.n)[2]
-            smallest = int(winning_sizes(setting, concept, lanes, 1, min(k + 1, n)).min())
-            if smallest == 1:
-                seen["skipped"] += 1
-                continue
-            assert smallest == (k + 1 if k < n else n + 1), (rule, prior, concept, n, k, smallest)
-            seen["checked"] += 1
+        ladder(prior, rule, cl.DEFAULT_TOL)
+    for tol in (1e-9, 1e-3):
+        for _ in range(surplus_priors):
+            prior = random_prior(rng)
+            checked = seen["checked"]
+            table = ladder(prior, tiny_surplus_table_rule(rng, prior, tol), tol)
+            seen["tiny_surplus"] += seen["checked"] - checked
+            (_, _, ratio_h), (_, _, ratio_l) = table.sides[cl.EX_ANTE]
+            seen["gain_within_tol"] += ((math.isnan(ratio_h) and table.d_h > tol)
+                                        or (math.isnan(ratio_l) and table.d_l > tol))
     return seen
 
 

@@ -699,26 +699,21 @@ class TestSettingFalsifier:
     def test_verifier_judges_one_strategy_by_the_rule(self):
         # a 70,329-member all-h certificate whose low type loses 1.37e-10: the deltas
         # pass the +-tol test, but the rule (and k_B = 70,329) says it fails
-        from collusion_lab.thresholds import (
-            deviation_succeeds, member_delta, symmetric_deltas, truthful_baseline)
+        from collusion_lab.thresholds import coalition_deltas, deviation_succeeds
         setting = cl.make_setting(10 ** 5, cl.LogRule(),
                                   prior=cl.make_prior(0.6788097570305401, 0.879370535781421))
-        base = truthful_baseline(setting, "bayesian")
         for k, holds in ((70_329, False), (70_330, True)):
-            deltas = symmetric_deltas(setting, cl.ALL_H, k, "bayesian", base)
+            deltas = (coalition_deltas(setting, "bayesian", {cl.ALL_H: k})[cl.ALL_H],) * k
             assert deviation_succeeds("bayesian", deltas, cl.DEFAULT_TOL)
             cert = cl.DeviationCertificate("bayesian", tuple(range(k)), (cl.ALL_H.rows,) * k,
                                            deltas, cl.DEFAULT_TOL)
             assert cl.verify_setting_certificate(setting, cert) is holds
             # two members on another strategy: the deltas' test decides, as for any mix
             mixed_rows = (cl.ALL_H.rows,) * (k - 2) + (cl.ALL_L.rows,) * 2
-            peers = [(k - 3, cl.ALL_H), (2, cl.ALL_L), (setting.n - k, cl.TRUTHFUL_STRATEGY)]
+            mix = coalition_deltas(setting, "bayesian", {cl.ALL_H: k - 2, cl.ALL_L: 2})
             mixed = cl.DeviationCertificate(
                 "bayesian", tuple(range(k)), mixed_rows,
-                (member_delta(setting, cl.ALL_H, peers, "bayesian", base),) * (k - 2)
-                + (member_delta(setting, cl.ALL_L,
-                                   [(k - 2, cl.ALL_H), (1, cl.ALL_L), peers[2]],
-                                   "bayesian", base),) * 2, cl.DEFAULT_TOL)
+                (mix[cl.ALL_H],) * (k - 2) + (mix[cl.ALL_L],) * 2, cl.DEFAULT_TOL)
             assert cl.verify_setting_certificate(setting, mixed) is deviation_succeeds(
                 "bayesian", mixed.deltas, cl.DEFAULT_TOL)
 

@@ -271,6 +271,37 @@ class TestFalsifyCommand:
             cfg["prior"]["p_h"], cfg["prior"]["p_h_given_h"]))
         assert cl.verify_setting_certificate(setting, cert)
 
+    # a table rule at n = 10^4 whose all-h surplus d_h = 2.0e-9 is just above the tolerance
+    # while the all-h coalition's ex-ante gain Pr(l) * d_h = 6.7e-10 is within it: ex ante
+    # no all-h coalition gains, so k_E is the all-l side's 4000; per type the low type's
+    # gain Pr(l|l) * d_h = 1.2e-9 counts, so k_B is the all-h side's 9
+    TINY_SURPLUS = {
+        "n": 10_000,
+        "rule": {"rule": "table", "h": [-0.9999999999999991, 2.4999999999999987],
+                 "l": [2.333333331336666, -1.666666666670833]},
+        "prior": {"p_h": 0.6666666666666666, "p_h_given_h": 0.8}}
+
+    @pytest.mark.parametrize("concept,k_star", [("ex_ante", 4000), ("bayesian", 9)])
+    def test_tiny_surplus_follows_thresholds(self, tmp_path, capsys, concept, k_star):
+        cfg = self.TINY_SURPLUS
+        code, out = run(capsys, ["thresholds", "--config", write_config(tmp_path, cfg)])
+        assert code == 0 and json.loads(out)[concept]["k"] == k_star
+        path = write_config(tmp_path, dict(cfg, concept=concept))
+        for grid_steps in ("11", "101"):
+            code, out = run(capsys, ["falsify", "--config", path, "--k", str(k_star),
+                                     "--grid-steps", grid_steps])
+            assert code == 1 and json.loads(out)["found"] is False
+        code, out = run(capsys, ["falsify", "--config", path, "--k", str(k_star + 1)])
+        assert code == 0
+        cert = cl.DeviationCertificate.from_dict(json.loads(out)["certificate"])
+        assert len(cert.coalition) == k_star + 1
+        setting = cl.make_setting(cfg["n"], cl.rule_from_config(cfg["rule"]), prior=cl.make_prior(
+            cfg["prior"]["p_h"], cfg["prior"]["p_h_given_h"]))
+        assert cl.verify_setting_certificate(setting, cert)
+        for k in (k_star, k_star + 1):  # the corners' dichotomy checks agree
+            assert any(cl.dichotomy_check(setting, k, deviation, concept).succeeded
+                       for deviation in ("all_h", "all_l")) is (k > k_star)
+
 
 def test_closed_stdout_ends_quietly(tmp_path):
     # a reader that stops after 100 bytes of a ~400 KB certificate, as `| head -c 100`

@@ -220,19 +220,23 @@ class TestNZero:
         assert props.n_zero_by_six_solves(prior, rule, 0.0625) == 282
         assert props.n_zero_by_search(prior, rule, 0.0625) == 282
 
-    def test_condition_solve_at_exact_boundary(self):
+    @staticmethod
+    def _first_n(c: float, bound: float, strict: bool) -> int:
+        """``thresholds._first_n`` on a one-element column: n, or 0 where none."""
         from collusion_lab.thresholds import _first_n
+        return _first_n(np.array([c]), np.array([bound]), np.array([strict])).item()
+
+    def test_condition_solve_at_exact_boundary(self):
         # n - 1 = c/bound = 12 exactly: 3/12 < 1/4 fails at n = 13, 3/12 <= 1/4 holds
-        assert _first_n(3.0, 0.25, strict=True) == 14
-        assert _first_n(3.0, 0.25, strict=False) == 13
-        assert _first_n(-1.0, 0.25, strict=True) == 2
-        assert _first_n(1.0, 0.0, strict=True) is None
-        assert _first_n(2.0 ** 63, 1.0, strict=False) is None
+        assert self._first_n(3.0, 0.25, strict=True) == 14
+        assert self._first_n(3.0, 0.25, strict=False) == 13
+        assert self._first_n(-1.0, 0.25, strict=True) == 2
+        assert self._first_n(1.0, 0.0, strict=True) == 0
+        assert self._first_n(2.0 ** 63, 1.0, strict=False) == 0
 
     def test_condition_solve_beyond_float_integers(self):
         # above 2**53 neighbouring n - 1 share a float; the answer must still
         # be the smallest integer n at which the float comparison holds
-        from collusion_lab.thresholds import _first_n
         rng = np.random.default_rng(53)
         for _ in range(300):
             c = float(rng.uniform(0.5, 2.0))
@@ -246,7 +250,7 @@ class TestNZero:
             while lo < hi:
                 mid = (lo + hi) // 2
                 lo, hi = (lo, mid) if holds(mid) else (mid + 1, hi)
-            assert _first_n(c, bound, strict) == lo, (c, bound, strict)
+            assert self._first_n(c, bound, strict) == lo, (c, bound, strict)
 
 
 class TestLiarThreshold:
@@ -333,6 +337,24 @@ class TestSuccessRule:
     def test_agrees_with_threshold_table_at_every_n(self):
         seen = props.check_rule_ladder()
         assert seen["checked"] >= 4000, seen
+        # tiny-surplus rules, some with an ex-ante side infinite by its gain, not its surplus
+        assert seen["tiny_surplus"] >= 1500 and seen["gain_within_tol"] >= 20, seen
+
+    def test_per_type_step_reads_the_other_types_gain(self):
+        # at tol 1e-3 the all-l corner's high type gains Pr(h|h) * d_l = 1.8e-3 and its low
+        # type Pr(h|l) * d_l = 3.1e-4, within tol: at x = 100 * ratio_l = 9.0004, snapped to 9,
+        # the high type's zero delta has no strict gain beside it, so k_B is 10, not 9
+        setting = cl.make_setting(
+            101, cl.TableRule(0.6299676141934342, 0.3727392344080809, 0.8820019504852037,
+                              -1.418776706247968),
+            prior=cl.make_prior(0.40141302241794935, 0.7920785140702296))
+        tol = 1e-3
+        assert cl.k_bayesian(setting, tol).k == 10
+        assert cl.find_setting_deviation(setting, 10, "bayesian", tol=tol) is None
+        cert = cl.find_setting_deviation(setting, 11, "bayesian", tol=tol)
+        assert len(cert.coalition) == 11 and cert.strategies[0] == cl.ALL_L.rows
+        assert [cl.dichotomy_check(setting, k, "all_l", "bayesian", tol).succeeded
+                for k in (10, 11)] == [False, True]
 
     def test_matches_exact_oracle(self):
         assert props.check_rule_matches_exact_oracle() >= 30_000
@@ -385,7 +407,7 @@ class TestSuccessRule:
         # from hi 2^62 on the interval ends are Python ints; below it the sizes
         # are those of the int64 ends, and each is the first size that succeeds
         from collusion_lab.checker import _grid_lanes
-        from collusion_lab.thresholds import symmetric_succeeds, winning_sizes
+        from collusion_lab.thresholds import winning_sizes
         rng = np.random.default_rng(6262)
         lanes = _grid_lanes(5, 0, 24)
         for _ in range(6):
@@ -398,7 +420,6 @@ class TestSuccessRule:
             for lane, (b, s) in enumerate(zip(big.tolist(), small.tolist())):
                 assert b == s if s < 2 ** 62 else b >= 2 ** 62, (lane, b, s)
                 if b <= n:
-                    strategy = cl.Strategy(float(lanes[0][lane]), float(lanes[1][lane]))
-                    assert symmetric_succeeds(setting, strategy, b, concept)
-                    assert b == 1 or winning_sizes(
-                        setting, concept, tuple(x[lane:lane + 1] for x in lanes), 1, b - 1)[0] == b
+                    one = tuple(x[lane:lane + 1] for x in lanes)
+                    assert winning_sizes(setting, concept, one, b, b)[0] == b
+                    assert b == 1 or winning_sizes(setting, concept, one, 1, b - 1)[0] == b
