@@ -435,7 +435,10 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     average score against all n-1 peers, which depends only on its own
     report and the total h count; the truthful role's per-trial value is
     the mean payoff over the truthful agents.  Cost is O(trials * (k+1)),
-    not O(trials * n).
+    not O(trials * n).  A coalition sharing one strategy compares all its
+    draws against one report-probability column; otherwise a block makes
+    one column per deviator.  Each deviator's payoff is written in place:
+    the l payoff, then the h payoff where it reported h.
 
     Returns ``{role: {"mean", "stderr", "trials", "seed"}}`` with one role
     per deviator index plus ``"truthful"`` (when any non-deviator exists).
@@ -448,7 +451,9 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     scale changes no bit unless it pushes a value into the subnormal range.
     Deterministic for a fixed seed: each block draws from its own spawned
     random stream, so results do not depend on execution order, and no
-    memory grows with ``trials``.
+    memory grows with ``trials``.  Same seed, same bytes: the shared
+    column and the in-place payoffs change no draw and no float of the
+    result.
     """
     if setting.world_model is None:
         raise MissingWorldModel(
@@ -464,8 +469,13 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
     table = ScoreTable(*(math.ldexp(x, -e) for x in setting.scores))
     wm = setting.world_model
     free = n - k
-    beta_l = np.array([s.beta_l for s in profile.deviators])
-    beta_h = np.array([s.beta_h for s in profile.deviators])
+    # A coalition sharing one strategy gets one report-probability column, which
+    # every draw is compared against by broadcasting; otherwise one column per
+    # deviator.  Strategies equal up to the sign of a zero count as shared: a
+    # zero's sign cannot change `u < q` for a uniform u >= 0.
+    devs = profile.deviators[:1] if len(set(profile.deviators)) == 1 else profile.deviators
+    beta_l = np.array([s.beta_l for s in devs])
+    beta_h = np.array([s.beta_h for s in devs])
 
     roles = k + (free > 0)
     rows = min(max(_SIM_CELLS // roles, 1), _SIM_BLOCK)
@@ -480,15 +490,17 @@ def simulate(setting: Setting, profile: DeviationProfile, trials: int, seed: int
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
         p_h = np.where(rng.random(size) >= wm.p_state[0],
                        wm.p_h_given_state[1], wm.p_h_given_state[0])
-        reports_h = rng.random((size, k)) < (p_h[:, None] * beta_h
-                                             + (1.0 - p_h)[:, None] * beta_l)
+        p_report = p_h[:, None] * beta_h + (1.0 - p_h)[:, None] * beta_l
+        reports_h = rng.random((size, k)) < p_report
+        del p_report  # not held while this block's payoffs and the next block's columns exist
         truthful_h = rng.binomial(free, p_h) if free else 0
         total_h = reports_h.sum(axis=1) + truthful_h
         pay_h = ((total_h - 1) * table.s_hh + (n - total_h) * table.s_lh) / (n - 1)
         pay_l = (total_h * table.s_hl + (n - 1 - total_h) * table.s_ll) / (n - 1)
 
         payoffs = np.empty((size, roles))
-        payoffs[:, :k] = np.where(reports_h, pay_h[:, None], pay_l[:, None])
+        payoffs[:, :k] = pay_l[:, None]
+        np.copyto(payoffs[:, :k], pay_h[:, None], where=reports_h)
         if free:
             payoffs[:, k] = (truthful_h * pay_h + (free - truthful_h) * pay_l) / free
         np.minimum(lo, payoffs.min(axis=0), out=lo)

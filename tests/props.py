@@ -2295,3 +2295,106 @@ def check_n_zero_matches_six_solves(seed: int = 1414, cases: int = 6000) -> dict
             kinds["none" if got is None else "finite"] += 1
     assert min(kinds.values()) >= cases // 100, kinds
     return kinds
+
+
+# ---------------------------------------------------------------------------
+# simulate: the per-cell block as an oracle
+# ---------------------------------------------------------------------------
+
+# ``simulate`` as it ran when each block made a report probability for every
+# (trial, deviator) cell and picked each deviator's payoff with ``np.where``,
+# kept as the oracle of the per-strategy columns and the in-place payoffs.
+# The block size (4096 trials, about 2^20 cells) is written out here, so a
+# change to it fails the comparison too.
+
+def simulate_per_cell(setting: cl.Setting, profile: cl.DeviationProfile, trials: int,
+                      seed: int) -> dict:
+    """``simulate``'s result for a valid call, with every report probability its own cell."""
+    k, n = profile.k, setting.n
+    e = math.frexp(max(map(abs, setting.scores)))[1]
+    s_hh, s_lh, s_hl, s_ll = (math.ldexp(x, -e) for x in setting.scores)
+    wm = setting.world_model
+    free = n - k
+    beta_l = np.array([s.beta_l for s in profile.deviators])
+    beta_h = np.array([s.beta_h for s in profile.deviators])
+
+    roles = k + (free > 0)
+    rows = min(max(2 ** 20 // roles, 1), 4096)
+    done = 0
+    mean = np.zeros(roles)
+    m2 = np.zeros(roles)
+    lo = np.full(roles, np.inf)
+    hi = np.full(roles, -np.inf)
+    for block in range(-(-trials // rows)):
+        size = min(rows, trials - done)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+        p_h = np.where(rng.random(size) >= wm.p_state[0],
+                       wm.p_h_given_state[1], wm.p_h_given_state[0])
+        reports_h = rng.random((size, k)) < (p_h[:, None] * beta_h
+                                             + (1.0 - p_h)[:, None] * beta_l)
+        truthful_h = rng.binomial(free, p_h) if free else 0
+        total_h = reports_h.sum(axis=1) + truthful_h
+        pay_h = ((total_h - 1) * s_hh + (n - total_h) * s_lh) / (n - 1)
+        pay_l = (total_h * s_hl + (n - 1 - total_h) * s_ll) / (n - 1)
+
+        payoffs = np.empty((size, roles))
+        payoffs[:, :k] = np.where(reports_h, pay_h[:, None], pay_l[:, None])
+        if free:
+            payoffs[:, k] = (truthful_h * pay_h + (free - truthful_h) * pay_l) / free
+        np.minimum(lo, payoffs.min(axis=0), out=lo)
+        np.maximum(hi, payoffs.max(axis=0), out=hi)
+        block_mean = payoffs.mean(axis=0)
+        payoffs -= block_mean
+        block_m2 = np.einsum("ij,ij->j", payoffs, payoffs)
+        delta = block_mean - mean
+        total = done + size
+        mean += delta * (size / total)
+        m2 += block_m2 + delta * delta * (done * size / total)
+        done = total
+
+    def _stats(j: int) -> dict:
+        if lo[j] == hi[j]:
+            return {"mean": math.ldexp(lo[j], e), "stderr": 0.0, "trials": trials, "seed": seed}
+        stderr = math.sqrt(m2[j] / (trials - 1) / trials)
+        return {"mean": math.ldexp(mean[j], e), "stderr": math.ldexp(stderr, e),
+                "trials": trials, "seed": seed}
+
+    out = {f"deviator_{idx}": _stats(idx) for idx in range(k)}
+    if free:
+        out["truthful"] = _stats(k)
+    return out
+
+
+def simulate_oracle_cases(seed: int = 2626, count: int = 60) -> list[tuple]:
+    """Seeded (setting, profile, trials, seed) calls of ``simulate``.
+
+    Profiles cycle through one shared strategy, all strategies distinct and
+    a mix of four with 0.0, -0.0 and 1.0 among their betas, two of which
+    differ only in a zero's sign (a strategy ``simulate`` groups); every
+    fifth case has k = n, so no truthful role.  Rules cycle through Brier,
+    log and a table rule at 1e200.  Trials are 1, a few hundred, or enough
+    for several blocks: 9000 at few roles, or 1500 at 2000 roles (524-trial
+    blocks).
+    """
+    rng = np.random.default_rng(seed)
+    rules = (cl.BrierRule(), cl.LogRule(), cl.TableRule(1e200, 0.0, -1e200, 0.0))
+    cases = []
+    for case in range(count):
+        wide = case % 10 == 9
+        n = 2000 if wide else int(rng.integers(2, 40))
+        k = n if case % 5 == 0 or wide else int(rng.integers(1, n + 1))
+        mix = (cl.Strategy(0.0, float(rng.uniform())), cl.Strategy(-0.0, 1.0),
+               cl.Strategy(0.0, 1.0), cl.Strategy(float(rng.uniform()), -0.0))
+        kind = case % 3
+        if kind == 0:
+            deviators = (mix[int(rng.integers(0, len(mix)))],) * k
+        elif kind == 1:
+            deviators = tuple(random_strategy(rng) for _ in range(k))
+        else:
+            deviators = tuple(mix[int(i)] for i in rng.integers(0, len(mix), size=k))
+        trials = 1500 if wide else int(rng.choice([1, 300, 9000]))
+        setting = cl.make_setting(n, rules[case % len(rules)],
+                                  world_model=random_world_model(rng))
+        cases.append((setting, cl.DeviationProfile(deviators), trials,
+                      int(rng.integers(0, 2 ** 63))))
+    return cases

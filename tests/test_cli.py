@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -340,6 +341,37 @@ class TestSimulateCommand:
         assert set(payload) == {"deviator_0", "truthful"}
         for role in payload.values():
             assert role["trials"] == 2000 and role["seed"] == 11
+
+    PIN_WM = {"p_state": [0.45, 0.55], "p_h_given_state": [0.25, 0.75]}
+    #: The numpy version PINNED's digests were recorded with.
+    PIN_NUMPY = "2.4.6"
+    #: (config, SHA-256 of its stdout): n/4 identical deviators over two
+    #: blocks, 24 distinct deviators, and no deviators (one truthful member).
+    PINNED = {
+        "identical": ({"n": 120, "rule": {"rule": "log"}, "world_model": PIN_WM,
+                       "trials": 5000, "seed": 7, "deviators": [{"bl": 0.4, "bh": 0.6}] * 30},
+                      "02d333b63a01bd96a58fae7d17fb03f5a2e749bf8d8eb84705c67b216bb08a14"),
+        "distinct": ({"n": 200, "rule": {"rule": "brier"}, "world_model": PIN_WM,
+                      "trials": 5000, "seed": 8,
+                      "deviators": [{"bl": round(0.3 + 0.015 * i, 3), "bh": round(0.7 - 0.01 * i, 3)}
+                                    for i in range(24)]},
+                     "63c83022918113ca7ce2b0262266e65f82dcddff2f01f1982888d830bf54ead6"),
+        "none": ({"n": 150, "rule": {"rule": "brier"}, "world_model": PIN_WM,
+                  "trials": 5000, "seed": 9},
+                 "7a3c334b92b7e9182ec50d8414fb2dbafa662820ad06f1e8a7413b24615597ce"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stdout_bytes_pinned(self, tmp_path, capsys, name):
+        # Same seed, same bytes.  The digests rest on numpy's Generator
+        # streams (PCG64 uniforms and binomials) and its summation order,
+        # which numpy does not promise to keep across versions;
+        # test_matches_per_cell_oracle does not depend on them.
+        cfg, digest = self.PINNED[name]
+        code, out = run(capsys, ["simulate", "--config", write_config(tmp_path, cfg)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+            f"digest recorded with numpy {self.PIN_NUMPY}, running numpy {np.__version__}")
 
     def test_requires_world_model(self, tmp_path, capsys):
         cfg = {k: v for k, v in self.WM_CFG.items() if k != "world_model"}

@@ -337,6 +337,43 @@ class TestSimulate:
             tracemalloc.stop()
         assert peak <= 64 * 2 ** 20
 
+    def test_memory_bounded_when_everyone_shares_a_strategy(self):
+        # one report-probability column for the whole coalition: no block
+        # holds a trials x k matrix of probabilities or a second payoff copy
+        setting = self._wm_setting(n=2000)
+        profile = cl.DeviationProfile((cl.Strategy(0.3, 0.8),) * setting.n)
+        tracemalloc.start()
+        try:
+            cl.simulate(setting, profile, trials=4096, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 ** 20
+
+    def test_matches_per_cell_oracle(self):
+        """Every mean and stderr is the per-cell block's float, zero's sign included."""
+        seen = set()
+        for setting, profile, trials, seed in props.simulate_oracle_cases():
+            got = cl.simulate(setting, profile, trials=trials, seed=seed)
+            want = props.simulate_per_cell(setting, profile, trials, seed)
+            assert got == want, (setting, profile, trials, seed)
+            for role, stats in want.items():
+                for field in ("mean", "stderr"):
+                    assert (math.copysign(1.0, got[role][field])
+                            == math.copysign(1.0, stats[field])), (role, field, seed)
+            k, groups = profile.k, len(set(profile.deviators))
+            seen.add("shared" if groups == 1 < k else "distinct" if groups == k > 1
+                     else "mixed" if groups > 1 else "one deviator")
+            if {math.copysign(1.0, s.beta_l) for s in profile.deviators if s.beta_l == 0} == {-1.0, 1.0}:
+                seen.add("signed zero")
+            if k == setting.n:
+                seen.add("no truthful role")
+            rows = min(2 ** 20 // (k + (k < setting.n)), 4096)
+            seen.add("one trial" if trials == 1 else "blocks" if trials > rows else "one block")
+            seen.add(type(setting.rule).__name__)
+        assert seen >= {"shared", "distinct", "mixed", "signed zero", "no truthful role",
+                        "one trial", "blocks", "BrierRule", "LogRule", "TableRule"}, seen
+
     def test_stderr_calibration(self):
         """z = (mean - closed form) / stderr over seeded cases is standard normal.
 
